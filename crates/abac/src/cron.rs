@@ -338,7 +338,9 @@ pub fn validity_at(expr: &CronExpr, dur: f64, t: f64) -> Result<f64, String> {
         return Ok(0.0);
     }
     let mut end = f64::NEG_INFINITY;
-    let mut cur = 0u64;
+    // A fire at or before `t - dur` ends by `t`, so it cannot reach the
+    // window holding `t`: enumerate from there, not from second 0.
+    let mut cur = (t - dur).max(0.0) as u64;
     let mut enumerated = 0usize;
     loop {
         if enumerated >= MAX_ENUM_FIRES {
@@ -537,6 +539,14 @@ mod tests {
         assert_eq!(naive_validity_at(&e, 59.0, 45.0), 14.0);
         assert_eq!(validity_at(&e, 59.0, 59.5).unwrap(), 0.0);
         assert_eq!(naive_validity_at(&e, 59.0, 59.5), 0.0);
+    }
+
+    #[test]
+    fn validity_at_a_real_reference_time_enumerates_only_the_window() {
+        // 1.7e9 is 200 s past a five-minute fire: 40 s of a 4-minute
+        // window remain, and no later fire chains onto it.
+        let e = CronExpr::parse("*/5 * * * *").unwrap();
+        assert_eq!(validity_at(&e, 240.0, 1.7e9), Ok(40.0));
     }
 
     #[test]

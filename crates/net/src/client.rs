@@ -23,9 +23,9 @@
 //! any transport failure resolves *every* unresolved request to a
 //! counted `DeniedCoordination`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -108,11 +108,55 @@ pub struct Client {
     proto: u8,
     /// Coalesced, not-yet-written pipelined request frames.
     out2: Vec<u8>,
-    /// In-flight v2 request ids, oldest first.
-    pend2: Vec<u64>,
+    /// Issued v2 request ids and which of them are still in flight.
+    pend2: InFlight,
     /// Correlated replies received but not yet claimed by the pipeline.
     done2: Vec<(u64, Verdict)>,
-    next_id: u64,
+}
+
+/// The v2 request ids of one connection. Ids are issued in increasing
+/// order, so one flag per id from the oldest unanswered one onwards
+/// correlates a reply in O(1); answered ids leave from the front.
+#[derive(Default)]
+struct InFlight {
+    /// `open[i]`: id `base + i` is still unanswered.
+    open: VecDeque<bool>,
+    /// Every id below `base` is answered; `base + open.len()` is the
+    /// next id to issue.
+    base: u64,
+    len: usize,
+}
+
+impl InFlight {
+    fn next_id(&self) -> u64 {
+        self.base + self.open.len() as u64
+    }
+
+    /// Mark [`InFlight::next_id`] as sent.
+    fn issue(&mut self) {
+        self.open.push_back(true);
+        self.len += 1;
+    }
+
+    /// Mark `id` answered. `false` when it is not in flight: never
+    /// issued, or answered already.
+    fn resolve(&mut self, id: u64) -> bool {
+        let slot = id
+            .checked_sub(self.base)
+            .and_then(|i| self.open.get_mut(usize::try_from(i).ok()?));
+        match slot {
+            Some(open) if *open => {
+                *open = false;
+                self.len -= 1;
+                while self.open.front() == Some(&false) {
+                    self.open.pop_front();
+                    self.base += 1;
+                }
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 impl Client {
@@ -155,9 +199,8 @@ impl Client {
             asm: FrameAssembler::new(),
             proto: PROTOCOL_VERSION,
             out2: Vec::new(),
-            pend2: Vec::new(),
+            pend2: InFlight::default(),
             done2: Vec::new(),
-            next_id: 0,
         })
     }
 
@@ -192,7 +235,7 @@ impl Client {
 
     /// Number of pipelined requests currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.pend2.len()
+        self.pend2.len
     }
 
     /// Write out any coalesced pipelined request frames.
@@ -209,44 +252,44 @@ impl Client {
     /// Record a correlated completion, enforcing id discipline: a reply
     /// must match exactly one in-flight request.
     fn complete(&mut self, id: u64, v: Verdict) -> Result<(), NetError> {
-        match self.pend2.iter().position(|&p| p == id) {
-            Some(at) => {
-                self.pend2.remove(at);
-                self.done2.push((id, v));
-                Ok(())
-            }
-            None => Err(NetError::Protocol(format!(
+        if !self.pend2.resolve(id) {
+            return Err(NetError::Protocol(format!(
                 "verdict correlates to no in-flight request (id {id})"
-            ))),
+            )));
+        }
+        self.done2.push((id, v));
+        Ok(())
+    }
+
+    /// Pop a whole frame the assembler already holds, without a syscall.
+    fn buffered_frame(&mut self) -> Result<Option<Frame>, NetError> {
+        match self.asm.next_frame()? {
+            Some(payload) => Ok(Some(Frame::decode(payload)?)),
+            None => Ok(None),
         }
     }
 
-    /// Read one whole frame through the assembler (a single socket read
-    /// may yield many buffered frames; later calls drain them without
-    /// touching the socket).
-    fn read_frame_buffered(&mut self) -> Result<Vec<u8>, NetError> {
+    /// The next whole frame, reading from the socket only when none is
+    /// buffered (a single read may carry a whole window of replies).
+    fn read_frame(&mut self) -> Result<Frame, NetError> {
         loop {
-            if let Some(payload) = self.asm.next_frame().map_err(NetError::Wire)? {
-                return Ok(payload);
+            if let Some(frame) = self.buffered_frame()? {
+                return Ok(frame);
             }
-            let mut buf = [0u8; 65536];
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
+            if self.asm.read_from(&mut self.stream)? == 0 {
                 return Err(NetError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-stream",
                 )));
             }
-            self.asm.feed(&buf[..n]).map_err(NetError::Wire)?;
         }
     }
 
-    /// Read exactly one frame. A correlated v2 reply is absorbed into
-    /// the pipeline's completion set and reported as `None`; anything
-    /// else comes back as `Some(frame)`.
-    fn absorb_one(&mut self) -> Result<Option<Frame>, NetError> {
-        let payload = self.read_frame_buffered()?;
-        match Frame::decode(&payload)? {
+    /// A correlated v2 reply is absorbed into the pipeline's completion
+    /// set and reported as `None`; anything else comes back as
+    /// `Some(frame)`.
+    fn absorb(&mut self, frame: Frame) -> Result<Option<Frame>, NetError> {
+        match frame {
             Frame::Verdict2 {
                 id,
                 kind,
@@ -264,7 +307,7 @@ impl Client {
                 Ok(None)
             }
             Frame::Err2 { id, code, msg } => {
-                self.pend2.retain(|&p| p != id);
+                self.pend2.resolve(id);
                 Err(NetError::Daemon { code, msg })
             }
             f => Ok(Some(f)),
@@ -275,17 +318,28 @@ impl Client {
     /// absorbed along the way).
     fn read_reply(&mut self) -> Result<Frame, NetError> {
         loop {
-            if let Some(f) = self.absorb_one()? {
+            let frame = self.read_frame()?;
+            if let Some(f) = self.absorb(frame)? {
                 return Ok(f);
             }
         }
     }
 
-    /// Block until at least one in-flight pipelined request completes.
-    fn pump_one(&mut self) -> Result<(), NetError> {
+    /// Block until at least one in-flight pipelined request completes,
+    /// then absorb every further reply the assembler already holds, so
+    /// the slots they free refill in one write rather than one each.
+    fn pump(&mut self) -> Result<(), NetError> {
         let before = self.done2.len();
-        while self.done2.len() == before && !self.pend2.is_empty() {
-            if let Some(other) = self.absorb_one()? {
+        while self.pend2.len > 0 {
+            let frame = if self.done2.len() == before {
+                self.read_frame()?
+            } else {
+                match self.buffered_frame()? {
+                    Some(frame) => frame,
+                    None => break,
+                }
+            };
+            if let Some(other) = self.absorb(frame)? {
                 return Err(unexpected("Verdict2", &other));
             }
         }
@@ -633,12 +687,13 @@ impl Pipeline<'_> {
 
     /// Requests submitted but not yet answered.
     pub fn in_flight(&self) -> usize {
-        self.client.pend2.len()
+        self.client.pend2.len
     }
 
     /// Queue one decision, returning its request id. When the window is
     /// full this **blocks** (flushes, then waits for a completion) —
-    /// backpressure, never drops.
+    /// backpressure, never drops. The wait absorbs every reply already
+    /// received, so the freed slots refill before the next flush.
     pub fn submit(
         &mut self,
         object: &str,
@@ -646,17 +701,17 @@ impl Pipeline<'_> {
         remaining: &[Access],
         time: f64,
     ) -> Result<u64, NetError> {
-        while self.client.pend2.len() >= self.window {
+        while self.client.pend2.len >= self.window {
             self.client.flush_out()?;
-            self.client.pump_one()?;
+            self.client.pump()?;
         }
         // Vocabulary sync may issue synchronous v1 calls; `call` flushes
         // the queued request bytes first, so wire order stays positional.
         let item = self.client.item(object, access, remaining, time)?;
-        let id = self.client.next_id;
-        self.client.next_id += 1;
-        wire::put_frame(&mut self.client.out2, &Frame::Decide2 { id, item }.encode())?;
-        self.client.pend2.push(id);
+        let id = self.client.pend2.next_id();
+        let frame = Frame::Decide2 { id, item };
+        wire::put_frame_with(&mut self.client.out2, |b| frame.encode_into(b))?;
+        self.client.pend2.issue();
         Ok(id)
     }
 
@@ -666,11 +721,12 @@ impl Pipeline<'_> {
     }
 
     /// Flush queued requests and block until at least one completion is
-    /// available (or the window is empty), then claim them.
+    /// available (or the window is empty), then claim it and every other
+    /// reply already received.
     pub fn recv_some(&mut self) -> Result<Vec<(u64, Verdict)>, NetError> {
         self.client.flush_out()?;
         if self.client.done2.is_empty() {
-            self.client.pump_one()?;
+            self.client.pump()?;
         }
         Ok(self.take())
     }
@@ -678,8 +734,8 @@ impl Pipeline<'_> {
     /// Flush and drain the whole window, claiming every completion.
     pub fn finish(mut self) -> Result<Vec<(u64, Verdict)>, NetError> {
         self.client.flush_out()?;
-        while !self.client.pend2.is_empty() {
-            self.client.pump_one()?;
+        while self.client.pend2.len > 0 {
+            self.client.pump()?;
         }
         Ok(self.take())
     }

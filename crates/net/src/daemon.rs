@@ -62,7 +62,7 @@ use stacl_naplet::guard::{BatchRequest, CoordinatedGuard, Custody, GuardRequest}
 use stacl_obs::Counter;
 use stacl_rbac::policy::parse_policy;
 use stacl_rbac::PreparedEpoch;
-use stacl_sral::ast::Access;
+use stacl_sral::ast::{Access, Name};
 use stacl_sral::Program;
 use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
@@ -331,7 +331,7 @@ fn wake(shared: &Shared) {
 /// v2 slots, whose request-id correlation frees them from positional
 /// ordering.
 enum Slot {
-    Ready { v2: bool, payload: Vec<u8> },
+    Ready { v2: bool, frame: Frame },
     Pending { token: u64 },
 }
 
@@ -344,7 +344,9 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     slots: VecDeque<Slot>,
-    vocab: Vec<String>,
+    /// Names interned by `Vocab` announcements, by position; requests
+    /// clone the `Arc`s rather than copy the strings.
+    vocab: Vec<Name>,
     table: AccessTable,
     /// When the connection first stalled mid-frame (slow-loris clock).
     partial_since: Option<Instant>,
@@ -420,7 +422,7 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: TcpStream) {
                     if matches!(slot, Slot::Pending { token } if *token == c.token) {
                         *slot = Slot::Ready {
                             v2: false,
-                            payload: c.reply.encode(),
+                            frame: c.reply,
                         };
                         break;
                     }
@@ -573,15 +575,10 @@ fn accept_ready(
 /// Drain the socket into the assembler. Returns `false` when the
 /// connection is finished (EOF, I/O error, or hostile frame length).
 fn read_conn(conn: &mut Conn) -> bool {
-    let mut buf = [0u8; 65536];
     loop {
-        match conn.stream.read(&mut buf) {
+        match conn.asm.read_from(&mut conn.stream) {
             Ok(0) => return false,
-            Ok(n) => {
-                if conn.asm.feed(&buf[..n]).is_err() {
-                    return false;
-                }
-            }
+            Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
@@ -594,15 +591,17 @@ fn read_conn(conn: &mut Conn) -> bool {
 fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &mut Conn) -> bool {
     let mut shutdown = false;
     while !shutdown && !conn.dead {
-        match conn.asm.next_frame() {
-            Ok(Some(payload)) => match Frame::decode(&payload) {
-                Ok(frame) => shutdown = handle_frame(shared, ctx, conn, frame),
-                Err(e) => push_v1(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
-            },
+        let decoded = match conn.asm.next_frame() {
+            Ok(Some(payload)) => Frame::decode(payload),
             Ok(None) => break,
             Err(_) => {
                 conn.dead = true;
+                break;
             }
+        };
+        match decoded {
+            Ok(frame) => shutdown = handle_frame(shared, ctx, conn, frame),
+            Err(e) => push_v1(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
         }
     }
     flush_conn(conn);
@@ -625,15 +624,23 @@ fn flush_conn(conn: &mut Conn) {
             i += 1;
             continue;
         }
-        let Some(Slot::Ready { payload, .. }) = conn.slots.remove(i) else {
+        let Some(Slot::Ready { frame, .. }) = conn.slots.remove(i) else {
             unreachable!("slot {i} examined above");
         };
-        if wire::put_frame(&mut conn.out, &payload).is_err() {
-            conn.dead = true;
+        put_out(conn, &frame);
+        if conn.dead {
             return;
         }
     }
     write_out(conn);
+}
+
+/// Encode `frame` straight onto the out-buffer. A reply too large to
+/// frame kills the connection.
+fn put_out(conn: &mut Conn, frame: &Frame) {
+    if wire::put_frame_with(&mut conn.out, |b| frame.encode_into(b)).is_err() {
+        conn.dead = true;
+    }
 }
 
 /// Write as much of the out-buffer as the socket will take without
@@ -668,17 +675,22 @@ fn write_out(conn: &mut Conn) {
 }
 
 fn push_v1(conn: &mut Conn, frame: Frame) {
-    conn.slots.push_back(Slot::Ready {
-        v2: false,
-        payload: frame.encode(),
-    });
+    push(conn, false, frame);
 }
 
 fn push_v2(conn: &mut Conn, frame: Frame) {
-    conn.slots.push_back(Slot::Ready {
-        v2: true,
-        payload: frame.encode(),
-    });
+    push(conn, true, frame);
+}
+
+/// Queue one reply. With no slot queued ahead of it, nothing can precede
+/// it on the wire, so it is encoded onto the out-buffer at once;
+/// otherwise it waits as a slot for [`flush_conn`] and the ordering rule.
+fn push(conn: &mut Conn, v2: bool, frame: Frame) {
+    if conn.slots.is_empty() {
+        put_out(conn, &frame);
+    } else {
+        conn.slots.push_back(Slot::Ready { v2, frame });
+    }
 }
 
 fn err_frame(code: u8, msg: impl Into<String>) -> Frame {
@@ -708,19 +720,18 @@ impl Reject {
     }
 }
 
-fn name_of(vocab: &[String], id: u32) -> Result<&str, Reject> {
+fn name_of(vocab: &[Name], id: u32) -> Result<&Name, Reject> {
     vocab
         .get(id as usize)
-        .map(String::as_str)
         .ok_or_else(|| Reject::bad(format!("unknown vocabulary id {id}")))
 }
 
-fn mk_access(vocab: &[String], a: &WireAccess) -> Result<Access, Reject> {
-    Ok(Access::new(
-        name_of(vocab, a.op)?,
-        name_of(vocab, a.resource)?,
-        name_of(vocab, a.server)?,
-    ))
+fn mk_access(vocab: &[Name], a: &WireAccess) -> Result<Access, Reject> {
+    Ok(Access {
+        op: name_of(vocab, a.op)?.clone(),
+        resource: name_of(vocab, a.resource)?.clone(),
+        server: name_of(vocab, a.server)?.clone(),
+    })
 }
 
 fn finite_time(t: f64) -> Result<TimePoint, Reject> {
@@ -731,25 +742,23 @@ fn finite_time(t: f64) -> Result<TimePoint, Reject> {
 }
 
 struct OwnedRequest {
-    object: String,
+    object: Name,
     access: Access,
     remaining: Program,
     time: TimePoint,
 }
 
-fn own_request(vocab: &[String], it: &DecideItem) -> Result<OwnedRequest, Reject> {
-    let object = name_of(vocab, it.object)?.to_string();
+fn own_request(vocab: &[Name], it: &DecideItem) -> Result<OwnedRequest, Reject> {
+    let object = name_of(vocab, it.object)?.clone();
     let access = mk_access(vocab, &it.access)?;
     let time = finite_time(it.time)?;
-    let parts = it
-        .remaining
-        .iter()
-        .map(|a| Ok(Program::Access(mk_access(vocab, a)?)))
-        .collect::<Result<Vec<_>, Reject>>()?;
+    let remaining = it.remaining.iter().try_fold(Program::Skip, |seq, a| {
+        Ok::<_, Reject>(seq.then(Program::Access(mk_access(vocab, a)?)))
+    })?;
     Ok(OwnedRequest {
         object,
         access,
-        remaining: Program::seq_all(parts),
+        remaining,
         time,
     })
 }
@@ -824,7 +833,7 @@ fn handle_frame(
             push_v1(conn, reply);
         }
         Frame::Vocab { names } => {
-            conn.vocab.extend(names);
+            conn.vocab.extend(names.into_iter().map(Name::from));
             push_v1(conn, Frame::Ok);
         }
         Frame::Enroll { object, roles } => {
@@ -1078,12 +1087,7 @@ fn policy_activate(shared: &Arc<Shared>, epoch: u64) -> Frame {
     }
 }
 
-fn enroll(
-    shared: &Arc<Shared>,
-    vocab: &[String],
-    object: u32,
-    roles: &[u32],
-) -> Result<(), Reject> {
+fn enroll(shared: &Arc<Shared>, vocab: &[Name], object: u32, roles: &[u32]) -> Result<(), Reject> {
     let object = name_of(vocab, object)?;
     let roles = roles
         .iter()

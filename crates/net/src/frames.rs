@@ -702,37 +702,44 @@ impl Frame {
     /// Encode into a versioned payload ready for [`crate::wire::write_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
-        put_u8(&mut b, self.wire_version());
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the versioned payload to `b` — [`Frame::encode`] without a
+    /// buffer of its own, for [`crate::wire::put_frame_with`].
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
+        put_u8(b, self.wire_version());
         match self {
             Frame::Hello { proto, peer } => {
-                put_u8(&mut b, TAG_HELLO);
-                crate::wire::put_u16(&mut b, *proto);
-                put_str(&mut b, peer);
+                put_u8(b, TAG_HELLO);
+                crate::wire::put_u16(b, *proto);
+                put_str(b, peer);
             }
             Frame::Vocab { names } => {
-                put_u8(&mut b, TAG_VOCAB);
-                put_u32(&mut b, names.len() as u32);
+                put_u8(b, TAG_VOCAB);
+                put_u32(b, names.len() as u32);
                 for n in names {
-                    put_str(&mut b, n);
+                    put_str(b, n);
                 }
             }
             Frame::Enroll { object, roles } => {
-                put_u8(&mut b, TAG_ENROLL);
-                put_u32(&mut b, *object);
-                put_u32(&mut b, roles.len() as u32);
+                put_u8(b, TAG_ENROLL);
+                put_u32(b, *object);
+                put_u32(b, roles.len() as u32);
                 for r in roles {
-                    put_u32(&mut b, *r);
+                    put_u32(b, *r);
                 }
             }
             Frame::Decide(it) => {
-                put_u8(&mut b, TAG_DECIDE);
-                put_item(&mut b, it);
+                put_u8(b, TAG_DECIDE);
+                put_item(b, it);
             }
             Frame::DecideBatch { items } => {
-                put_u8(&mut b, TAG_DECIDE_BATCH);
-                put_u32(&mut b, items.len() as u32);
+                put_u8(b, TAG_DECIDE_BATCH);
+                put_u32(b, items.len() as u32);
                 for it in items {
-                    put_item(&mut b, it);
+                    put_item(b, it);
                 }
             }
             Frame::IssueProof {
@@ -740,112 +747,112 @@ impl Frame {
                 access,
                 time,
             } => {
-                put_u8(&mut b, TAG_ISSUE_PROOF);
-                put_u32(&mut b, *object);
-                put_access(&mut b, access);
-                put_f64(&mut b, *time);
+                put_u8(b, TAG_ISSUE_PROOF);
+                put_u32(b, *object);
+                put_access(b, access);
+                put_f64(b, *time);
             }
             Frame::Arrive { object, time, from } => {
-                put_u8(&mut b, TAG_ARRIVE);
-                put_u32(&mut b, *object);
-                put_f64(&mut b, *time);
-                put_opt_str(&mut b, from.as_deref());
+                put_u8(b, TAG_ARRIVE);
+                put_u32(b, *object);
+                put_f64(b, *time);
+                put_opt_str(b, from.as_deref());
             }
             Frame::HandoffRequest { object } => {
-                put_u8(&mut b, TAG_HANDOFF_REQUEST);
-                put_str(&mut b, object);
+                put_u8(b, TAG_HANDOFF_REQUEST);
+                put_str(b, object);
             }
             Frame::Locate { object } => {
-                put_u8(&mut b, TAG_LOCATE);
-                put_str(&mut b, object);
+                put_u8(b, TAG_LOCATE);
+                put_str(b, object);
             }
             Frame::Rebalance { object, from } => {
-                put_u8(&mut b, TAG_REBALANCE);
-                put_str(&mut b, object);
-                put_str(&mut b, from);
+                put_u8(b, TAG_REBALANCE);
+                put_str(b, object);
+                put_str(b, from);
             }
-            Frame::MetricsRequest => put_u8(&mut b, TAG_METRICS_REQUEST),
-            Frame::Shutdown => put_u8(&mut b, TAG_SHUTDOWN),
+            Frame::MetricsRequest => put_u8(b, TAG_METRICS_REQUEST),
+            Frame::Shutdown => put_u8(b, TAG_SHUTDOWN),
             Frame::PolicyPrepare {
                 epoch,
                 policy,
                 classes,
             } => {
-                put_u8(&mut b, TAG_POLICY_PREPARE);
-                put_u64(&mut b, *epoch);
-                put_str(&mut b, policy);
-                put_u32(&mut b, classes.len() as u32);
+                put_u8(b, TAG_POLICY_PREPARE);
+                put_u64(b, *epoch);
+                put_str(b, policy);
+                put_u32(b, classes.len() as u32);
                 for (name, dur, scheme) in classes {
-                    put_str(&mut b, name);
-                    put_f64(&mut b, *dur);
-                    put_u8(&mut b, *scheme);
+                    put_str(b, name);
+                    put_f64(b, *dur);
+                    put_u8(b, *scheme);
                 }
             }
             Frame::PolicyActivate { epoch } => {
-                put_u8(&mut b, TAG_POLICY_ACTIVATE);
-                put_u64(&mut b, *epoch);
+                put_u8(b, TAG_POLICY_ACTIVATE);
+                put_u64(b, *epoch);
             }
             Frame::Decide2 { id, item } => {
-                put_u8(&mut b, TAG_DECIDE2);
-                put_u64(&mut b, *id);
-                put_item(&mut b, item);
+                put_u8(b, TAG_DECIDE2);
+                put_u64(b, *id);
+                put_item(b, item);
             }
             Frame::DecideBatch2 { id, items } => {
-                put_u8(&mut b, TAG_DECIDE_BATCH2);
-                put_u64(&mut b, *id);
-                put_u32(&mut b, items.len() as u32);
+                put_u8(b, TAG_DECIDE_BATCH2);
+                put_u64(b, *id);
+                put_u32(b, items.len() as u32);
                 for it in items {
-                    put_item(&mut b, it);
+                    put_item(b, it);
                 }
             }
             Frame::HelloAck { proto, server } => {
-                put_u8(&mut b, TAG_HELLO_ACK);
-                crate::wire::put_u16(&mut b, *proto);
-                put_str(&mut b, server);
+                put_u8(b, TAG_HELLO_ACK);
+                crate::wire::put_u16(b, *proto);
+                put_str(b, server);
             }
-            Frame::Ok => put_u8(&mut b, TAG_OK),
+            Frame::Ok => put_u8(b, TAG_OK),
             Frame::Err { code, msg } => {
-                put_u8(&mut b, TAG_ERR);
-                put_u8(&mut b, *code);
-                put_str(&mut b, msg);
+                put_u8(b, TAG_ERR);
+                put_u8(b, *code);
+                put_str(b, msg);
             }
             Frame::Verdict {
                 kind,
                 epoch,
                 reason,
             } => {
-                put_u8(&mut b, TAG_VERDICT);
-                put_u8(&mut b, *kind);
-                put_u64(&mut b, *epoch);
-                put_opt_str(&mut b, reason.as_deref());
+                put_u8(b, TAG_VERDICT);
+                put_u8(b, *kind);
+                put_u64(b, *epoch);
+                put_opt_str(b, reason.as_deref());
             }
             Frame::VerdictBatch { verdicts } => {
-                put_u8(&mut b, TAG_VERDICT_BATCH);
-                put_u32(&mut b, verdicts.len() as u32);
+                put_u8(b, TAG_VERDICT_BATCH);
+                put_u32(b, verdicts.len() as u32);
                 for (kind, epoch, reason) in verdicts {
-                    put_u8(&mut b, *kind);
-                    put_u64(&mut b, *epoch);
-                    put_opt_str(&mut b, reason.as_deref());
+                    put_u8(b, *kind);
+                    put_u64(b, *epoch);
+                    put_opt_str(b, reason.as_deref());
                 }
             }
             Frame::HandoffState { object, state } => {
-                put_u8(&mut b, TAG_HANDOFF_STATE);
-                put_str(&mut b, object);
-                put_handoff(&mut b, state);
+                put_u8(b, TAG_HANDOFF_STATE);
+                put_str(b, object);
+                put_handoff(b, state);
             }
             Frame::MetricsJson { json } => {
-                put_u8(&mut b, TAG_METRICS_JSON);
-                put_str(&mut b, json);
+                put_u8(b, TAG_METRICS_JSON);
+                put_str(b, json);
             }
             Frame::EpochAck { epoch } => {
-                put_u8(&mut b, TAG_EPOCH_ACK);
-                put_u64(&mut b, *epoch);
+                put_u8(b, TAG_EPOCH_ACK);
+                put_u64(b, *epoch);
             }
             Frame::Redirect { object, home, addr } => {
-                put_u8(&mut b, TAG_REDIRECT);
-                put_str(&mut b, object);
-                put_str(&mut b, home);
-                put_opt_str(&mut b, addr.as_deref());
+                put_u8(b, TAG_REDIRECT);
+                put_str(b, object);
+                put_str(b, home);
+                put_opt_str(b, addr.as_deref());
             }
             Frame::Verdict2 {
                 id,
@@ -853,30 +860,29 @@ impl Frame {
                 epoch,
                 reason,
             } => {
-                put_u8(&mut b, TAG_VERDICT2);
-                put_u64(&mut b, *id);
-                put_u8(&mut b, *kind);
-                put_u64(&mut b, *epoch);
-                put_opt_str(&mut b, reason.as_deref());
+                put_u8(b, TAG_VERDICT2);
+                put_u64(b, *id);
+                put_u8(b, *kind);
+                put_u64(b, *epoch);
+                put_opt_str(b, reason.as_deref());
             }
             Frame::VerdictBatch2 { id, verdicts } => {
-                put_u8(&mut b, TAG_VERDICT_BATCH2);
-                put_u64(&mut b, *id);
-                put_u32(&mut b, verdicts.len() as u32);
+                put_u8(b, TAG_VERDICT_BATCH2);
+                put_u64(b, *id);
+                put_u32(b, verdicts.len() as u32);
                 for (kind, epoch, reason) in verdicts {
-                    put_u8(&mut b, *kind);
-                    put_u64(&mut b, *epoch);
-                    put_opt_str(&mut b, reason.as_deref());
+                    put_u8(b, *kind);
+                    put_u64(b, *epoch);
+                    put_opt_str(b, reason.as_deref());
                 }
             }
             Frame::Err2 { id, code, msg } => {
-                put_u8(&mut b, TAG_ERR2);
-                put_u64(&mut b, *id);
-                put_u8(&mut b, *code);
-                put_str(&mut b, msg);
+                put_u8(b, TAG_ERR2);
+                put_u64(b, *id);
+                put_u8(b, *code);
+                put_str(b, msg);
             }
         }
-        b
     }
 
     /// Decode a versioned payload. Rejects — never panics on — any

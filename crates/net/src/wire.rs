@@ -264,24 +264,34 @@ impl<'a> Dec<'a> {
 /// Reassembles length-prefixed frames from an arbitrarily-chunked byte
 /// stream — the nonblocking counterpart of [`read_frame`].
 ///
-/// Bytes arrive via [`feed`] in whatever slices the socket produced (one
+/// Bytes arrive via [`read_from`], which reads straight into the
+/// assembler's own buffer, in whatever amounts the reader produces (one
 /// byte at a time in the worst case); [`next_frame`] pops the next
-/// complete payload, byte-identical to what a blocking [`read_frame`]
-/// would have returned. A partial frame simply stays buffered — it never
-/// blocks, errors, or corrupts subsequent frames.
+/// complete payload as a slice of that buffer, byte-identical to what a
+/// blocking [`read_frame`] would have returned. A partial frame simply
+/// stays buffered — it never blocks, errors, or corrupts subsequent
+/// frames.
 ///
-/// Consumed bytes are reclaimed by compacting the internal buffer once
-/// the dead prefix outgrows the live remainder, so steady-state
-/// reassembly does not grow memory with traffic.
+/// The buffer is zero-initialised only when it grows; bytes past the
+/// filled end are scratch space for the next read. Consumed bytes are
+/// reclaimed when the next read needs room, by moving the live remainder
+/// to the front, so steady-state reassembly does not grow memory with
+/// traffic.
 ///
-/// [`feed`]: FrameAssembler::feed
+/// [`read_from`]: FrameAssembler::read_from
 /// [`next_frame`]: FrameAssembler::next_frame
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
     /// Start of un-consumed bytes in `buf`.
     pos: usize,
+    /// End of filled bytes in `buf`; `buf[end..]` is scratch.
+    end: usize,
 }
+
+/// Free space [`FrameAssembler::read_from`] offers each socket read: a
+/// whole window of pipelined frames fits in one read.
+const READ_CHUNK: usize = 1 << 16;
 
 impl FrameAssembler {
     /// An empty assembler.
@@ -289,23 +299,48 @@ impl FrameAssembler {
         FrameAssembler::default()
     }
 
-    /// Append raw stream bytes. Fails — poisoning nothing, the caller
-    /// drops the connection — if a frame header announces a payload over
-    /// [`MAX_FRAME_LEN`].
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.buf.extend_from_slice(bytes);
-        // Validate the announced length as soon as the header is whole so
-        // a hostile 4 GiB announcement is rejected before any buffering.
-        if let Some(len) = self.peek_len() {
-            if len > MAX_FRAME_LEN {
-                return Err(WireError::TooLarge(len));
-            }
+    /// One `read` from `r` straight into the buffer's free space,
+    /// returning the byte count (`0` at end of stream). Fails — poisoning
+    /// nothing, the caller drops the connection — if a frame header
+    /// announces a payload over [`MAX_FRAME_LEN`]: an
+    /// [`io::ErrorKind::InvalidData`] error wrapping
+    /// [`WireError::TooLarge`].
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.reserve(READ_CHUNK);
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        self.check_len()?;
+        Ok(n)
+    }
+
+    /// Make room for `n` more bytes after `end`: first reclaim the
+    /// consumed prefix, then grow (zeroing only the new tail).
+    fn reserve(&mut self, n: usize) {
+        if self.buf.len() - self.end >= n {
+            return;
         }
-        Ok(())
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        if self.buf.len() - self.end < n {
+            let want = (self.end + n).max(self.buf.len() * 2);
+            self.buf.resize(want, 0);
+        }
+    }
+
+    /// Validate the announced length as soon as the header is whole so
+    /// a hostile 4 GiB announcement is rejected before any buffering.
+    fn check_len(&self) -> Result<(), WireError> {
+        match self.peek_len() {
+            Some(len) if len > MAX_FRAME_LEN => Err(WireError::TooLarge(len)),
+            _ => Ok(()),
+        }
     }
 
     fn peek_len(&self) -> Option<usize> {
-        let avail = &self.buf[self.pos..];
+        let avail = &self.buf[self.pos..self.end];
         if avail.len() < 4 {
             return None;
         }
@@ -313,39 +348,39 @@ impl FrameAssembler {
     }
 
     /// Pop the next complete frame payload, or `None` if more bytes are
-    /// needed. Counts `net.frame-rx` / `net.bytes-rx` per popped frame,
+    /// needed. The payload borrows the assembler's buffer until the next
+    /// call. Counts `net.frame-rx` / `net.bytes-rx` per popped frame,
     /// mirroring [`read_frame`].
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
         let Some(len) = self.peek_len() else {
             return Ok(None);
         };
         if len > MAX_FRAME_LEN {
             return Err(WireError::TooLarge(len));
         }
-        if self.buf.len() - self.pos < 4 + len {
+        if self.end - self.pos < 4 + len {
             return Ok(None);
         }
-        let payload = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        // Compact once the consumed prefix dominates the live bytes.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+        let start = self.pos + 4;
+        self.pos = start + len;
+        if self.pos == self.end {
+            // Everything consumed: the next read starts at the front.
+            (self.pos, self.end) = (0, 0);
         }
         stacl_obs::count(Counter::NetFrameRx);
         stacl_obs::add(Counter::NetBytesRx, (len + 4) as u64);
-        Ok(Some(payload))
+        Ok(Some(&self.buf[start..start + len]))
     }
 
     /// Whether a partially-received frame is pending (used by the event
     /// loop's slow-loris eviction deadline).
     pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.pos
+        self.end > self.pos
     }
 
     /// Bytes currently buffered but not yet popped as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 }
 
@@ -359,10 +394,27 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(payload.len()));
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    put_frame_with(out, |b| b.extend_from_slice(payload))
+}
+
+/// [`put_frame`] for a payload that `encode` appends straight onto `out`
+/// (e.g. [`crate::frames::Frame::encode_into`]): no payload buffer of its
+/// own. An oversized payload is taken back off `out` and rejected.
+pub fn put_frame_with(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = out.len() - at - 4;
+    if len > MAX_FRAME_LEN {
+        out.truncate(at);
+        return Err(WireError::TooLarge(len));
+    }
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
     stacl_obs::count(Counter::NetFrameTx);
-    stacl_obs::add(Counter::NetBytesTx, (payload.len() + 4) as u64);
+    stacl_obs::add(Counter::NetBytesTx, (len + 4) as u64);
     Ok(())
 }
 

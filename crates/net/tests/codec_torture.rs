@@ -33,7 +33,8 @@ fn byte_at_a_time_reassembly_is_exact() {
 
         let mut asm = FrameAssembler::new();
         for (i, byte) in stream.iter().enumerate() {
-            asm.feed(std::slice::from_ref(byte)).expect("clean feed");
+            asm.read_from(&mut std::slice::from_ref(byte))
+                .expect("clean read");
             let got = asm.next_frame().expect("clean reassembly");
             if i + 1 < stream.len() {
                 assert!(
@@ -45,7 +46,7 @@ fn byte_at_a_time_reassembly_is_exact() {
             } else {
                 let got = got.expect("final byte completes the frame");
                 assert_eq!(got, payload, "reassembled payload differs from encoding");
-                let back = Frame::decode(&got).expect("reassembled payload decodes");
+                let back = Frame::decode(got).expect("reassembled payload decodes");
                 assert_eq!(back, frame, "reassembly changed the frame");
             }
         }
@@ -82,10 +83,11 @@ fn random_split_reassembly_is_exact() {
         let mut pos = 0;
         while pos < stream.len() {
             let take = (r.gen_range(0usize..16) + 1).min(stream.len() - pos);
-            asm.feed(&stream[pos..pos + take]).expect("clean feed");
+            asm.read_from(&mut &stream[pos..pos + take])
+                .expect("clean read");
             pos += take;
             while let Some(p) = asm.next_frame().expect("clean reassembly") {
-                got.push(p);
+                got.push(p.to_vec());
             }
         }
         assert_eq!(
@@ -117,13 +119,13 @@ fn independent_assemblers_do_not_interfere() {
         let mut asm_a = FrameAssembler::new();
         let mut asm_b = FrameAssembler::new();
         // Feed stream A fully except its last byte — a stalled partial.
-        asm_a.feed(&sa[..sa.len() - 1]).unwrap();
+        asm_a.read_from(&mut &sa[..sa.len() - 1]).unwrap();
         assert!(asm_a.next_frame().unwrap().is_none());
         // Stream B completes regardless.
-        asm_b.feed(&sb).unwrap();
+        asm_b.read_from(&mut &sb[..]).unwrap();
         assert_eq!(asm_b.next_frame().unwrap().expect("B completes"), pb);
         // A finishes only when its own last byte arrives.
-        asm_a.feed(&sa[sa.len() - 1..]).unwrap();
+        asm_a.read_from(&mut &sa[sa.len() - 1..]).unwrap();
         assert_eq!(asm_a.next_frame().unwrap().expect("A completes"), pa);
     });
 }

@@ -3,9 +3,10 @@
 //! deliberately scrambled order, and every response must still land on
 //! the request that asked for it. A window-full client must apply
 //! backpressure (block) rather than drop requests, and a response
-//! correlating to no in-flight request must be a clean protocol error.
+//! correlating to no in-flight request — never issued, or answered
+//! already — must be a clean protocol error.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -25,8 +26,11 @@ enum ReplyMode {
     /// echoes the request's `time` field so order restoration is
     /// observable end to end.
     Shuffled { seed: u64 },
-    /// Reply to every request with a request id that was never issued.
-    BogusIds,
+    /// Reply to every request with its id plus `offset`: with fewer than
+    /// `offset` requests in flight, an id that was never issued.
+    Shifted { offset: u64 },
+    /// Reply to every request twice, newest request first.
+    Twice,
 }
 
 /// A single-connection fake daemon speaking just enough of the protocol
@@ -41,20 +45,17 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
         let (mut stream, _) = listener.accept().expect("accept");
         let mut rng = SplitMix64::seed_from_u64(match mode {
             ReplyMode::Shuffled { seed } => seed,
-            ReplyMode::BogusIds => 0,
+            _ => 0,
         });
         let mut asm = FrameAssembler::new();
-        let mut buf = [0u8; 65536];
         let mut pending: Vec<(u64, f64)> = Vec::new();
         let mut out = Vec::new();
         'conn: loop {
-            let n = match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break 'conn,
-                Ok(n) => n,
-            };
-            asm.feed(&buf[..n]).expect("well-formed client stream");
+            if matches!(asm.read_from(&mut stream), Ok(0) | Err(_)) {
+                break 'conn;
+            }
             while let Some(payload) = asm.next_frame().expect("client frames reassemble") {
-                let frame = Frame::decode(&payload).expect("client frames decode");
+                let frame = Frame::decode(payload).expect("client frames decode");
                 match frame {
                     Frame::Hello { proto, .. } => {
                         let ack = Frame::HelloAck {
@@ -83,10 +84,14 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
                 let j = (rng.next_u64() % (i as u64 + 1)) as usize;
                 pending.swap(i, j);
             }
+            if let ReplyMode::Twice = mode {
+                pending.sort_by_key(|&(id, _)| std::cmp::Reverse(id));
+            }
             for (id, time) in pending.drain(..) {
-                let id = match mode {
-                    ReplyMode::Shuffled { .. } => id,
-                    ReplyMode::BogusIds => id + 1_000_000,
+                let (id, copies) = match mode {
+                    ReplyMode::Shuffled { .. } => (id, 1),
+                    ReplyMode::Shifted { offset } => (id + offset, 1),
+                    ReplyMode::Twice => (id, 2),
                 };
                 let v = Frame::Verdict2 {
                     id,
@@ -94,7 +99,9 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
                     epoch: 7,
                     reason: Some(format!("t-{time}")),
                 };
-                wire::put_frame(&mut out, &v.encode()).unwrap();
+                for _ in 0..copies {
+                    wire::put_frame(&mut out, &v.encode()).unwrap();
+                }
             }
             if stream.write_all(&out).is_err() {
                 break 'conn;
@@ -212,18 +219,20 @@ fn window_full_applies_backpressure_not_drop() {
     server.join().expect("server thread");
 }
 
-/// A response correlating to no in-flight request is a protocol error —
-/// not a silent drop, not a panic.
-#[test]
-fn unknown_request_id_is_a_protocol_error() {
-    let (addr, server) = spawn_shuffler(ReplyMode::BogusIds);
+/// Submit `requests` decisions to a server answering in `mode`, and
+/// require the drain to fail with the no-in-flight protocol error.
+fn assert_correlation_error(mode: ReplyMode, requests: usize) {
+    let (addr, server) = spawn_shuffler(mode);
     let mut client = connect(addr);
     let access = Access::new(ACCESS_PARTS.0, ACCESS_PARTS.1, ACCESS_PARTS.2);
     let remaining = [access.clone()];
 
     let mut p = client.pipeline(4).expect("v2 negotiated");
-    p.submit("obj", &access, &remaining, 0.0).expect("submit");
-    let err = p.finish().expect_err("bogus id must not resolve");
+    for i in 0..requests {
+        p.submit("obj", &access, &remaining, i as f64)
+            .expect("submit");
+    }
+    let err = p.finish().expect_err("a stray id must not resolve");
     match err {
         NetError::Protocol(msg) => {
             assert!(
@@ -235,4 +244,26 @@ fn unknown_request_id_is_a_protocol_error() {
     }
     drop(client);
     let _ = server.join();
+}
+
+/// A response correlating to no in-flight request is a protocol error —
+/// not a silent drop, not a panic.
+#[test]
+fn unknown_request_id_is_a_protocol_error() {
+    assert_correlation_error(ReplyMode::Shifted { offset: 1_000_000 }, 1);
+}
+
+/// The first id not yet issued is as unknown as any later one.
+#[test]
+fn next_unissued_request_id_is_a_protocol_error() {
+    assert_correlation_error(ReplyMode::Shifted { offset: 1 }, 1);
+}
+
+/// A second verdict for an id already completed correlates to nothing,
+/// even while an older request is still in flight: the duplicate of
+/// request 1 reaches the client before request 0's verdict, so the drain
+/// must meet it.
+#[test]
+fn duplicate_verdict_is_a_protocol_error() {
+    assert_correlation_error(ReplyMode::Twice, 2);
 }
