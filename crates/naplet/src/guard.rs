@@ -21,8 +21,6 @@
 use stacl_coalition::{DecisionKind, Placement, ProofStore, Verdict};
 use stacl_ids::sync::{Mutex, RwLock};
 use stacl_rbac::{AccessRequest, ExtendedRbac, ObjectGateExport, SessionId};
-use stacl_srac::check::{check_residual_cached, ConstraintCache, Semantics};
-use stacl_srac::{Constraint, ConstraintCursor};
 use stacl_sral::ast::{name, Name};
 use stacl_sral::{Access, Program};
 use stacl_temporal::TimePoint;
@@ -481,15 +479,6 @@ impl CoordinatedGuard {
             }
         };
         let rbac = self.rbac.read();
-        // In reactive mode only the attempted access itself is declared.
-        let single;
-        let program: &Program = match self.mode {
-            EnforcementMode::Preventive => req.remaining,
-            EnforcementMode::Reactive => {
-                single = Program::Access(req.access.clone());
-                &single
-            }
-        };
         // Spatial approvals are monotone along clean preventive execution
         // (see `AccessRequest::reuse_spatial`).
         let object_clean = st.clean;
@@ -497,13 +486,17 @@ impl CoordinatedGuard {
             object: req.object,
             session: sid,
             access: req.access,
-            program,
+            program: req.remaining,
             time: req.time,
             reuse_spatial: self.approval_reuse
                 && self.mode == EnforcementMode::Preventive
                 && object_clean,
         };
-        let decision = rbac.decide(&request, proofs, table);
+        let decision = match self.mode {
+            EnforcementMode::Preventive => rbac.decide(&request, proofs, table),
+            // In reactive mode only the attempted access itself is declared.
+            EnforcementMode::Reactive => rbac.decide_reactive(&request, proofs, table),
+        };
         st.clean = object_clean && decision.is_granted();
         decision
     }
@@ -659,107 +652,6 @@ impl SecurityGuard for CoordinatedGuard {
     }
 }
 
-/// A guard enforcing one global SRAC constraint on every object — handy
-/// for tests and ablations that isolate the spatial checker from RBAC.
-///
-/// Checks run through the same per-object [`ConstraintCursor`] fast path
-/// as the coordinated gate: the old implementation re-materialised the
-/// object's *entire* proof history (one `Trace` allocation + full
-/// automaton re-walk) on every check; the cursor folds in only the
-/// proofs issued since the previous check and falls back to the
-/// from-scratch walk exactly when invalid (same rules as
-/// `ExtendedRbac` — see DESIGN.md §8).
-pub struct SpatialOnlyGuard {
-    constraint: Constraint,
-    cache: ConstraintCache,
-    cursors: HashMap<Name, ConstraintCursor>,
-}
-
-impl SpatialOnlyGuard {
-    /// Guard with a single coalition-wide constraint.
-    pub fn new(constraint: Constraint) -> Self {
-        SpatialOnlyGuard {
-            constraint,
-            cache: ConstraintCache::new(),
-            cursors: HashMap::new(),
-        }
-    }
-
-    fn holds(
-        &mut self,
-        req: &GuardRequest<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> bool {
-        let watermark = proofs.watermark_of(req.object);
-        // Same decline-attribution as `ExtendedRbac::spatial_holds` minus
-        // the rules that don't exist here (no policy generation, no team
-        // scope): the first failing DESIGN.md §8 rule is counted.
-        match self.cursors.get_mut(req.object) {
-            None => stacl_obs::count(stacl_obs::Counter::CursorColdStart),
-            Some(cur) if !cur.in_sync_with(table) => {
-                stacl_obs::count(stacl_obs::Counter::CursorDeclineTableVersion)
-            }
-            Some(cur) if cur.consumed() > watermark => {
-                stacl_obs::count(stacl_obs::Counter::CursorDeclineWatermark)
-            }
-            Some(cur) => {
-                let mut ok = true;
-                {
-                    let tbl: &AccessTable = table;
-                    proofs.visit_suffix(req.object, cur.consumed(), |p| {
-                        if ok {
-                            ok = cur.advance_access(&p.access, tbl);
-                        }
-                    });
-                }
-                if ok {
-                    if let Some(h) = cur.check_residual_program(req.remaining, table) {
-                        stacl_obs::count(stacl_obs::Counter::CursorFastPathHit);
-                        return h;
-                    }
-                }
-                stacl_obs::count(stacl_obs::Counter::CursorDeclineUnknownSymbol);
-            }
-        }
-        // Slow path + cursor rebuild.
-        let history = proofs.history_of(req.object, table);
-        let holds = check_residual_cached(
-            &history,
-            req.remaining,
-            &self.constraint,
-            table,
-            Semantics::ForAll,
-            &mut self.cache,
-        )
-        .holds;
-        let mut cursor = ConstraintCursor::new(&self.constraint, table, &mut self.cache);
-        if cursor.advance_trace(&history) {
-            self.cursors.insert(name(req.object), cursor);
-        } else {
-            self.cursors.remove(req.object);
-        }
-        holds
-    }
-}
-
-impl SecurityGuard for SpatialOnlyGuard {
-    fn check(
-        &mut self,
-        req: &GuardRequest<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> Verdict {
-        let v = if self.holds(req, proofs, table) {
-            Verdict::granted()
-        } else {
-            Verdict::denied(DecisionKind::DeniedSpatial, self.constraint.to_string())
-        };
-        stacl_obs::count(v.kind.counter());
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,29 +712,6 @@ mod tests {
         assert_eq!(
             g.decide(&req2, &proofs, &mut table).kind,
             DecisionKind::DeniedNoPermission
-        );
-    }
-
-    #[test]
-    fn spatial_only_guard_enforces_constraint() {
-        use stacl_srac::parser::parse_constraint;
-        let mut g = SpatialOnlyGuard::new(parse_constraint("count(0, 1, resource=rsw)").unwrap());
-        let proofs = ProofStore::new();
-        let mut table = AccessTable::new();
-        let a = Access::new("exec", "rsw", "s1");
-        let p = access("exec", "rsw", "s1");
-        let req = GuardRequest {
-            object: "o",
-            access: &a,
-            remaining: &p,
-            time: tp(0.0),
-        };
-        assert!(g.check(&req, &proofs, &mut table).is_granted());
-        // After one proof, a second access would exceed the cap.
-        proofs.issue("o", a.clone(), tp(0.0));
-        assert_eq!(
-            g.check(&req, &proofs, &mut table).kind,
-            DecisionKind::DeniedSpatial
         );
     }
 

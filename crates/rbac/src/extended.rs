@@ -20,10 +20,11 @@
 //! Names cross this API as strings exactly once — at policy-load,
 //! session-open or first contact — and are interned into dense
 //! [`ObjectId`]/[`PermId`]/[`ClassId`] indices. The per-access gate then
-//! works entirely on machine words: candidate permissions come from a
-//! generation-validated per-session `Arc<Vec<PermId>>` cache, permission
-//! attributes from a dense table indexed by `PermId`, and spatial
-//! approvals and validity timelines from maps keyed by `Copy` id tuples.
+//! works entirely on machine words: candidate permissions and the
+//! object's gate handle come from a generation-validated per-session
+//! view, permission attributes from a dense table indexed by `PermId`,
+//! and spatial approvals and validity timelines from maps keyed by
+//! `Copy` id tuples.
 //! In the steady state (approvals reusable, timelines warm) a granted
 //! decision performs **zero heap allocations**. The original string-keyed
 //! procedure survives as [`ExtendedRbac::decide_string_keyed`] so the
@@ -42,9 +43,9 @@
 //! derived.
 //!
 //! Lock order inside a decision: object gate → permission snapshot /
-//! session-perm map reads → constraint cache. The rebuild mutex
-//! serialises snapshot publication and is never taken while a gate is
-//! held by the same thread after the candidate lookup.
+//! session-view map reads → proof-store shard read → constraint cache.
+//! The rebuild mutex serialises snapshot publication and is never taken
+//! while a gate is held by the same thread after the candidate lookup.
 //!
 //! ## The incremental fast path
 //!
@@ -63,6 +64,7 @@
 //! cursor for the next decision. [`ExtendedRbac::set_incremental`]
 //! disables the fast path entirely for the E12 ablation.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -120,6 +122,25 @@ pub struct AccessRequest<'a> {
     pub reuse_spatial: bool,
 }
 
+/// What a spatial check holds the object's future to: its declared
+/// remaining program, or — in reactive mode — only the attempted access.
+#[derive(Clone, Copy)]
+enum Declared<'a> {
+    Program(&'a Program),
+    Access(&'a Access),
+}
+
+impl<'a> Declared<'a> {
+    /// The declared future as a program (the from-scratch paths need
+    /// one; only they pay for building it).
+    fn program(self) -> Cow<'a, Program> {
+        match self {
+            Declared::Program(p) => Cow::Borrowed(p),
+            Declared::Access(a) => Cow::Owned(Program::Access(a.clone())),
+        }
+    }
+}
+
 /// The timeline a permission draws its validity budget from: its own
 /// per-object budget, or the shared budget of its validity class.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -146,12 +167,15 @@ struct PermEntry {
     class: Option<Name>,
 }
 
-/// The cached candidate permissions of one session, valid for one model
-/// generation.
+/// The cached decision view of one session, valid for one model
+/// generation: its candidate permissions and the gate shard of the
+/// session's object (a session's user is fixed, and gate handles are
+/// never replaced — see [`ExtendedRbac::import_gate`]).
 #[derive(Debug)]
-struct SessionPerms {
+struct SessionView {
     generation: u64,
-    perms: Arc<Vec<PermId>>,
+    perms: Vec<PermId>,
+    gate: Arc<Mutex<ObjectGate>>,
 }
 
 /// The dense `PermId`-indexed permission table, published as a
@@ -318,8 +342,9 @@ pub struct ExtendedRbac {
     /// rebuilds cannot lose each other's entries.
     rebuild: Mutex<()>,
     /// session → generation-validated candidate `PermId` list (in
-    /// permission-name order, so iteration order matches the string path).
-    session_perms: RwLock<HashMap<SessionId, SessionPerms>>,
+    /// permission-name order, so iteration order matches the string path)
+    /// plus the session object's gate handle.
+    session_views: RwLock<HashMap<SessionId, Arc<SessionView>>>,
     /// object → its decision-state shard (created on first decision).
     gates: RwLock<HashMap<ObjectId, Arc<Mutex<ObjectGate>>>>,
 
@@ -355,7 +380,7 @@ impl Default for ExtendedRbac {
             class_ids: Interner::default(),
             perm_table: Snapshot::default(),
             rebuild: Mutex::new(()),
-            session_perms: RwLock::new(HashMap::new()),
+            session_views: RwLock::new(HashMap::new()),
             gates: RwLock::new(HashMap::new()),
             cache: Mutex::new(ConstraintCache::new()),
             classes: HashMap::new(),
@@ -430,7 +455,7 @@ impl ExtendedRbac {
         let res = s.activate_role(model, role);
         if res.is_ok() {
             // The session's candidate set changed.
-            self.session_perms.write().remove(&session);
+            self.session_views.write().remove(&session);
         }
         res
     }
@@ -508,16 +533,18 @@ impl ExtendedRbac {
         Arc::clone(self.gates.write().entry(oid).or_default())
     }
 
-    /// The candidate `PermId` list for a session, rebuilt when the model
-    /// generation moved (or on the session's first decide / after a role
-    /// activation). Steady state: one read-locked `HashMap` hit + an
-    /// `Arc` bump. Rebuilds copy-modify-publish a new permission-table
-    /// snapshot under the rebuild mutex; readers are never blocked.
-    fn session_candidates(&self, sid: SessionId) -> Option<Arc<Vec<PermId>>> {
+    /// The decision view of a session — candidate `PermId` list and the
+    /// object's gate handle — rebuilt when the model generation moved (or
+    /// on the session's first decide / after a role activation). Steady
+    /// state: one read-locked `HashMap` hit + an `Arc` bump, with no
+    /// object-name hashing. Rebuilds copy-modify-publish a new
+    /// permission-table snapshot under the rebuild mutex; readers are
+    /// never blocked.
+    fn session_view(&self, sid: SessionId) -> Option<Arc<SessionView>> {
         let generation = self.model.generation();
-        if let Some(sp) = self.session_perms.read().get(&sid) {
+        if let Some(sp) = self.session_views.read().get(&sid) {
             if sp.generation == generation {
-                return Some(Arc::clone(&sp.perms));
+                return Some(Arc::clone(sp));
             }
         }
         let _rebuilding = self.rebuild.lock();
@@ -556,15 +583,13 @@ impl ExtendedRbac {
         }
         stacl_obs::count(Counter::SnapshotRebuild);
         self.perm_table.publish(pt);
-        let perms = Arc::new(out);
-        self.session_perms.write().insert(
-            sid,
-            SessionPerms {
-                generation,
-                perms: Arc::clone(&perms),
-            },
-        );
-        Some(perms)
+        let view = Arc::new(SessionView {
+            generation,
+            perms: out,
+            gate: self.gate_of(self.objects.intern(&session.user)),
+        });
+        self.session_views.write().insert(sid, Arc::clone(&view));
+        Some(view)
     }
 
     /// The paper's permission gate. On success the caller must issue an
@@ -587,12 +612,30 @@ impl ExtendedRbac {
         proofs: &ProofStore,
         table: &mut AccessTable,
     ) -> Verdict {
-        self.decide_inner(req, proofs, table).with_epoch(self.epoch)
+        self.decide_inner(req, Declared::Program(req.program), proofs, table)
+            .with_epoch(self.epoch)
+    }
+
+    /// [`ExtendedRbac::decide`] in reactive mode: the object declares only
+    /// the attempted access, so the spatial check is
+    /// `history · req.access ⊨ C` and `req.program` is not consulted. The
+    /// verdict is the one `decide` gives with
+    /// `program = Program::Access(req.access.clone())`, without building
+    /// that program on every decision.
+    pub fn decide_reactive(
+        &self,
+        req: &AccessRequest<'_>,
+        proofs: &ProofStore,
+        table: &mut AccessTable,
+    ) -> Verdict {
+        self.decide_inner(req, Declared::Access(req.access), proofs, table)
+            .with_epoch(self.epoch)
     }
 
     fn decide_inner(
         &self,
         req: &AccessRequest<'_>,
+        declared: Declared<'_>,
         proofs: &ProofStore,
         table: &mut AccessTable,
     ) -> Verdict {
@@ -603,23 +646,21 @@ impl ExtendedRbac {
         if &*session.user != req.object {
             return DecisionKind::DeniedNoPermission.into();
         }
-        let Some(candidates) = self.session_candidates(req.session) else {
+        let Some(view) = self.session_view(req.session) else {
             return DecisionKind::DeniedNoPermission.into();
         };
-        let oid = self.objects.intern(req.object);
         let entries = self.perm_table.load();
         debug_assert_eq!(
             entries.epoch, self.epoch,
             "decision loaded a permission table from another epoch"
         );
-        let gate_arc = self.gate_of(oid);
-        let mut gate = gate_arc.lock();
+        let mut gate = view.gate.lock();
 
         // 2–3. Try each covering candidate: spatial, then temporal.
         let mut covered = false;
         let mut spatial_failure: Option<String> = None;
         let mut temporal_failure: Option<String> = None;
-        for &pid in candidates.iter() {
+        for &pid in view.perms.iter() {
             let Some(entry) = entries.entries.get(pid.as_usize()).and_then(|e| e.as_ref()) else {
                 continue;
             };
@@ -637,7 +678,8 @@ impl ExtendedRbac {
                     && entry.scope == HistoryScope::PerObject
                     && gate.spatial_ok.contains(&pid);
                 if !already_approved {
-                    let holds = self.spatial_holds(&mut gate, pid, entry, req, proofs, table);
+                    let holds = self
+                        .spatial_holds(&mut gate, pid, entry, req.object, declared, proofs, table);
                     if !holds {
                         gate.spatial_ok.remove(&pid);
                         spatial_failure = Some(c.to_string());
@@ -729,12 +771,14 @@ impl ExtendedRbac {
     /// DESIGN.md §8). The fast path may only *decline* — every verdict it
     /// returns is identical to the from-scratch walk, which remains as
     /// the slow path and (re)builds the cursor for the next decision.
+    #[allow(clippy::too_many_arguments)]
     fn spatial_holds(
         &self,
         gate: &mut ObjectGate,
         pid: PermId,
         entry: &PermEntry,
-        req: &AccessRequest<'_>,
+        object: &str,
+        declared: Declared<'_>,
         proofs: &ProofStore,
         table: &mut AccessTable,
     ) -> bool {
@@ -748,62 +792,63 @@ impl ExtendedRbac {
         if entry.scope == HistoryScope::Team {
             // Decline rule 5: team-scoped history is always from scratch.
             stacl_obs::count(Counter::CursorDeclineTeamScope);
-            return self.check_scratch(entry.scope, c, req, proofs, table);
+            return self.check_scratch(entry.scope, c, object, declared, proofs, table);
         }
         if !self.incremental_enabled() {
-            return self.check_scratch(entry.scope, c, req, proofs, table);
+            return self.check_scratch(entry.scope, c, object, declared, proofs, table);
         }
         let generation = self.model.generation();
-        let watermark = proofs.watermark_of(req.object);
         let key = pid.index();
         // Validity (DESIGN.md §8): same policy generation (the compiled
         // constraint is current), same table id-mapping, and the proof
         // store hasn't been swapped under us (consumed beyond its
         // watermark). The *first failing rule* is the counted decline.
-        match gate.bank.consumed(key) {
-            None => stacl_obs::count(Counter::CursorColdStart),
+        let decline = match gate.bank.consumed(key) {
+            None => Counter::CursorColdStart,
             Some(_) if gate.bank.generation(key) != Some(generation) => {
-                stacl_obs::count(Counter::CursorDeclineGeneration)
+                Counter::CursorDeclineGeneration
             }
-            Some(_) if !gate.bank.in_sync_with(key, table) => {
-                stacl_obs::count(Counter::CursorDeclineTableVersion)
-            }
-            Some(consumed) if consumed > watermark => {
-                stacl_obs::count(Counter::CursorDeclineWatermark)
-            }
+            Some(_) if !gate.bank.in_sync_with(key, table) => Counter::CursorDeclineTableVersion,
             Some(consumed) => {
-                // Fold in exactly the proofs issued since the cursor last
-                // advanced — advancing every other permission's cursor in
-                // lockstep with it in the same SoA sweep. An unknown or
-                // out-of-class symbol aborts the fold (the bank is left
-                // untouched by the failing step) and falls through to the
-                // slow path, which rebuilds this cursor.
-                let mut ok = true;
-                {
+                // One shard read yields the watermark and the proofs
+                // issued since the cursor last advanced. Folding them in
+                // advances every other permission's cursor in lockstep
+                // in the same SoA sweep. An unknown or out-of-class
+                // symbol aborts the fold (the bank is left untouched by
+                // the failing step) and falls through to the slow path,
+                // which rebuilds this cursor.
+                let bank = &mut gate.bank;
+                let fast = proofs.read_history(object, |h| {
+                    if consumed > h.watermark() {
+                        return Err(Counter::CursorDeclineWatermark);
+                    }
                     let tbl: &AccessTable = table;
-                    let bank = &mut gate.bank;
-                    proofs.visit_suffix(req.object, consumed, |p| {
-                        if ok {
-                            ok = bank.advance_synced(key, &p.access, tbl);
-                        }
-                    });
-                }
-                if ok {
-                    if let Some(holds) = gate.bank.check_residual_program(key, req.program, table) {
+                    if !h.suffix(consumed).all(|a| bank.advance_synced(key, a, tbl)) {
+                        return Err(Counter::CursorDeclineUnknownSymbol);
+                    }
+                    let residual = match declared {
+                        Declared::Program(p) => bank.check_residual_program(key, p, table),
+                        Declared::Access(a) => bank.check_one(key, a, table),
+                    };
+                    // Decline rule 3: a residual symbol outside the
+                    // cursor's compiled alphabet.
+                    residual.ok_or(Counter::CursorDeclineUnknownSymbol)
+                });
+                match fast {
+                    Ok(holds) => {
                         stacl_obs::count(Counter::CursorFastPathHit);
                         return holds;
                     }
+                    Err(decline) => decline,
                 }
-                // Decline rule 3: a proof or residual symbol outside the
-                // cursor's compiled alphabet.
-                stacl_obs::count(Counter::CursorDeclineUnknownSymbol);
             }
-        }
+        };
+        stacl_obs::count(decline);
         // Slow path + cursor rebuild.
-        let history = proofs.history_of(req.object, table);
+        let history = proofs.history_of(object, table);
         let holds = check_residual_cached(
             &history,
-            req.program,
+            &declared.program(),
             c,
             table,
             Semantics::ForAll,
@@ -825,17 +870,18 @@ impl ExtendedRbac {
         &self,
         scope: HistoryScope,
         c: &Constraint,
-        req: &AccessRequest<'_>,
+        object: &str,
+        declared: Declared<'_>,
         proofs: &ProofStore,
         table: &mut AccessTable,
     ) -> bool {
         let history = match scope {
-            HistoryScope::PerObject => proofs.history_of(req.object, table),
+            HistoryScope::PerObject => proofs.history_of(object, table),
             HistoryScope::Team => proofs.combined_history(table),
         };
         check_residual_cached(
             &history,
-            req.program,
+            &declared.program(),
             c,
             table,
             Semantics::ForAll,
@@ -1166,8 +1212,9 @@ impl ExtendedRbac {
         for p in &export.spatial_ok {
             gate.spatial_ok.insert(self.perms.intern(p));
         }
-        let oid = self.objects.intern(object);
-        self.gates.write().insert(oid, Arc::new(Mutex::new(gate)));
+        // Replace the shard's contents in place: session views cache the
+        // gate handle, so the handle itself must never change.
+        *self.gate_of(self.objects.intern(object)).lock() = gate;
         Ok(())
     }
 
@@ -1368,7 +1415,7 @@ impl ExtendedRbac {
             let _rebuilding = self.rebuild.lock();
             self.perm_table.publish(table);
         }
-        self.session_perms.write().clear();
+        self.session_views.write().clear();
         // Established spatial approvals are proofs about the *old*
         // constraints; the new policy may constrain differently. Only
         // spatially-unchanged (`carried`) permissions keep theirs, with
@@ -2013,6 +2060,50 @@ mod tests {
         let mut bad = export;
         bad.timelines[0].1.active_now = !bad.timelines[0].1.active_now;
         assert!(x2.import_gate("naplet-1", &bad).is_err());
+    }
+
+    /// Session views cache the object's gate handle, so `import_gate`
+    /// must replace the gate's contents in place: a decision right after
+    /// an import sees the imported state, never the warm pre-import gate.
+    #[test]
+    fn import_gate_reaches_warm_sessions() {
+        let perm = exec_perm().with_validity(2.0, BaseTimeScheme::WholeLifetime);
+        let (x, sid) = setup(perm.clone());
+        let proofs = ProofStore::new();
+        let mut table = AccessTable::new();
+        let access_ = Access::new("exec", "rsw", "s1");
+        let prog = access_prog();
+        let req = |t: f64| AccessRequest {
+            object: "naplet-1",
+            session: sid,
+            access: &access_,
+            program: &prog,
+            time: tp(t),
+            reuse_spatial: false,
+        };
+        // Warm the session view (and its cached gate): the 2 s budget
+        // starts at t=10.
+        assert!(x.decide(&req(10.0), &proofs, &mut table).is_granted());
+        assert!(x.decide(&req(11.0), &proofs, &mut table).is_granted());
+
+        // Another member's gate whose budget started at t=0 is exhausted
+        // by t=11.5.
+        let (other, other_sid) = setup(perm);
+        let first = AccessRequest {
+            session: other_sid,
+            ..req(0.0)
+        };
+        assert!(other.decide(&first, &proofs, &mut table).is_granted());
+        x.import_gate("naplet-1", &other.export_gate("naplet-1"))
+            .unwrap();
+        let d = x.decide(&req(11.5), &proofs, &mut table);
+        assert_eq!(d.kind, DecisionKind::DeniedTemporal);
+
+        // A fresh export resets the object: the next decision starts a
+        // new budget and grants.
+        x.import_gate("naplet-1", &ObjectGateExport::default())
+            .unwrap();
+        assert!(x.decide(&req(11.5), &proofs, &mut table).is_granted());
     }
 
     #[test]
