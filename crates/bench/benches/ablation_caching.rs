@@ -7,8 +7,6 @@
 //! | `uncached`   | recompiles every conjunct, re-checks everything |
 //! | `cached`     | memoised leaf automata, full re-check |
 //! | `reuse`      | full check once, then Eq. 3.1 approval persistence |
-//! | `string-keyed` vs `interned` | legacy name-keyed gate state vs the
-//!   interned-ID dense tables (allocation ablation) |
 
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
@@ -122,62 +120,5 @@ fn bench_checker_caching(c: &mut Criterion) {
     group.finish();
 }
 
-/// Decision-state ablation on the §6 audit policy: the interned-ID dense
-/// tables versus the legacy string-keyed maps, same procedure otherwise.
-fn bench_gate_keying(c: &mut Criterion) {
-    use stacl::rbac::extended::AccessRequest;
-    let mut group = c.benchmark_group("E10/gate-keying");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
-    for k in [8usize, 32] {
-        let g = ModuleGraph::generate_layered(k, 4, 4, 3, 33);
-        let mut model = RbacModel::new();
-        model.add_user("auditor");
-        model.add_role("aud");
-        model
-            .add_permission(
-                Permission::new("p", AccessPattern::parse("verify:*:*").unwrap())
-                    .with_spatial(g.dependency_constraint()),
-            )
-            .unwrap();
-        model.assign_permission("aud", "p").unwrap();
-        model.assign_user("auditor", "aud").unwrap();
-        let mut rbac = ExtendedRbac::new(model);
-        let sid = rbac.open_session("auditor", vec![]).unwrap();
-        rbac.activate_role(sid, "aud").unwrap();
-        let first = g.modules().next().unwrap();
-        let access = Access::new("verify", &first.name, &first.server);
-        let program = g.audit_program_sequential();
-        let proofs = ProofStore::new();
-        let req = AccessRequest {
-            object: "auditor",
-            session: sid,
-            access: &access,
-            program: &program,
-            time: TimePoint::new(0.0),
-            reuse_spatial: false,
-        };
-        group.bench_with_input(BenchmarkId::new("interned", k), &k, |bch, _| {
-            bch.iter(|| {
-                let mut table = AccessTable::new();
-                black_box(rbac.decide(&req, &proofs, &mut table))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("string-keyed", k), &k, |bch, _| {
-            bch.iter(|| {
-                let mut table = AccessTable::new();
-                black_box(rbac.decide_string_keyed(&req, &proofs, &mut table))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_audit_variants,
-    bench_checker_caching,
-    bench_gate_keying
-);
+criterion_group!(benches, bench_audit_variants, bench_checker_caching);
 criterion_main!(benches);

@@ -158,58 +158,10 @@ fn bench_decision_latency_vs_history(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation axis: the same decision procedure with interned-ID dense
-/// state versus the legacy string-keyed maps (`decide_string_keyed`).
-/// Isolates what interning buys per `checkPermission` call.
-fn bench_interned_vs_string_keyed(c: &mut Criterion) {
-    use stacl::rbac::extended::AccessRequest;
-    let mut group = c.benchmark_group("E4/interned-vs-string-keyed");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
-    for h in [0usize, 100, 1000] {
-        let mut rbac = ExtendedRbac::new(licensee_model("agent0", RESOURCE, h + 10));
-        let sid = rbac.open_session("agent0", vec![]).unwrap();
-        rbac.activate_role(sid, "licensee").unwrap();
-        let proofs = ProofStore::new();
-        for i in 0..h {
-            proofs.issue(
-                "agent0",
-                Access::new("op0", RESOURCE, format!("s{}", i % 4)),
-                TimePoint::new(i as f64),
-            );
-        }
-        let access = Access::new("op0", RESOURCE, "s0");
-        let remaining = stacl::sral::Program::Access(access.clone());
-        let req = AccessRequest {
-            object: "agent0",
-            session: sid,
-            access: &access,
-            program: &remaining,
-            time: TimePoint::new(h as f64 + 1.0),
-            reuse_spatial: false,
-        };
-        group.bench_with_input(BenchmarkId::new("interned", h), &h, |bch, _| {
-            bch.iter(|| {
-                let mut table = AccessTable::new();
-                black_box(rbac.decide(&req, &proofs, &mut table))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("string-keyed", h), &h, |bch, _| {
-            bch.iter(|| {
-                let mut table = AccessTable::new();
-                black_box(rbac.decide_string_keyed(&req, &proofs, &mut table))
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_tour_by_servers,
     bench_agents_scaling,
-    bench_decision_latency_vs_history,
-    bench_interned_vs_string_keyed
+    bench_decision_latency_vs_history
 );
 criterion_main!(benches);

@@ -1,12 +1,12 @@
-//! E12 — decide throughput: the incremental cursor fast path vs the
-//! pre-PR from-scratch residual core on the 64-object × 1000-access
-//! fleet workload, plus the `decide_batch` parallel API (DESIGN.md §8).
+//! E12 — decide throughput: the incremental cursor fast path on the
+//! 64-object × 1000-access fleet workload, sequential and through the
+//! `decide_batch` parallel API (DESIGN.md §8).
 //!
 //! Each iteration drives the *entire* fleet workload against a fresh
-//! reactive guard, round-robin across objects (the harshest
-//! interleaving for a from-scratch core: every object's proof history
-//! grows between its consecutive decisions). The machine-readable
-//! counterpart with percentiles is the `bench_decide` binary.
+//! reactive guard, round-robin across objects (every object's proof
+//! history grows between its consecutive decisions). The
+//! machine-readable counterpart with percentiles is the `bench_decide`
+//! binary.
 
 use stacl::naplet::guard::{BatchRequest, GuardRequest};
 use stacl::prelude::*;
@@ -18,10 +18,9 @@ use std::time::Duration;
 const OBJECTS: usize = 64;
 const ACCESSES: usize = 1000;
 
-fn fixture(incremental: bool) -> (CoordinatedGuard, Vec<String>, Vec<Access>, Vec<Program>) {
+fn fixture() -> (CoordinatedGuard, Vec<String>, Vec<Access>, Vec<Program>) {
     let guard = CoordinatedGuard::new(ExtendedRbac::new(fleet_model(OBJECTS, "rsw", ACCESSES + 2)))
         .with_mode(EnforcementMode::Reactive);
-    guard.with_rbac(|r| r.set_incremental(incremental));
     let names: Vec<String> = (0..OBJECTS).map(|i| format!("n{i}")).collect();
     for n in &names {
         guard.enroll(n, ["licensee"]);
@@ -35,8 +34,8 @@ fn fixture(incremental: bool) -> (CoordinatedGuard, Vec<String>, Vec<Access>, Ve
 
 /// Run the whole fleet workload sequentially; returns the grant count
 /// (must equal OBJECTS × ACCESSES — the workload is all-grant).
-fn run_fleet(incremental: bool) -> usize {
-    let (guard, names, vocab, programs) = fixture(incremental);
+fn run_fleet() -> usize {
+    let (guard, names, vocab, programs) = fixture();
     let proofs = ProofStore::new();
     let mut table = AccessTable::new();
     for a in &vocab {
@@ -65,7 +64,7 @@ fn run_fleet(incremental: bool) -> usize {
 
 /// Run the whole fleet workload through one `decide_batch` call.
 fn run_fleet_batch() -> usize {
-    let (guard, names, vocab, programs) = fixture(true);
+    let (guard, names, vocab, programs) = fixture();
     let proofs = ProofStore::new();
     let mut reqs = Vec::with_capacity(OBJECTS * ACCESSES);
     for k in 0..ACCESSES {
@@ -94,7 +93,7 @@ fn bench_decide_throughput(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(2));
     group.bench_function("incremental-sequential", |b| {
         b.iter(|| {
-            let grants = run_fleet(true);
+            let grants = run_fleet();
             assert_eq!(grants, OBJECTS * ACCESSES);
             black_box(grants)
         })
@@ -102,13 +101,6 @@ fn bench_decide_throughput(c: &mut Criterion) {
     group.bench_function("incremental-batch-api", |b| {
         b.iter(|| {
             let grants = run_fleet_batch();
-            assert_eq!(grants, OBJECTS * ACCESSES);
-            black_box(grants)
-        })
-    });
-    group.bench_function("from-scratch-sequential", |b| {
-        b.iter(|| {
-            let grants = run_fleet(false);
             assert_eq!(grants, OBJECTS * ACCESSES);
             black_box(grants)
         })

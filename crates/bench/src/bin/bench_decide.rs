@@ -1,19 +1,18 @@
-//! `bench_decide` — the E12 decide-throughput ablation (DESIGN.md §8,
+//! `bench_decide` — E12 decide throughput (DESIGN.md §8,
 //! EXPERIMENTS.md E12), emitted as machine-readable JSON.
 //!
 //! Drives a fleet of `--objects` mobile objects, each performing
 //! `--accesses` granted accesses against a reactive [`CoordinatedGuard`]
 //! whose single permission carries a cardinality constraint (so every
 //! decision runs a real spatial `P ⊨ C` check), and measures four
-//! decision-path configurations:
+//! concurrency configurations of the decision path:
 //!
-//! | mode | core | concurrency |
-//! |---|---|---|
-//! | `from-scratch-sequential`      | pre-PR residual re-check | 1 thread |
-//! | `incremental-sequential`       | cursor fast path         | 1 thread |
-//! | `incremental-global-lock`      | cursor fast path         | N threads behind one global mutex (pre-PR locking) |
-//! | `incremental-snapshot-parallel`| cursor fast path         | N threads, per-object gate shards only |
-//! | `incremental-snapshot-batch`   | cursor fast path         | `decide_batch` over the whole workload |
+//! | mode | concurrency |
+//! |---|---|
+//! | `incremental-sequential`       | 1 thread |
+//! | `incremental-global-lock`      | N threads behind one global mutex (pre-PR locking) |
+//! | `incremental-snapshot-parallel`| N threads, per-object gate shards only |
+//! | `incremental-snapshot-batch`   | `decide_batch` over the whole workload |
 //!
 //! Every mode reports ops/sec; modes with per-decision timing also
 //! report p50/p99 latency in microseconds. Output goes to `--out`
@@ -38,13 +37,10 @@
 //! A fourth phase (E17) sweeps the *coalition vocabulary width*: the
 //! incremental-sequential workload is re-run with the access table
 //! padded to 64→4096 interned ids the permission's constraint never
-//! selects, once with compressed leaf alphabets (the default) and once
-//! with `set_alphabet_compression(false)` so every leaf compiles over
-//! the full table. The 4096-id pair yields the headline
-//! `ops_per_sec_large_vocab` / `alphabet_compression_x` keys: with
-//! compression the leaf alphabet stays at the constraint's ~2 symbol
+//! selects. The leaf alphabet stays at the constraint's ~2 symbol
 //! classes regardless of table width, so compile and cold-start costs
-//! stop scaling with coalition size.
+//! do not scale with coalition size; the 4096-id run yields the
+//! headline `ops_per_sec_large_vocab` key.
 //!
 //! A fifth phase (E19) prices the attribute front-end: the same steady
 //! workload is run against a guard built from a hand-written
@@ -58,14 +54,22 @@
 //!
 //! Usage: `bench_decide [--objects 64] [--accesses 1000] [--threads 0] [--out BENCH_decide.json]
 //! [--obs-out BENCH_obs.json]` (`--threads 0` = available parallelism).
+//! The committed `BENCH_decide.json` and `BENCH_obs.json` hold the
+//! 64×1000 reference shape: any other shape must name other output
+//! files, or the run is refused (exit 2) before it starts.
 
 use stacl::naplet::guard::{BatchRequest, GuardRequest};
 use stacl::prelude::*;
 use stacl_bench::fleet_model;
 use stacl_ids::json::JsonWriter;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// The reference shape the committed JSON files are recorded at.
+const REFERENCE_OBJECTS: usize = 64;
+const REFERENCE_ACCESSES: usize = 1000;
 
 /// One measured configuration.
 struct ModeResult {
@@ -109,6 +113,16 @@ fn main() {
         }
         i += 2;
     }
+    let reference = objects == REFERENCE_OBJECTS && accesses == REFERENCE_ACCESSES;
+    for (path, committed) in [(&out, "BENCH_decide.json"), (&obs_out, "BENCH_obs.json")] {
+        if !reference && Path::new(path).file_name().is_some_and(|n| n == committed) {
+            eprintln!(
+                "refusing to write {path} at shape {objects}x{accesses}: {committed} holds the \
+                 {REFERENCE_OBJECTS}x{REFERENCE_ACCESSES} reference shape (pass --out/--obs-out)"
+            );
+            std::process::exit(2);
+        }
+    }
     if threads == 0 {
         threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -119,8 +133,7 @@ fn main() {
     eprintln!("bench_decide: {objects} objects x {accesses} accesses, {threads} threads");
 
     let mut results = vec![
-        run_sequential("from-scratch-sequential", objects, accesses, false),
-        run_sequential("incremental-sequential", objects, accesses, true),
+        run_sequential("incremental-sequential", objects, accesses),
         run_parallel("incremental-global-lock", objects, accesses, threads, true),
         run_parallel(
             "incremental-snapshot-parallel",
@@ -150,7 +163,7 @@ fn main() {
     const FLIP_TRIALS: usize = 7;
     let mut best: Option<(ModeResult, ModeResult, u64)> = None;
     for _ in 0..FLIP_TRIALS {
-        let base = run_sequential("steady-no-flip", objects, accesses, true);
+        let base = run_sequential("steady-no-flip", objects, accesses);
         // elapsed/10, not /8: all 8 rollouts must land inside the run
         // even when the flip run keeps full no-flip speed — otherwise
         // the best pairs are exactly the ones whose last flips get cut
@@ -179,25 +192,13 @@ fn main() {
     // Same steady incremental workload, but the per-run table is padded
     // with filler ids the constraint never selects — the large-coalition
     // shape where any one permission mentions a sliver of the vocabulary.
-    // Each width runs compressed (default) and full-alphabet
-    // back-to-back so the ratio is taken under the same machine
-    // conditions; the flag is restored before the later E13 phase.
     const VOCAB_SIZES: [usize; 4] = [64, 256, 1024, 4096];
-    eprintln!("bench_decide: E17 alphabet-size sweep (compressed vs full leaf alphabets)");
-    let mut sweep: Vec<(usize, ModeResult, ModeResult)> = Vec::new();
+    eprintln!("bench_decide: E17 alphabet-size sweep");
+    let mut sweep: Vec<(usize, ModeResult)> = Vec::new();
     for ids in VOCAB_SIZES {
-        stacl::srac::set_alphabet_compression(true);
-        let on = run_large_vocab("large-vocab-compressed", objects, accesses, ids);
-        stacl::srac::set_alphabet_compression(false);
-        let off = run_large_vocab("large-vocab-full-alphabet", objects, accesses, ids);
-        stacl::srac::set_alphabet_compression(true);
-        eprintln!(
-            "  {ids:>5} table ids: {:>12.0} ops/s compressed  {:>12.0} ops/s full  ({:.2}x)",
-            on.ops_per_sec,
-            off.ops_per_sec,
-            on.ops_per_sec / off.ops_per_sec
-        );
-        sweep.push((ids, on, off));
+        let r = run_large_vocab("large-vocab", objects, accesses, ids);
+        eprintln!("  {ids:>5} table ids: {:>12.0} ops/s", r.ops_per_sec);
+        sweep.push((ids, r));
     }
 
     // ---- E19: attribute front-end vs hand-written policies ----
@@ -276,20 +277,20 @@ fn main() {
     };
     stacl::obs::set_telemetry(true);
     stacl::obs::reset();
-    let mut seq_on = run_sequential("incremental-sequential (obs on)", objects, accesses, true);
+    let mut seq_on = run_sequential("incremental-sequential (obs on)", objects, accesses);
     let mut batch_on = run_batch_api("incremental-snapshot-batch (obs on)", objects, accesses);
     // The snapshot after the first telemetry-on pair is the exported
     // metrics payload: it exercises every grant-path counter and both
     // histograms exactly once per mode.
     let metrics = stacl::obs::snapshot();
     stacl::obs::set_telemetry(false);
-    let mut seq_off = run_sequential("incremental-sequential (obs off)", objects, accesses, true);
+    let mut seq_off = run_sequential("incremental-sequential (obs off)", objects, accesses);
     let mut batch_off = run_batch_api("incremental-snapshot-batch (obs off)", objects, accesses);
     for _ in 1..TRIALS {
         stacl::obs::set_telemetry(true);
         seq_on = best(
             seq_on,
-            run_sequential("incremental-sequential (obs on)", objects, accesses, true),
+            run_sequential("incremental-sequential (obs on)", objects, accesses),
         );
         batch_on = best(
             batch_on,
@@ -298,7 +299,7 @@ fn main() {
         stacl::obs::set_telemetry(false);
         seq_off = best(
             seq_off,
-            run_sequential("incremental-sequential (obs off)", objects, accesses, true),
+            run_sequential("incremental-sequential (obs off)", objects, accesses),
         );
         batch_off = best(
             batch_off,
@@ -360,12 +361,11 @@ fn render_obs_json(
 /// The shared fixture: a reactive guard over the fleet model, everyone
 /// enrolled, plus the deterministic access vocabulary (4 servers so the
 /// cursor alphabet has more than one symbol).
-fn fleet_guard(objects: usize, accesses: usize, incremental: bool) -> CoordinatedGuard {
+fn fleet_guard(objects: usize, accesses: usize) -> CoordinatedGuard {
     // Capacity beyond the workload: every decision is a grant, so the
     // measured cost is the spatial check, not a denial short-circuit.
     let guard = CoordinatedGuard::new(ExtendedRbac::new(fleet_model(objects, "rsw", accesses + 2)))
         .with_mode(EnforcementMode::Reactive);
-    guard.with_rbac(|r| r.set_incremental(incremental));
     for i in 0..objects {
         guard.enroll(format!("n{i}"), ["licensee"]);
     }
@@ -392,9 +392,8 @@ fn warm_table(vocab: &[Access]) -> AccessTable {
 
 /// [`warm_table`] padded to `total_ids` interned accesses with filler
 /// the fleet constraint's `resource = rsw` selector never matches (E17).
-/// Under compression every filler id lands in one merged symbol class;
-/// with compression off each is its own leaf-alphabet symbol, so
-/// compile cost and transition-table width scale with the table.
+/// Every filler id lands in one merged symbol class, so compile cost and
+/// transition-table width stay flat as the table grows.
 fn warm_table_padded(vocab: &[Access], total_ids: usize) -> AccessTable {
     let mut table = warm_table(vocab);
     let mut j = 0usize;
@@ -425,16 +424,10 @@ fn stats(name: &'static str, elapsed_s: f64, mut lat_us: Vec<f64>, decisions: us
     }
 }
 
-/// One thread, round-robin over the fleet (the harshest interleaving for
-/// a from-scratch core: every object's history grows between its
-/// consecutive decisions).
-fn run_sequential(
-    name: &'static str,
-    objects: usize,
-    accesses: usize,
-    incremental: bool,
-) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, incremental);
+/// One thread, round-robin over the fleet (every object's history grows
+/// between its consecutive decisions).
+fn run_sequential(name: &'static str, objects: usize, accesses: usize) -> ModeResult {
+    let guard = fleet_guard(objects, accesses);
     let (elapsed_s, lat_us) = decide_loop(&guard, objects, accesses, 0);
     stats(name, elapsed_s, lat_us, objects * accesses)
 }
@@ -450,7 +443,7 @@ fn run_large_vocab(
     accesses: usize,
     table_ids: usize,
 ) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, true);
+    let guard = fleet_guard(objects, accesses);
     let (elapsed_s, lat_us) = decide_loop(&guard, objects, accesses, table_ids);
     stats(name, elapsed_s, lat_us, objects * accesses)
 }
@@ -499,7 +492,7 @@ fn decide_loop(
 /// write lock (a pointer swap plus cache resets). Returns the measured
 /// mode and how many rollouts landed during it.
 fn run_under_flips(objects: usize, accesses: usize, flip_every: Duration) -> (ModeResult, u64) {
-    let guard = fleet_guard(objects, accesses, true);
+    let guard = fleet_guard(objects, accesses);
     let mut flip_table = warm_table(&vocab());
     // One throwaway prepare before the clock starts: compiled automata
     // are cached per (constraint, table version) and `flip_table` is
@@ -567,7 +560,7 @@ fn run_parallel(
     threads: usize,
     global_lock: bool,
 ) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, true);
+    let guard = fleet_guard(objects, accesses);
     let proofs = ProofStore::new();
     let vocab = vocab();
     let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
@@ -639,7 +632,7 @@ fn run_parallel(
 /// throughput only (per-decision timing isn't observable through the
 /// API).
 fn run_batch_api(name: &'static str, objects: usize, accesses: usize) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, true);
+    let guard = fleet_guard(objects, accesses);
     let proofs = ProofStore::new();
     let vocab = vocab();
     let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
@@ -731,7 +724,6 @@ fn run_policy_text(name: &'static str, text: &str, objects: usize, accesses: usi
     let model = stacl::rbac::policy::parse_policy(text).expect("bench policy text parses");
     let guard =
         CoordinatedGuard::new(ExtendedRbac::new(model)).with_mode(EnforcementMode::Reactive);
-    guard.with_rbac(|r| r.set_incremental(true));
     for i in 0..objects {
         guard.enroll(format!("n{i}"), ["licensee"]);
     }
@@ -751,23 +743,14 @@ fn render_json(
     threads: usize,
     results: &[ModeResult],
     epoch_flips: u64,
-    sweep: &[(usize, ModeResult, ModeResult)],
+    sweep: &[(usize, ModeResult)],
     attr_pair: &(ModeResult, ModeResult),
 ) -> String {
     let find = |n: &str| results.iter().find(|r| r.name == n).expect("mode present");
-    let scratch = find("from-scratch-sequential");
-    let inc = find("incremental-sequential");
     let locked = find("incremental-global-lock");
     let snap = find("incremental-snapshot-parallel");
-    let batch = find("incremental-snapshot-batch");
     let no_flip = find("steady-no-flip");
     let flipped = find("steady-under-flips");
-    // "Best" ranges over the E12 ablation modes only — the steady E15
-    // runs re-measure one of them, they don't compete with it.
-    let best = [scratch, inc, locked, snap, batch]
-        .iter()
-        .map(|r| r.ops_per_sec)
-        .fold(0.0f64, f64::max);
 
     let mut w = JsonWriter::object();
     w.field_str("experiment", "E12-decide-throughput");
@@ -792,44 +775,26 @@ fn render_json(
     }
     w.close();
     w.field_f64(
-        "speedup_incremental_vs_from_scratch",
-        round3(inc.ops_per_sec / scratch.ops_per_sec),
-    );
-    w.field_f64(
         "speedup_snapshot_vs_global_lock",
         round3(snap.ops_per_sec / locked.ops_per_sec),
-    );
-    w.field_f64(
-        "speedup_batch_api_vs_from_scratch",
-        round3(batch.ops_per_sec / scratch.ops_per_sec),
-    );
-    w.field_f64(
-        "speedup_best_vs_from_scratch",
-        round3(best / scratch.ops_per_sec),
     );
     w.field_u64("epoch_flips", epoch_flips);
     w.field_f64(
         "flip_throughput_ratio",
         round3(flipped.ops_per_sec / no_flip.ops_per_sec),
     );
-    // E17 alphabet-size sweep: per-width pairs plus the 4096-id headline
-    // keys the CI schema check pins.
+    // E17 alphabet-size sweep: one entry per width plus the 4096-id
+    // headline key the CI schema check pins.
     w.open_object("vocab_sweep");
-    for (ids, on, off) in sweep {
+    for (ids, r) in sweep {
         w.open_object(&format!("table-{ids}"));
         w.field_usize("table_ids", *ids);
-        w.field_f64("ops_per_sec_compressed", round3(on.ops_per_sec));
-        w.field_f64("ops_per_sec_full_alphabet", round3(off.ops_per_sec));
-        w.field_f64("compression_x", round3(on.ops_per_sec / off.ops_per_sec));
+        w.field_f64("ops_per_sec", round3(r.ops_per_sec));
         w.close();
     }
     w.close();
-    let (_, large_on, large_off) = sweep.last().expect("sweep is non-empty");
-    w.field_f64("ops_per_sec_large_vocab", round3(large_on.ops_per_sec));
-    w.field_f64(
-        "alphabet_compression_x",
-        round3(large_on.ops_per_sec / large_off.ops_per_sec),
-    );
+    let (_, large) = sweep.last().expect("sweep is non-empty");
+    w.field_f64("ops_per_sec_large_vocab", round3(large.ops_per_sec));
     // E19: the attribute front-end must be free at decide time.
     let (hand, lowered) = attr_pair;
     w.field_f64("ops_per_sec_handwritten", round3(hand.ops_per_sec));

@@ -5,7 +5,9 @@
 //! Telemetry stays ON for the measured window: the `stacl-obs` record
 //! path (plain stores to a static single-writer stripe, claimed once per
 //! thread during the warm-up below) must itself be allocation-free, and
-//! the counters must account for every decision in the window.
+//! the counters must account for every decision in the window. A second
+//! window on the same warm guard counts the allocations of
+//! `note_arrival`.
 //!
 //! Lives in `tests/` because the naplet library itself forbids unsafe
 //! code and a counting `#[global_allocator]` needs an unsafe impl. Keep
@@ -121,4 +123,20 @@ fn steady_state_grant_allocates_nothing() {
     let d = stacl_obs::snapshot().diff(&obs_before);
     assert_eq!(d.counter(stacl_obs::Counter::VerdictGranted), 100);
     assert_eq!(d.verdict_total(), 100);
+
+    // Warm arrivals on the same guard: each appends to the object's
+    // arrival log (amortised growth) and refills its one timeline, so a
+    // `note_arrival` allocates next to nothing.
+    const ARRIVALS: u32 = 10_000;
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for i in 0..ARRIVALS {
+        guard.note_arrival("n1", TimePoint::new(f64::from(200 + i)));
+    }
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let per_call = allocs as f64 / f64::from(ARRIVALS);
+    assert!(
+        per_call <= 0.01,
+        "warm note_arrival must be allocation-light: {allocs} allocations in \
+         {ARRIVALS} calls ({per_call:.4} per call)"
+    );
 }

@@ -242,15 +242,18 @@ fn membership_change_rebalances_only_moved_keys() {
             .all(|o| handles[1].guard().custody_of(o) == Custody::Resident)
     });
 
-    let d = stacl_obs::snapshot().diff(&baseline);
-    assert!(
-        d.counter(Counter::PlacementRebalance) >= (moved.len() + kept.len()) as u64,
-        "every drained key counted a rebalance"
-    );
-    assert!(
-        d.counter(Counter::NetHandoffApplied) >= (moved.len() + kept.len()) as u64,
-        "every drain rode the handoff machinery"
-    );
+    // Both counters land just after custody flips (the leaver counts a
+    // rebalance once the joiner's `Ok` is back, the joiner counts the
+    // handoff once it is applied), so wait for them instead of reading
+    // them once.
+    let drains = (moved.len() + kept.len()) as u64;
+    let counted = |c: Counter| stacl_obs::snapshot().diff(&baseline).counter(c) >= drains;
+    await_until("every drained key counted a rebalance", || {
+        counted(Counter::PlacementRebalance)
+    });
+    await_until("every drain rode the handoff machinery", || {
+        counted(Counter::NetHandoffApplied)
+    });
 
     for mut h in handles {
         h.shutdown();

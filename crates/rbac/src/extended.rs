@@ -26,9 +26,7 @@
 //! and spatial approvals and validity timelines from maps keyed by
 //! `Copy` id tuples.
 //! In the steady state (approvals reusable, timelines warm) a granted
-//! decision performs **zero heap allocations**. The original string-keyed
-//! procedure survives as [`ExtendedRbac::decide_string_keyed`] so the
-//! ablation experiments can measure exactly what interning buys.
+//! decision performs **zero heap allocations**.
 //!
 //! ## The concurrent decision path
 //!
@@ -60,13 +58,12 @@
 //! single-access programs. The from-scratch `check_residual_cached` walk
 //! remains as the slow path, taken whenever a cursor is missing or
 //! invalid (table version mismatch, policy generation change, unknown
-//! proof symbols, watermark regression, team scope) — and rebuilds the
-//! cursor for the next decision. [`ExtendedRbac::set_incremental`]
-//! disables the fast path entirely for the E12 ablation.
+//! proof symbols, watermark regression) — and rebuilds the cursor for
+//! the next decision. Team-scoped permissions fold companions' histories
+//! and are always checked from scratch.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use stacl_coalition::{DecisionKind, ProofStore, Verdict};
@@ -253,15 +250,6 @@ pub struct ObjectGateExport {
     pub cursor_seeds: Vec<(String, u64)>,
 }
 
-/// The string-keyed ablation state (see
-/// [`ExtendedRbac::decide_string_keyed`]), bundled behind one lock.
-#[derive(Debug, Default)]
-struct SkState {
-    timelines: HashMap<(Name, Name), PermissionTimeline>,
-    arrivals: HashMap<Name, Vec<TimePoint>>,
-    spatial_ok: HashSet<(Name, Name)>,
-}
-
 /// A fully-built replacement policy, produced off the hot path by
 /// [`ExtendedRbac::prepare_epoch`] and installed atomically by
 /// [`ExtendedRbac::activate_epoch`]. Holds everything the flip needs —
@@ -342,31 +330,22 @@ pub struct ExtendedRbac {
     /// rebuilds cannot lose each other's entries.
     rebuild: Mutex<()>,
     /// session → generation-validated candidate `PermId` list (in
-    /// permission-name order, so iteration order matches the string path)
-    /// plus the session object's gate handle.
+    /// permission-name order) plus the session object's gate handle.
     session_views: RwLock<HashMap<SessionId, Arc<SessionView>>>,
     /// object → its decision-state shard (created on first decision).
     gates: RwLock<HashMap<ObjectId, Arc<Mutex<ObjectGate>>>>,
 
     /// Memo of compiled constraint automata (policies are stable; only
-    /// programs and histories change between gate calls). Shared by both
-    /// decision paths so the ablation isolates *keying*, not compilation.
+    /// programs and histories change between gate calls).
     cache: Mutex<ConstraintCache>,
     /// Named validity classes: shared budgets that aggregate the validity
     /// durations of all member permissions (the paper's future-work item).
     classes: HashMap<Name, (f64, BaseTimeScheme)>,
-    /// Whether the incremental cursor fast path is enabled (default on;
-    /// off reproduces the pre-cursor from-scratch core for the E12
-    /// ablation).
-    incremental: AtomicBool,
     /// The active policy epoch (0 = the policy the process booted with).
     /// Plain field: mutated only through `&mut self`
     /// ([`ExtendedRbac::activate_epoch`]), which the guard reaches via
     /// its write lock — decisions (`&self`) observe a stable value.
     epoch: stacl_ids::PolicyEpoch,
-
-    // ---- string-keyed ablation state (decide_string_keyed) ----
-    sk: Mutex<SkState>,
 }
 
 impl Default for ExtendedRbac {
@@ -384,9 +363,7 @@ impl Default for ExtendedRbac {
             gates: RwLock::new(HashMap::new()),
             cache: Mutex::new(ConstraintCache::new()),
             classes: HashMap::new(),
-            incremental: AtomicBool::new(true),
             epoch: 0,
-            sk: Mutex::new(SkState::default()),
         }
     }
 }
@@ -398,19 +375,6 @@ impl ExtendedRbac {
             model,
             ..Default::default()
         }
-    }
-
-    /// Enable or disable the incremental cursor fast path (default on).
-    /// With it off, every spatial check re-walks the full history from
-    /// scratch — the pre-cursor decision core, kept for the E12
-    /// throughput ablation. Verdicts are identical either way.
-    pub fn set_incremental(&self, on: bool) {
-        self.incremental.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the incremental fast path is enabled.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental.load(Ordering::Relaxed)
     }
 
     /// Pre-intern every access mentioned by any permission's spatial
@@ -507,20 +471,6 @@ impl ExtendedRbac {
         for tl in gate.timelines.values_mut() {
             if tl.try_arrive_at_server(time).is_err() {
                 stacl_obs::count(Counter::ClockRegression);
-            }
-        }
-        drop(gate);
-        // Mirror into the string-keyed ablation state.
-        let mut sk = self.sk.lock();
-        sk.arrivals
-            .entry(stacl_sral::ast::name(object))
-            .or_default()
-            .push(time);
-        for ((o, _), tl) in sk.timelines.iter_mut() {
-            if &**o == object {
-                // Mirror state: a regressed arrival is simply skipped (the
-                // interned path above already counted it).
-                let _ = tl.try_arrive_at_server(time);
             }
         }
     }
@@ -787,15 +737,19 @@ impl ExtendedRbac {
             .as_ref()
             .expect("spatial_holds called only for constrained permissions");
         // Team scope folds companions' histories, which grow behind this
-        // object's back: always from scratch. Likewise when the fast path
-        // is ablated away.
+        // object's back: always from scratch.
         if entry.scope == HistoryScope::Team {
             // Decline rule 5: team-scoped history is always from scratch.
             stacl_obs::count(Counter::CursorDeclineTeamScope);
-            return self.check_scratch(entry.scope, c, object, declared, proofs, table);
-        }
-        if !self.incremental_enabled() {
-            return self.check_scratch(entry.scope, c, object, declared, proofs, table);
+            return check_residual_cached(
+                &proofs.combined_history(table),
+                &declared.program(),
+                c,
+                table,
+                Semantics::ForAll,
+                &mut self.cache.lock(),
+            )
+            .holds;
         }
         let generation = self.model.generation();
         let key = pid.index();
@@ -864,178 +818,6 @@ impl ExtendedRbac {
         holds
     }
 
-    /// The from-scratch spatial check: re-derive the scoped history and
-    /// run `check_residual_cached` over it.
-    fn check_scratch(
-        &self,
-        scope: HistoryScope,
-        c: &Constraint,
-        object: &str,
-        declared: Declared<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> bool {
-        let history = match scope {
-            HistoryScope::PerObject => proofs.history_of(object, table),
-            HistoryScope::Team => proofs.combined_history(table),
-        };
-        check_residual_cached(
-            &history,
-            &declared.program(),
-            c,
-            table,
-            Semantics::ForAll,
-            &mut self.cache.lock(),
-        )
-        .holds
-    }
-
-    /// The pre-interning decision procedure, kept verbatim for the
-    /// string-keyed-vs-interned ablation (E10): every lookup hashes
-    /// `Arc<str>` names, candidate sets are rebuilt per call, and the
-    /// permission is cloned out of the model. Maintains its own
-    /// (string-keyed) timeline/approval state; shares the compiled
-    /// constraint cache with [`ExtendedRbac::decide`] so only the keying
-    /// differs. Not part of the supported API.
-    #[doc(hidden)]
-    pub fn decide_string_keyed(
-        &self,
-        req: &AccessRequest<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> Verdict {
-        self.decide_string_keyed_inner(req, proofs, table)
-            .with_epoch(self.epoch)
-    }
-
-    fn decide_string_keyed_inner(
-        &self,
-        req: &AccessRequest<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> Verdict {
-        let Some(session) = self.sessions.get(&req.session) else {
-            return DecisionKind::DeniedNoPermission.into();
-        };
-        if &*session.user != req.object {
-            return DecisionKind::DeniedNoPermission.into();
-        }
-        let available = session.available_permissions(&self.model);
-        let candidates: Vec<Name> = available
-            .into_iter()
-            .filter(|p| {
-                self.model
-                    .permission(p)
-                    .is_some_and(|perm| perm.grants.covers(req.access))
-            })
-            .collect();
-        if candidates.is_empty() {
-            return DecisionKind::DeniedNoPermission.into();
-        }
-
-        let mut sk = self.sk.lock();
-        let mut spatial_failure: Option<String> = None;
-        let mut temporal_failure: Option<String> = None;
-        for perm_name in candidates {
-            let perm = self
-                .model
-                .permission(&perm_name)
-                .expect("candidate came from the model")
-                .clone();
-
-            if let Some(c) = &perm.spatial {
-                let ok_key = (stacl_sral::ast::name(req.object), perm.name.clone());
-                let already_approved = req.reuse_spatial
-                    && perm.scope == HistoryScope::PerObject
-                    && sk.spatial_ok.contains(&ok_key);
-                if !already_approved {
-                    let history = match perm.scope {
-                        HistoryScope::PerObject => proofs.history_of(req.object, table),
-                        HistoryScope::Team => proofs.combined_history(table),
-                    };
-                    let verdict = check_residual_cached(
-                        &history,
-                        req.program,
-                        c,
-                        table,
-                        Semantics::ForAll,
-                        &mut self.cache.lock(),
-                    );
-                    if !verdict.holds {
-                        sk.spatial_ok.remove(&ok_key);
-                        spatial_failure = Some(c.to_string());
-                        continue;
-                    }
-                    sk.spatial_ok.insert(ok_key);
-                }
-            }
-
-            let (budget_key, validity, scheme) = match &perm.class {
-                Some(class) => match self.classes.get(class) {
-                    Some(&(dur, scheme)) => (
-                        stacl_sral::ast::name(format!("class:{class}")),
-                        Some(dur),
-                        scheme,
-                    ),
-                    None => (perm.name.clone(), perm.validity, perm.scheme),
-                },
-                None => (perm.name.clone(), perm.validity, perm.scheme),
-            };
-            let key = (stacl_sral::ast::name(req.object), budget_key);
-            let SkState {
-                timelines,
-                arrivals,
-                ..
-            } = &mut *sk;
-            let tl = timelines.entry(key).or_insert_with(|| {
-                let mut tl = match validity {
-                    Some(d) => PermissionTimeline::new(d, scheme),
-                    None => PermissionTimeline::unlimited(scheme),
-                };
-                for &t in arrivals
-                    .get(req.object)
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[])
-                {
-                    if t <= req.time {
-                        tl.arrive_at_server(t);
-                    }
-                }
-                tl
-            });
-            if tl.try_activate(req.time).is_err() {
-                stacl_obs::count(Counter::ClockRegression);
-                temporal_failure = Some(format!(
-                    "clock regression: request time {} precedes a recorded \
-                     timeline event for permission `{}`",
-                    req.time, perm.name
-                ));
-                continue;
-            }
-            if tl.is_valid_at(req.time) {
-                return Verdict::granted();
-            }
-            temporal_failure = Some(format!(
-                "permission `{}` validity duration exhausted (dur={}, scheme={}{})",
-                perm.name,
-                validity.map(|d| d.to_string()).unwrap_or_default(),
-                scheme.name(),
-                perm.class
-                    .as_ref()
-                    .map(|c| format!(", class={c}"))
-                    .unwrap_or_default()
-            ));
-        }
-
-        if let Some(reason) = temporal_failure {
-            Verdict::denied(DecisionKind::DeniedTemporal, reason)
-        } else if let Some(constraint) = spatial_failure {
-            Verdict::denied(DecisionKind::DeniedSpatial, constraint)
-        } else {
-            DecisionKind::DeniedNoPermission.into()
-        }
-    }
-
     /// The interned budget key a permission draws its validity from, if
     /// the relevant names were ever interned (i.e. a timeline can exist).
     fn budget_key_of(&self, perm: &str) -> Option<BudgetKey> {
@@ -1052,16 +834,6 @@ impl ExtendedRbac {
         let oid = self.objects.get(object)?;
         let bkey = self.budget_key_of(perm)?;
         Some((oid, bkey))
-    }
-
-    /// The string-keyed budget key (ablation state only).
-    fn budget_key_sk(&self, perm: &str) -> Name {
-        match self.model.permission(perm).and_then(|p| p.class.clone()) {
-            Some(class) if self.classes.contains_key(&class) => {
-                stacl_sral::ast::name(format!("class:{class}"))
-            }
-            _ => stacl_sral::ast::name(perm),
-        }
     }
 
     /// The three-state classification of a permission for an object at a
@@ -1099,12 +871,6 @@ impl ExtendedRbac {
                     }
                 }
             }
-        }
-        // Mirror into the string-keyed ablation state.
-        let key_sk = (stacl_sral::ast::name(object), self.budget_key_sk(perm));
-        if let Some(tl) = self.sk.lock().timelines.get_mut(&key_sk) {
-            // Mirror state: skip silently, the interned path counted it.
-            let _ = tl.try_deactivate(time);
         }
     }
 
@@ -1183,8 +949,7 @@ impl ExtendedRbac {
     /// export typically arrives over a wire from another coalition
     /// member. Cursors are *not* reconstructed here (see
     /// [`ExtendedRbac::warm_cursor`]); a cold cursor only declines the
-    /// fast path. The string-keyed ablation state is not touched:
-    /// handoff is an interned-path feature.
+    /// fast path.
     pub fn import_gate(&self, object: &str, export: &ObjectGateExport) -> Result<(), String> {
         for w in export.arrivals.windows(2) {
             if w[1] < w[0] {
@@ -1420,15 +1185,13 @@ impl ExtendedRbac {
         // constraints; the new policy may constrain differently. Only
         // spatially-unchanged (`carried`) permissions keep theirs, with
         // cursors re-stamped so the fast path stays warm across the
-        // flip. The string-keyed ablation path is not epoch-optimised —
-        // it just drops everything (always safe, merely slower).
+        // flip.
         for gate in self.gates.read().values() {
             let mut g = gate.lock();
             g.spatial_ok.retain(|pid| carried.contains(pid));
             g.bank.retain_keys(|key| carried.contains(&PermId(key)));
             g.bank.set_generation_all(generation);
         }
-        self.sk.lock().spatial_ok.clear();
         self.cache.lock().begin_epoch(epoch);
         self.epoch = epoch;
         stacl_obs::count(Counter::EpochActivate);
@@ -1955,48 +1718,6 @@ mod tests {
             reuse_spatial: false,
         };
         assert!(x.decide(&req, &proofs, &mut table).is_granted());
-    }
-
-    #[test]
-    fn string_keyed_path_agrees_with_interned() {
-        // The ablation baseline must make the SAME decisions as the
-        // interned path across spatial, temporal and no-permission
-        // outcomes. Both paths keep independent timeline/approval state on
-        // one instance, so driving them in lockstep is well-defined.
-        let perm = exec_perm()
-            .with_spatial(parse_constraint("count(0, 3, resource=rsw)").unwrap())
-            .with_validity(5.0, BaseTimeScheme::WholeLifetime);
-        let (x, sid) = setup(perm);
-        x.note_arrival("naplet-1", tp(0.0));
-        let proofs = ProofStore::new();
-        let mut table = AccessTable::new();
-        let access_ = Access::new("exec", "rsw", "s1");
-        let uncovered = Access::new("write", "db", "s1");
-        let prog = access_prog();
-        let wprog = access("write", "db", "s1");
-        for (t, a, p) in [
-            (0.0, &access_, &prog),
-            (1.0, &access_, &prog),
-            (2.0, &uncovered, &wprog),
-            (4.0, &access_, &prog),
-            (6.0, &access_, &prog), // temporal budget exhausted
-        ] {
-            let req = AccessRequest {
-                object: "naplet-1",
-                session: sid,
-                access: a,
-                program: p,
-                time: tp(t),
-                reuse_spatial: false,
-            };
-            let interned = x.decide(&req, &proofs, &mut table);
-            let stringly = x.decide_string_keyed(&req, &proofs, &mut table);
-            assert_eq!(interned.kind, stringly.kind, "diverged at t={t}");
-            if t == 0.0 || t == 1.0 {
-                // Consume the spatial budget in lockstep with real proofs.
-                proofs.issue("naplet-1", a.clone(), tp(t));
-            }
-        }
     }
 
     #[test]

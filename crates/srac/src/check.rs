@@ -269,7 +269,7 @@ impl ConstraintCache {
         }
         self.misses += 1;
         stacl_obs::count(stacl_obs::Counter::CacheMiss);
-        let classes = SymbolClasses::for_constraint(c, table);
+        let classes = SymbolClasses::build(c, table);
         let compiled = compile(c, &classes.alphabet(), table)
             .minimize()
             .canonicalize();

@@ -1,11 +1,12 @@
 //! Per-constraint symbol-class compression of the checking alphabet.
 //!
 //! A compiled constraint automaton's transition table is
-//! `states × alphabet` wide, and the gate compiles every cursor leaf
-//! over the *full-table* alphabet — so tables grow with the coalition's
-//! whole vocabulary, thrash cache, and make every cursor advance touch a
-//! full-width row even though the constraint can only ever distinguish a
-//! handful of symbols.
+//! `states × alphabet` wide. Compiled over the *full-table* alphabet,
+//! tables would grow with the coalition's whole vocabulary, thrash
+//! cache, and make every cursor advance touch a full-width row even
+//! though the constraint can only ever distinguish a handful of symbols
+//! (EXPERIMENTS.md E17 records the cost), so the gate compiles every
+//! cursor leaf over the compressed alphabet instead.
 //!
 //! [`SymbolClasses`] partitions the interned vocabulary by what the
 //! constraint can observe: for every mentioned access (atoms and
@@ -34,32 +35,11 @@
 //! outside the map's domain; consumers must **decline** (fall back to
 //! the slow path) on them, mirroring the cursor's table-version rule.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use stacl_trace::hash::FnvHashMap;
 use stacl_trace::{AccessId, AccessTable, Alphabet, Trace};
 
 use crate::ast::Constraint;
 use crate::selector::Selector;
-
-/// Global ablation switch for alphabet compression (on by default).
-/// When off, [`SymbolClasses::for_constraint`] degenerates to the
-/// identity partition — every interned id its own class — which
-/// reproduces the old full-table-alphabet behaviour through the same
-/// code path (the E17 ablation axis).
-static COMPRESSION: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable alphabet compression process-wide (ablation knob;
-/// not intended for production toggling — flip it only between guard
-/// builds, as cached automata are keyed by constraint and table only).
-pub fn set_alphabet_compression(on: bool) {
-    COMPRESSION.store(on, Ordering::Relaxed);
-}
-
-/// Whether alphabet compression is currently enabled.
-pub fn alphabet_compression_enabled() -> bool {
-    COMPRESSION.load(Ordering::Relaxed)
-}
 
 /// The symbol-class partition of one constraint over one table snapshot:
 /// a dense global-id → local-class map plus one representative global id
@@ -78,16 +58,6 @@ pub struct SymbolClasses {
 }
 
 impl SymbolClasses {
-    /// Partition `table`'s vocabulary by `c`'s observation signature —
-    /// or the identity partition when compression is disabled.
-    pub fn for_constraint(c: &Constraint, table: &AccessTable) -> SymbolClasses {
-        if alphabet_compression_enabled() {
-            SymbolClasses::build(c, table)
-        } else {
-            SymbolClasses::identity(table)
-        }
-    }
-
     /// The compressing partition: one class per distinct
     /// (mentioned-access equality, selector membership) signature.
     /// Every mentioned access that is interned lands in a singleton
@@ -122,17 +92,6 @@ impl SymbolClasses {
         SymbolClasses {
             class_of,
             reps,
-            table_version: table.version(),
-        }
-    }
-
-    /// The identity partition: every interned id is its own class. This
-    /// reproduces the historical full-table alphabet (local symbol
-    /// index `i` = `AccessId(i)`) through the compressed machinery.
-    pub fn identity(table: &AccessTable) -> SymbolClasses {
-        SymbolClasses {
-            class_of: (0..table.len() as u32).collect(),
-            reps: (0..table.len() as u32).map(AccessId).collect(),
             table_version: table.version(),
         }
     }
@@ -275,17 +234,6 @@ mod tests {
             .count();
         assert_eq!(mates, 1, "the mentioned access must be isolated");
         assert_eq!(cls.num_classes(), 2);
-    }
-
-    #[test]
-    fn identity_partition_is_the_full_alphabet() {
-        let table = table_with(8);
-        let cls = SymbolClasses::identity(&table);
-        assert_eq!(cls.num_classes(), 8);
-        for i in 0..8u32 {
-            assert_eq!(cls.class_of(AccessId(i)), Some(i));
-            assert_eq!(cls.alphabet().id_at(i), AccessId(i));
-        }
     }
 
     #[test]

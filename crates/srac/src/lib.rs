@@ -57,7 +57,7 @@ pub mod trace_sat;
 
 pub use ast::Constraint;
 pub use check::{check_program, Semantics, Verdict};
-pub use classes::{alphabet_compression_enabled, set_alphabet_compression, SymbolClasses};
+pub use classes::SymbolClasses;
 pub use cursor::{ConstraintCursor, CursorBank};
 pub use selector::Selector;
 pub use simplify::simplify;
