@@ -8,8 +8,8 @@
 //! | mode | path |
 //! |---|---|
 //! | `in-process`      | `CoordinatedGuard::decide` directly |
-//! | `wire-sequential` | one `Decide` frame per decision over loopback TCP (v1) |
-//! | `wire-batch`      | one `DecideBatch` frame per 32 time steps (all objects) |
+//! | `wire-sequential` | one `Decide2` frame per round trip over loopback TCP |
+//! | `wire-batch`      | one `DecideBatch2` frame per 32 time steps (all objects) |
 //! | `wire-pipelined-wN` | E16: a window of N correlated `Decide2` frames in flight |
 //!
 //! The pipelined phase sweeps the window depth; the best window's
@@ -26,9 +26,15 @@
 //! `bytes_tx / decisions`, which quantifies the vocabulary-sync design
 //! (steady-state frames carry u32 ids, never names).
 //!
-//! Usage: `bench_net [--objects 32] [--accesses 500] [--out BENCH_net.json]`
+//! Usage: `bench_net [--objects 32] [--accesses 500] [--placement-objects 1000000]
+//! [--placement-daemons 8] [--out BENCH_net.json]`
+//!
+//! The committed `BENCH_net.json` holds the 32×500 reference shape with
+//! the 1M×8 placement phase: any other shape must name another output
+//! file, or the run is refused (exit 2) before it starts.
 
 use std::net::SocketAddr;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use stacl::coalition::Placement;
@@ -39,6 +45,11 @@ use stacl_bench::fleet_model;
 use stacl_ids::json::JsonWriter;
 use stacl_net::{Client, DaemonConfig, DaemonHandle};
 
+/// The reference shape the committed `BENCH_net.json` is recorded at,
+/// and the default: objects, accesses, placement objects, placement
+/// daemons.
+const REFERENCE: (usize, usize, usize, usize) = (32, 500, 1_000_000, 8);
+
 struct ModeResult {
     name: String,
     ops_per_sec: f64,
@@ -47,10 +58,7 @@ struct ModeResult {
 }
 
 fn main() {
-    let mut objects = 32usize;
-    let mut accesses = 500usize;
-    let mut placement_objects = 1_000_000usize;
-    let mut placement_daemons = 8usize;
+    let (mut objects, mut accesses, mut placement_objects, mut placement_daemons) = REFERENCE;
     let mut out = String::from("BENCH_net.json");
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,6 +83,19 @@ fn main() {
             }
         }
         i += 2;
+    }
+    let shape = (objects, accesses, placement_objects, placement_daemons);
+    if shape != REFERENCE
+        && Path::new(&out)
+            .file_name()
+            .is_some_and(|n| n == "BENCH_net.json")
+    {
+        eprintln!(
+            "refusing to write {out} at shape {shape:?}: BENCH_net.json holds the reference \
+             shape {REFERENCE:?} (objects, accesses, placement objects, placement daemons); \
+             pass --out"
+        );
+        std::process::exit(2);
     }
 
     stacl::obs::set_telemetry(true);
@@ -599,7 +620,7 @@ fn run_wire_pipelined(
     let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
     let start = Instant::now();
     let mut granted = 0usize;
-    let mut p = client.pipeline(window).expect("daemon speaks protocol v2");
+    let mut p = client.pipeline(window).expect("pipeline");
     for k in 0..accesses {
         let a = &vocab[k % vocab.len()];
         let rem = &remaining[k % vocab.len()];

@@ -406,11 +406,8 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
     stacl_obs::set_telemetry(true);
     let baseline = stacl_obs::snapshot();
     for seed in start..start.saturating_add(seeds) {
-        let ep = if batch {
-            stacl_sim::episode_for_seed_batched(seed, None)
-        } else {
-            stacl_sim::episode_for_seed(seed, None)
-        };
+        let ep =
+            stacl_sim::run_episode_opts(&stacl_sim::Scenario::generate(seed), None, batch, None);
         if let Some(d) = ep.divergence {
             return Err(format!("seed {seed} diverged: {d}"));
         }
@@ -441,9 +438,6 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
 /// sampled verdict into one hash-chained audit ledger across the whole
 /// sweep and writes it to `FILE` — under `--transport net` the wire
 /// ledger must also byte-match the in-process reference chain.
-/// `--pipeline true` (net only) replays decisions over the pipelined v2
-/// protocol — request-id-correlated `Decide2` frames — instead of
-/// synchronous v1 `Decide` calls; logs and ledgers must still match.
 /// `--profile NAME` generates scenarios from a named mobility profile
 /// (commuter, fleet-convoy, flash-crowd, partition-heal, workflow) whose
 /// itineraries carry CIDR/cron attribute policies; the profile name is
@@ -451,8 +445,8 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
 pub fn sim_run(args: &[String]) -> Result<(), String> {
     use stacl::coalition::Ledger;
     use stacl_sim::{
-        repro, repro_profile, run_episode_net_opts, run_episode_net_pipelined, run_episode_opts,
-        OracleBug, Profile, Scenario, SweepReport,
+        repro, repro_profile, run_episode_net, run_episode_opts, OracleBug, Profile, Scenario,
+        SweepReport,
     };
     let opts = Opts::parse(
         args,
@@ -468,7 +462,6 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
             "daemons",
             "churn",
             "ledger",
-            "pipeline",
             "profile",
         ],
     )?;
@@ -490,7 +483,6 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
     let daemons: usize = opts.get_parsed("daemons", 4)?;
     let churn: usize = opts.get_parsed("churn", 0)?;
     let ledger_path = opts.get("ledger").map(str::to_string);
-    let pipeline: bool = opts.get_parsed("pipeline", false)?;
     let profile = opts.get("profile").map(Profile::parse).transpose()?;
     if profile.is_some() && churn > 0 {
         return Err("--profile generates its own fixed policy; \
@@ -501,9 +493,6 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
         return Err("--transport net replays decisions one frame at a time; \
                     it cannot be combined with --batch true"
             .into());
-    }
-    if pipeline && !net {
-        return Err("--pipeline true requires --transport net".into());
     }
     // One chain for the whole sweep; under --transport net a second chain
     // journals the in-process reference episodes so the two can be
@@ -530,11 +519,7 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
             Scenario::generate(seed)
         };
         let ep = if net {
-            let ep = if pipeline {
-                run_episode_net_pipelined(&sc, bug, daemons, ledger.as_mut())?
-            } else {
-                run_episode_net_opts(&sc, bug, daemons, ledger.as_mut())?
-            };
+            let ep = run_episode_net(&sc, bug, daemons, ledger.as_mut(), None)?;
             // Wire-level differential validation: the networked replay
             // must reproduce the in-process verdict log byte for byte.
             let reference = run_episode_opts(&sc, bug, false, ref_ledger.as_mut());

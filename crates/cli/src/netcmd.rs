@@ -232,7 +232,7 @@ fn parse_classes(spec: &str) -> Result<Vec<(String, f64, u8)>, String> {
 /// the migration handoff. `--metrics true` also prints the member's
 /// telemetry snapshot afterwards. `--pipeline W` (W ≥ 1) instead decides
 /// the whole declared remaining program as one pipelined stream of
-/// request-id-correlated v2 frames with up to `W` decisions in flight:
+/// request-id-correlated `Decide2` frames with up to `W` decisions in flight:
 /// step k asks for `remaining[k]` with the program tail from k onward.
 pub fn net_decide(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -301,11 +301,7 @@ pub fn net_decide(args: &[String]) -> Result<(), String> {
                 );
             }
         }
-        println!(
-            "pipelined {} decisions (window {window}, proto v{})",
-            verdicts.len(),
-            client.proto()
-        );
+        println!("pipelined {} decisions (window {window})", verdicts.len());
         if opts.get_parsed("metrics", false)? {
             print!("{}", client.metrics().map_err(|e| e.to_string())?);
         }

@@ -11,17 +11,17 @@
 //! becomes a counted `DeniedCoordination` verdict instead of an error —
 //! an unreachable guard never fails open.
 //!
-//! ## Pipelining (protocol v2)
+//! ## Pipelining
 //!
-//! The handshake offers protocol 2; a daemon that accepts unlocks
-//! [`Client::pipeline`]: a window of up to N request-id-correlated
-//! `Decide2` frames in flight at once, written coalesced (one syscall
-//! flushes many requests) and matched to their `Verdict2` replies by id,
-//! not arrival order. A full window applies **backpressure** — submit
-//! blocks until a reply frees a slot; nothing is ever dropped.
-//! [`Client::decide_stream_failsafe`] is the pipelined fail-safe driver:
-//! any transport failure resolves *every* unresolved request to a
-//! counted `DeniedCoordination`.
+//! Every decide is a request-id-correlated `Decide2` frame.
+//! [`Client::decide`] sends one and waits for its own reply;
+//! [`Client::pipeline`] keeps a window of up to N in flight at once,
+//! written coalesced (one syscall flushes many requests) and matched to
+//! their `Verdict2` replies by id, not arrival order. A full window
+//! applies **backpressure** — submit blocks until a reply frees a slot;
+//! nothing is ever dropped. [`Client::decide_stream_failsafe`] is the
+//! pipelined fail-safe driver: any transport failure resolves *every*
+//! unresolved request to a counted `DeniedCoordination`.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -34,7 +34,7 @@ use stacl_obs::Counter;
 use stacl_sral::ast::Access;
 
 use crate::frames::{kind_from_u8, DecideItem, Frame, WireAccess};
-use crate::wire::{self, FrameAssembler, WireError, PROTOCOL_VERSION, PROTOCOL_VERSION_2};
+use crate::wire::{self, FrameAssembler, WireError, PROTOCOL_VERSION};
 
 /// A client-side protocol failure.
 #[derive(Debug)]
@@ -95,8 +95,8 @@ impl From<WireError> for NetError {
 }
 
 /// A connected client. Not thread-safe by design — one request stream
-/// per connection; v1 replies arrive strictly in order, v2 replies are
-/// correlated by request id.
+/// per connection; uncorrelated replies arrive strictly in order, decide
+/// replies are correlated by request id.
 pub struct Client {
     stream: TcpStream,
     vocab: HashMap<String, u32>,
@@ -104,17 +104,15 @@ pub struct Client {
     /// Incremental reassembly of inbound frames: one big read can carry
     /// a whole window of pipelined replies.
     asm: FrameAssembler,
-    /// The negotiated protocol revision (1 or 2, from the handshake).
-    proto: u8,
     /// Coalesced, not-yet-written pipelined request frames.
     out2: Vec<u8>,
-    /// Issued v2 request ids and which of them are still in flight.
+    /// Issued request ids and which of them are still in flight.
     pend2: InFlight,
     /// Correlated replies received but not yet claimed by the pipeline.
     done2: Vec<(u64, Verdict)>,
 }
 
-/// The v2 request ids of one connection. Ids are issued in increasing
+/// The decide request ids of one connection. Ids are issued in increasing
 /// order, so one flag per id from the oldest unanswered one onwards
 /// correlates a reply in O(1); answered ids leave from the front.
 #[derive(Default)]
@@ -162,29 +160,12 @@ impl InFlight {
 impl Client {
     /// Connect, handshake, and learn the daemon's server name. The
     /// timeout (if any) applies to connect and to every subsequent read
-    /// and write. Offers protocol 2; a daemon that refuses it is
-    /// re-greeted at protocol 1, so pipelining degrades instead of
-    /// failing the connection.
+    /// and write.
     pub fn connect(
         addr: SocketAddr,
         name: &str,
         io_timeout: Option<Duration>,
     ) -> Result<Client, NetError> {
-        let mut c = Client::dial(addr, io_timeout)?;
-        match c.hello(name, PROTOCOL_VERSION_2) {
-            Ok(()) => Ok(c),
-            Err(NetError::Daemon { .. }) => {
-                // An old daemon rejects the v2 greeting after reading it
-                // cleanly, so the same connection can be re-greeted.
-                let mut c = Client::dial(addr, io_timeout)?;
-                c.hello(name, PROTOCOL_VERSION)?;
-                Ok(c)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn dial(addr: SocketAddr, io_timeout: Option<Duration>) -> Result<Client, NetError> {
         let stream = match io_timeout {
             Some(t) => TcpStream::connect_timeout(&addr, t)?,
             None => TcpStream::connect(addr)?,
@@ -192,31 +173,22 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
-        Ok(Client {
+        let mut c = Client {
             stream,
             vocab: HashMap::new(),
             server: String::new(),
             asm: FrameAssembler::new(),
-            proto: PROTOCOL_VERSION,
             out2: Vec::new(),
             pend2: InFlight::default(),
             done2: Vec::new(),
-        })
-    }
-
-    fn hello(&mut self, name: &str, proto: u8) -> Result<(), NetError> {
-        match self.call(&Frame::Hello {
-            proto: proto as u16,
+        };
+        match c.call(&Frame::Hello {
+            proto: PROTOCOL_VERSION as u16,
             peer: name.to_string(),
         })? {
-            Frame::HelloAck { proto, server } => {
-                self.server = server;
-                self.proto = if proto >= PROTOCOL_VERSION_2 as u16 {
-                    PROTOCOL_VERSION_2
-                } else {
-                    PROTOCOL_VERSION
-                };
-                Ok(())
+            Frame::HelloAck { server, .. } => {
+                c.server = server;
+                Ok(c)
             }
             other => Err(unexpected("HelloAck", &other)),
         }
@@ -225,12 +197,6 @@ impl Client {
     /// The daemon's coalition server name (from the handshake).
     pub fn server_name(&self) -> &str {
         &self.server
-    }
-
-    /// The negotiated protocol revision: 2 when the daemon supports
-    /// pipelining, else 1.
-    pub fn proto(&self) -> u8 {
-        self.proto
     }
 
     /// Number of pipelined requests currently in flight.
@@ -285,9 +251,11 @@ impl Client {
         }
     }
 
-    /// A correlated v2 reply is absorbed into the pipeline's completion
-    /// set and reported as `None`; anything else comes back as
-    /// `Some(frame)`.
+    /// A correlated reply is absorbed into the pipeline's completion set
+    /// and reported as `None`; anything else comes back as
+    /// `Some(frame)`. A redirect resolves its request to a counted
+    /// fail-safe `DeniedCoordination` naming the home: a window carries
+    /// on rather than following the hop.
     fn absorb(&mut self, frame: Frame) -> Result<Option<Frame>, NetError> {
         match frame {
             Frame::Verdict2 {
@@ -306,22 +274,24 @@ impl Client {
                 )?;
                 Ok(None)
             }
+            Frame::Redirect2 {
+                id, object, home, ..
+            } => {
+                self.complete(
+                    id,
+                    Verdict::denied(
+                        DecisionKind::DeniedCoordination,
+                        format!("redirected: object {object} is homed on {home}"),
+                    ),
+                )?;
+                stacl_obs::count(Counter::NetFailsafeDenial);
+                Ok(None)
+            }
             Frame::Err2 { id, code, msg } => {
                 self.pend2.resolve(id);
                 Err(NetError::Daemon { code, msg })
             }
             f => Ok(Some(f)),
-        }
-    }
-
-    /// Read until a non-correlated frame arrives (v2 completions are
-    /// absorbed along the way).
-    fn read_reply(&mut self) -> Result<Frame, NetError> {
-        loop {
-            let frame = self.read_frame()?;
-            if let Some(f) = self.absorb(frame)? {
-                return Ok(f);
-            }
         }
     }
 
@@ -351,9 +321,46 @@ impl Client {
         // so the daemon's interning state stays positional.
         self.flush_out()?;
         wire::write_frame(&mut self.stream, &frame.encode())?;
-        match self.read_reply()? {
-            Frame::Err { code, msg } => Err(NetError::Daemon { code, msg }),
-            f => Ok(f),
+        // Read until an uncorrelated frame arrives, absorbing completions
+        // of pipelined requests along the way.
+        loop {
+            let frame = self.read_frame()?;
+            match self.absorb(frame)? {
+                Some(Frame::Err { code, msg }) => return Err(NetError::Daemon { code, msg }),
+                Some(f) => return Ok(f),
+                None => {}
+            }
+        }
+    }
+
+    /// One correlated round trip: send the request `frame` builds for a
+    /// fresh id and read until the reply carrying that id arrives.
+    /// Replies to other in-flight ids (a dropped [`Pipeline`]'s) are kept
+    /// as completions on the way. `Err2` maps to [`NetError::Daemon`].
+    fn call_correlated(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<Frame, NetError> {
+        let id = self.pend2.next_id();
+        self.flush_out()?;
+        wire::write_frame(&mut self.stream, &frame(id).encode())?;
+        self.pend2.issue();
+        loop {
+            let frame = self.read_frame()?;
+            let own = matches!(
+                &frame,
+                Frame::Verdict2 { id: got, .. }
+                | Frame::VerdictBatch2 { id: got, .. }
+                | Frame::Redirect2 { id: got, .. }
+                | Frame::Err2 { id: got, .. } if *got == id
+            );
+            if own {
+                self.pend2.resolve(id);
+                return match frame {
+                    Frame::Err2 { code, msg, .. } => Err(NetError::Daemon { code, msg }),
+                    f => Ok(f),
+                };
+            }
+            if let Some(other) = self.absorb(frame)? {
+                return Err(unexpected("a correlated reply", &other));
+            }
         }
     }
 
@@ -476,20 +483,21 @@ impl Client {
         time: f64,
     ) -> Result<Verdict, NetError> {
         let item = self.item(object, access, remaining, time)?;
-        match self.call(&Frame::Decide(item))? {
-            Frame::Verdict {
+        match self.call_correlated(|id| Frame::Decide2 { id, item })? {
+            Frame::Verdict2 {
                 kind,
                 epoch,
                 reason,
+                ..
             } => Ok(Verdict {
                 kind: kind_from_u8(kind)?,
                 epoch,
                 reason,
             }),
-            Frame::Redirect { object, home, addr } => {
-                Err(NetError::Redirected { object, home, addr })
-            }
-            other => Err(unexpected("Verdict", &other)),
+            Frame::Redirect2 {
+                object, home, addr, ..
+            } => Err(NetError::Redirected { object, home, addr }),
+            other => Err(unexpected("Verdict2", &other)),
         }
     }
 
@@ -537,8 +545,8 @@ impl Client {
             .map(|(o, a, r, t)| self.item(o, a, r, *t))
             .collect::<Result<Vec<_>, _>>()?;
         let n = items.len();
-        match self.call(&Frame::DecideBatch { items })? {
-            Frame::VerdictBatch { verdicts } if verdicts.len() == n => verdicts
+        match self.call_correlated(|id| Frame::DecideBatch2 { id, items })? {
+            Frame::VerdictBatch2 { verdicts, .. } if verdicts.len() == n => verdicts
                 .into_iter()
                 .map(|(kind, epoch, reason)| {
                     Ok(Verdict {
@@ -548,11 +556,11 @@ impl Client {
                     })
                 })
                 .collect(),
-            Frame::VerdictBatch { verdicts } => Err(NetError::Protocol(format!(
+            Frame::VerdictBatch2 { verdicts, .. } => Err(NetError::Protocol(format!(
                 "batch of {n} answered with {} verdicts",
                 verdicts.len()
             ))),
-            other => Err(unexpected("VerdictBatch", &other)),
+            other => Err(unexpected("VerdictBatch2", &other)),
         }
     }
 
@@ -602,15 +610,9 @@ impl Client {
     }
 
     /// Open a pipelined view over this connection with a window of up to
-    /// `window` in-flight requests. Requires the negotiated protocol to
-    /// be v2; a v1-only daemon makes this a protocol error (callers that
-    /// can degrade should fall back to [`Client::decide`] loops).
+    /// `window` in-flight requests. Infallible; the `Result` is kept so
+    /// callers that match on it keep compiling.
     pub fn pipeline(&mut self, window: usize) -> Result<Pipeline<'_>, NetError> {
-        if self.proto < PROTOCOL_VERSION_2 {
-            return Err(NetError::Protocol(
-                "daemon negotiated protocol 1; pipelining needs v2".to_string(),
-            ));
-        }
         Ok(Pipeline {
             window: window.max(1),
             client: self,
@@ -621,19 +623,12 @@ impl Client {
     /// unresolved request to a counted fail-safe `DeniedCoordination` on
     /// any transport or protocol failure — a dying member mid-window
     /// never hangs the caller and never loses a request. Verdicts come
-    /// back in request order. Falls back to sequential
-    /// [`Client::decide_failsafe`] calls when the daemon only speaks v1.
+    /// back in request order.
     pub fn decide_stream_failsafe(
         &mut self,
         requests: &[(&str, &Access, &[Access], f64)],
         window: usize,
     ) -> Vec<Verdict> {
-        if self.proto < PROTOCOL_VERSION_2 {
-            return requests
-                .iter()
-                .map(|(o, a, r, t)| self.decide_failsafe(o, a, r, *t))
-                .collect();
-        }
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
         let mut out: Vec<Option<Verdict>> = Vec::new();
         out.resize_with(requests.len(), || None);
@@ -670,7 +665,7 @@ impl Client {
     }
 }
 
-/// A pipelined view over a [`Client`] connection (protocol v2): up to
+/// A pipelined view over a [`Client`] connection: up to
 /// `window` request-id-correlated decisions in flight, coalesced writes,
 /// backpressure when the window fills. Dropping the view keeps any
 /// unclaimed completions on the client for the next pipelined use.
@@ -705,8 +700,8 @@ impl Pipeline<'_> {
             self.client.flush_out()?;
             self.client.pump()?;
         }
-        // Vocabulary sync may issue synchronous v1 calls; `call` flushes
-        // the queued request bytes first, so wire order stays positional.
+        // Vocabulary sync may issue synchronous calls; `call` flushes the
+        // queued request bytes first, so wire order stays positional.
         let item = self.client.item(object, access, remaining, time)?;
         let id = self.client.pend2.next_id();
         let frame = Frame::Decide2 { id, item };
@@ -744,7 +739,7 @@ impl Pipeline<'_> {
 /// A coalition-aware client pool that follows placement redirects.
 ///
 /// Holds one lazily-dialed [`Client`] per member. A decision sent to the
-/// wrong member comes back as a [`Frame::Redirect`] naming the object's
+/// wrong member comes back as a [`Frame::Redirect2`] naming the object's
 /// ring home; the router re-issues the decision there. Because every
 /// member computes the same rendezvous ring, **one hop always
 /// suffices** — a second redirect is reported as a protocol error rather

@@ -6,21 +6,22 @@
 //! nonblocking sockets) multiplexes every connection: per-connection
 //! read reassembly via [`FrameAssembler`], per-connection coalesced
 //! write buffers flushed in one syscall, and many in-flight correlated
-//! v2 frames per connection. Each connection keeps its own positional
+//! decide frames per connection. Each connection keeps its own positional
 //! vocabulary (names interned by [`Frame::Vocab`] announcements) and its
 //! own [`AccessTable`] (verdicts are table-independent, so
 //! per-connection interning is sound).
 //!
 //! ## Reply ordering
 //!
-//! Replies queue per connection as **slots**. v1 replies flush strictly
-//! in request order — a v1 client is synchronous, so this preserves its
-//! call/reply pairing exactly. The only slow operation (the custody
-//! handoff pull, which dials a peer with retries and backoff) runs on a
-//! helper thread and leaves a *pending* slot in the queue; later v1
-//! replies wait behind it, while v2 replies — correlated by request id,
-//! not position — may overtake it. The event loop itself never blocks on
-//! a peer.
+//! Replies queue per connection as **slots**. Ordered replies (to every
+//! uncorrelated request: `Hello`, `Vocab`, `Arrive`, …) flush strictly in
+//! request order, which preserves a synchronous caller's call/reply
+//! pairing exactly. The only slow operation (the custody handoff pull,
+//! which dials a peer with retries and backoff) runs on a helper thread
+//! and leaves a *pending* slot in the queue; later ordered replies wait
+//! behind it, while correlated replies — matched by request id, not
+//! position — may overtake it. The event loop itself never blocks on a
+//! peer.
 //!
 //! ## Custody and the handoff pull
 //!
@@ -72,7 +73,7 @@ use crate::frames::{
     ERR_NOT_CUSTODIAN, ERR_STATE,
 };
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
-use crate::wire::{self, FrameAssembler, PROTOCOL_VERSION, PROTOCOL_VERSION_2};
+use crate::wire::{self, FrameAssembler, PROTOCOL_VERSION};
 
 /// Daemon configuration. `listen` defaults to an ephemeral loopback port
 /// so tests and the sim driver can spawn coalitions without port math.
@@ -326,12 +327,12 @@ fn wake(shared: &Shared) {
     let _ = (&shared.wake_tx).write_all(&[1]);
 }
 
-/// One queued reply. v1 slots flush strictly in order; a pending slot
-/// (helper-thread handoff pull in flight) blocks later v1 slots but not
-/// v2 slots, whose request-id correlation frees them from positional
+/// One queued reply. Ordered slots flush strictly in order; a pending
+/// slot (helper-thread handoff pull in flight) blocks later ordered slots
+/// but not correlated ones, whose request id frees them from positional
 /// ordering.
 enum Slot {
-    Ready { v2: bool, frame: Frame },
+    Ready { correlated: bool, frame: Frame },
     Pending { token: u64 },
 }
 
@@ -421,7 +422,7 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: TcpStream) {
                 for slot in conn.slots.iter_mut() {
                     if matches!(slot, Slot::Pending { token } if *token == c.token) {
                         *slot = Slot::Ready {
-                            v2: false,
+                            correlated: false,
                             frame: c.reply,
                         };
                         break;
@@ -601,7 +602,7 @@ fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &m
         };
         match decoded {
             Ok(frame) => shutdown = handle_frame(shared, ctx, conn, frame),
-            Err(e) => push_v1(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
+            Err(e) => push_ordered(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
         }
     }
     flush_conn(conn);
@@ -610,15 +611,15 @@ fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &m
 
 /// Move eligible reply slots into the coalesced out-buffer, then write.
 fn flush_conn(conn: &mut Conn) {
-    let mut blocked_v1 = false;
+    let mut blocked = false;
     let mut i = 0;
     while i < conn.slots.len() {
         let eligible = match &conn.slots[i] {
             Slot::Pending { .. } => {
-                blocked_v1 = true;
+                blocked = true;
                 false
             }
-            Slot::Ready { v2, .. } => *v2 || !blocked_v1,
+            Slot::Ready { correlated, .. } => *correlated || !blocked,
         };
         if !eligible {
             i += 1;
@@ -674,22 +675,22 @@ fn write_out(conn: &mut Conn) {
     }
 }
 
-fn push_v1(conn: &mut Conn, frame: Frame) {
+fn push_ordered(conn: &mut Conn, frame: Frame) {
     push(conn, false, frame);
 }
 
-fn push_v2(conn: &mut Conn, frame: Frame) {
+fn push_correlated(conn: &mut Conn, frame: Frame) {
     push(conn, true, frame);
 }
 
 /// Queue one reply. With no slot queued ahead of it, nothing can precede
 /// it on the wire, so it is encoded onto the out-buffer at once;
 /// otherwise it waits as a slot for [`flush_conn`] and the ordering rule.
-fn push(conn: &mut Conn, v2: bool, frame: Frame) {
+fn push(conn: &mut Conn, correlated: bool, frame: Frame) {
     if conn.slots.is_empty() {
         put_out(conn, &frame);
     } else {
-        conn.slots.push_back(Slot::Ready { v2, frame });
+        conn.slots.push_back(Slot::Ready { correlated, frame });
     }
 }
 
@@ -780,7 +781,7 @@ fn desync_verdict(shared: &Shared) -> Verdict {
 }
 
 /// Decide one owned request against the guard (or fail safe under epoch
-/// desync). Shared by the v1 `Decide` and v2 `Decide2` paths.
+/// desync).
 fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> Verdict {
     if shared.epoch_desync.load(Ordering::SeqCst) {
         return desync_verdict(shared);
@@ -794,8 +795,7 @@ fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> V
     shared.guard.decide(&greq, &shared.proofs, table)
 }
 
-/// Decide an owned batch (or fail safe under epoch desync). Shared by
-/// the v1 and v2 batch paths.
+/// Decide an owned batch (or fail safe under epoch desync).
 fn decide_many(shared: &Shared, owned: &[OwnedRequest]) -> Vec<Verdict> {
     if shared.epoch_desync.load(Ordering::SeqCst) {
         return owned.iter().map(|_| desync_verdict(shared)).collect();
@@ -822,7 +822,7 @@ fn handle_frame(
 ) -> bool {
     match frame {
         Frame::Hello { proto, peer: _ } => {
-            let reply = if proto == PROTOCOL_VERSION as u16 || proto == PROTOCOL_VERSION_2 as u16 {
+            let reply = if proto == PROTOCOL_VERSION as u16 {
                 Frame::HelloAck {
                     proto,
                     server: shared.cfg.name.clone(),
@@ -830,62 +830,25 @@ fn handle_frame(
             } else {
                 err_frame(ERR_BAD_REQUEST, format!("unsupported protocol {proto}"))
             };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Vocab { names } => {
             conn.vocab.extend(names.into_iter().map(Name::from));
-            push_v1(conn, Frame::Ok);
+            push_ordered(conn, Frame::Ok);
         }
         Frame::Enroll { object, roles } => {
             let reply = match enroll(shared, &conn.vocab, object, &roles) {
                 Ok(()) => Frame::Ok,
                 Err(e) => e.into_frame(),
             };
-            push_v1(conn, reply);
-        }
-        Frame::Decide(it) => {
-            let reply = match own_request(&conn.vocab, &it) {
-                Ok(req) => match redirect_for(shared, &req.object) {
-                    // Wrong daemon, and the ring knows who is right:
-                    // point the client at the home custodian instead of
-                    // burning a fail-safe denial. One extra hop resolves
-                    // the decision. (The pipelined v2 path keeps its
-                    // counted `DeniedCoordination` verdicts — chaos
-                    // accounting depends on them.)
-                    Some(redirect) => redirect,
-                    None => {
-                        let (kind, epoch, reason) =
-                            verdict_frame(&decide_one(shared, &req, &mut conn.table));
-                        Frame::Verdict {
-                            kind,
-                            epoch,
-                            reason,
-                        }
-                    }
-                },
-                Err(e) => e.into_frame(),
-            };
-            push_v1(conn, reply);
-        }
-        Frame::DecideBatch { items } => {
-            let reply = match items
-                .iter()
-                .map(|it| own_request(&conn.vocab, it))
-                .collect::<Result<Vec<_>, Reject>>()
-            {
-                Ok(owned) => Frame::VerdictBatch {
-                    verdicts: decide_many(shared, &owned)
-                        .iter()
-                        .map(verdict_frame)
-                        .collect(),
-                },
-                Err(e) => e.into_frame(),
-            };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Decide2 { id, item } => {
             let reply = match own_request(&conn.vocab, &item) {
-                Ok(req) => {
+                // Wrong daemon, and the ring knows who is right: point the
+                // client at the home custodian instead of deciding. One
+                // extra hop resolves the decision.
+                Ok(req) => redirect_for(shared, id, &req.object).unwrap_or_else(|| {
                     let (kind, epoch, reason) =
                         verdict_frame(&decide_one(shared, &req, &mut conn.table));
                     Frame::Verdict2 {
@@ -894,14 +857,14 @@ fn handle_frame(
                         epoch,
                         reason,
                     }
-                }
+                }),
                 Err(e) => Frame::Err2 {
                     id,
                     code: e.code,
                     msg: e.msg,
                 },
             };
-            push_v2(conn, reply);
+            push_correlated(conn, reply);
         }
         Frame::DecideBatch2 { id, items } => {
             let reply = match items
@@ -922,7 +885,7 @@ fn handle_frame(
                     msg: e.msg,
                 },
             };
-            push_v2(conn, reply);
+            push_correlated(conn, reply);
         }
         Frame::IssueProof {
             object,
@@ -940,7 +903,7 @@ fn handle_frame(
                 Ok(()) => Frame::Ok,
                 Err(e) => e.into_frame(),
             };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Arrive { object, time, from } => {
             match (|| {
@@ -949,14 +912,14 @@ fn handle_frame(
                 Ok::<(String, TimePoint), Reject>((object, tp))
             })() {
                 Ok((object, tp)) => arrive(shared, ctx, conn, object, tp, from.as_deref()),
-                Err(e) => push_v1(conn, e.into_frame()),
+                Err(e) => push_ordered(conn, e.into_frame()),
             }
         }
         Frame::HandoffRequest { object } => {
             let reply = handoff_out(shared, &object);
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
-        Frame::MetricsRequest => push_v1(
+        Frame::MetricsRequest => push_ordered(
             conn,
             Frame::MetricsJson {
                 json: stacl_obs::snapshot().to_json(),
@@ -968,11 +931,11 @@ fn handle_frame(
             classes,
         } => {
             let reply = policy_prepare(shared, &mut conn.table, epoch, &policy, &classes);
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::PolicyActivate { epoch } => {
             let reply = policy_activate(shared, epoch);
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Locate { object } => {
             // Any member answers a locate purely from the ring: O(N)
@@ -988,7 +951,7 @@ fn handle_frame(
                 }
                 None => err_frame(ERR_STATE, "no placement ring installed"),
             };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Rebalance { object, from } => {
             // A peer whose ring home for `object` moved here is draining
@@ -1003,11 +966,11 @@ fn handle_frame(
             spawn_pull(shared, ctx, conn.serial, token, from, object, None);
         }
         Frame::Shutdown => {
-            push_v1(conn, Frame::Ok);
+            push_ordered(conn, Frame::Ok);
             return true;
         }
         // Reply frames arriving as requests are protocol violations.
-        other => push_v1(
+        other => push_ordered(
             conn,
             err_frame(ERR_BAD_REQUEST, format!("frame {other:?} is not a request")),
         ),
@@ -1132,21 +1095,21 @@ fn arrive(
                 // ring the claim must land on the object's ring home, or
                 // two members could both believe themselves custodian.
                 if let Err(e) = shared.guard.take_custody(&object) {
-                    push_v1(conn, err_frame(ERR_NOT_CUSTODIAN, e));
+                    push_ordered(conn, err_frame(ERR_NOT_CUSTODIAN, e));
                     return;
                 }
             }
         }
     }
     shared.guard.note_arrival(&object, time);
-    push_v1(conn, Frame::Ok);
+    push_ordered(conn, Frame::Ok);
 }
 
-/// The redirect a v1 `Decide` for `object` should get instead of a
-/// fail-safe denial: present only when custody is enforced, the object is
-/// `Remote` here, and the placement ring names a different member as its
-/// home. Counted `placement.redirect`.
-fn redirect_for(shared: &Shared, object: &str) -> Option<Frame> {
+/// The redirect `Decide2` request `id` for `object` gets instead of a
+/// verdict: present only when custody is enforced, the object is `Remote`
+/// here, and the placement ring names a different member as its home.
+/// Counted `placement.redirect`.
+fn redirect_for(shared: &Shared, id: u64, object: &str) -> Option<Frame> {
     if !shared.guard.custody_enforced() {
         return None;
     }
@@ -1159,7 +1122,8 @@ fn redirect_for(shared: &Shared, object: &str) -> Option<Frame> {
     }
     stacl_obs::count(Counter::PlacementRedirect);
     let addr = shared.peers.read().get(&home).map(|a| a.to_string());
-    Some(Frame::Redirect {
+    Some(Frame::Redirect2 {
+        id,
         object: object.to_string(),
         home,
         addr,

@@ -2,7 +2,7 @@
 //!
 //! Every payload is `[version u8][tag u8][body]`. Request tags live in
 //! `0x01..=0x7F`, reply tags in `0x80..=0xFF`, so a trace is readable at a
-//! glance. Steady-state frames (`Decide`, `DecideBatch`, `IssueProof`,
+//! glance. Steady-state frames (`Decide2`, `DecideBatch2`, `IssueProof`,
 //! `Enroll`, `Arrive`) carry only interned `u32` ids for names: a client
 //! announces names once via `Vocab` and both ends number them positionally
 //! (id = index of first announcement), per connection.
@@ -18,7 +18,7 @@ use stacl_temporal::{BaseTimeScheme, TimePoint, TimelineParts};
 
 use crate::wire::{
     put_bool, put_f64, put_opt_str, put_str, put_u32, put_u64, put_u8, Dec, WireError,
-    PROTOCOL_VERSION, PROTOCOL_VERSION_2,
+    PROTOCOL_VERSION,
 };
 
 /// An access reference in interned form: `op resource @ server`.
@@ -127,13 +127,6 @@ pub enum Frame {
         /// Vocabulary ids of the activated roles.
         roles: Vec<u32>,
     },
-    /// Decide one access. Replied with `Verdict`.
-    Decide(DecideItem),
-    /// Decide a batch. Replied with `VerdictBatch` of equal length.
-    DecideBatch {
-        /// The requests, answered in order.
-        items: Vec<DecideItem>,
-    },
     /// Record an execution proof (replicated after a grant anywhere in
     /// the coalition). Replied with `Ok`.
     IssueProof {
@@ -207,8 +200,8 @@ pub enum Frame {
         /// The epoch to flip to.
         epoch: u64,
     },
-    /// Protocol v2: decide one access, correlated. Replied with a
-    /// `Verdict2` (or `Err2`) echoing `id`; replies to distinct ids may
+    /// Decide one access, correlated. Replied with a `Verdict2`,
+    /// `Redirect2` or `Err2` echoing `id`; replies to distinct ids may
     /// arrive in any order, so many `Decide2` frames can be in flight on
     /// one connection (the pipelined mode).
     Decide2 {
@@ -217,8 +210,8 @@ pub enum Frame {
         /// The request.
         item: DecideItem,
     },
-    /// Protocol v2: decide a batch, correlated. Replied with
-    /// `VerdictBatch2` (or `Err2`) echoing `id`.
+    /// Decide a batch, correlated. Replied with `VerdictBatch2` (or
+    /// `Err2`) echoing `id`.
     DecideBatch2 {
         /// Caller-chosen correlation id, echoed by the reply.
         id: u64,
@@ -242,21 +235,6 @@ pub enum Frame {
         /// Human-readable detail.
         msg: String,
     },
-    /// Reply to `Decide`.
-    Verdict {
-        /// Encoded [`DecisionKind`] (see [`kind_to_u8`]).
-        kind: u8,
-        /// The policy epoch the deciding daemon stamped on the verdict.
-        epoch: u64,
-        /// Denial detail, absent on grants.
-        reason: Option<String>,
-    },
-    /// Reply to `DecideBatch`, one `(kind, epoch, reason)` per item in
-    /// order.
-    VerdictBatch {
-        /// The verdicts.
-        verdicts: Vec<(u8, u64, Option<String>)>,
-    },
     /// Reply to `HandoffRequest`.
     HandoffState {
         /// The object's name (echoed).
@@ -275,9 +253,7 @@ pub enum Frame {
         /// The acknowledged epoch.
         epoch: u64,
     },
-    /// Reply to `Locate` — and to a `Decide` aimed at a member that the
-    /// placement ring says is not the object's home: the caller re-aims
-    /// at `home` and resolves in one extra hop instead of a broadcast.
+    /// Reply to `Locate`: the object's placement-ring home.
     Redirect {
         /// The object's name (echoed).
         object: String,
@@ -287,7 +263,7 @@ pub enum Frame {
         /// (`host:port`); callers with their own peer table may ignore it.
         addr: Option<String>,
     },
-    /// Protocol v2 reply to `Decide2`, correlated by `id`.
+    /// Reply to `Decide2`, correlated by `id`.
     Verdict2 {
         /// The request's correlation id, echoed.
         id: u64,
@@ -298,15 +274,15 @@ pub enum Frame {
         /// Denial detail, absent on grants.
         reason: Option<String>,
     },
-    /// Protocol v2 reply to `DecideBatch2`, correlated by `id`.
+    /// Reply to `DecideBatch2`, correlated by `id`.
     VerdictBatch2 {
         /// The request's correlation id, echoed.
         id: u64,
         /// One `(kind, epoch, reason)` per item, in request order.
         verdicts: Vec<(u8, u64, Option<String>)>,
     },
-    /// Protocol v2 failure reply, correlated by `id` — a malformed or
-    /// rejected correlated request must not desynchronize the pipeline.
+    /// Failure reply, correlated by `id` — a malformed or rejected
+    /// correlated request must not desynchronize the pipeline.
     Err2 {
         /// The request's correlation id, echoed.
         id: u64,
@@ -314,6 +290,21 @@ pub enum Frame {
         code: u8,
         /// Human-readable detail.
         msg: String,
+    },
+    /// Reply to a `Decide2` aimed at a member that the placement ring
+    /// says is not the object's home, correlated by `id`: the caller
+    /// re-aims at `home` and resolves in one extra hop instead of a
+    /// broadcast.
+    Redirect2 {
+        /// The request's correlation id, echoed.
+        id: u64,
+        /// The object's name.
+        object: String,
+        /// The rendezvous home member's name.
+        home: String,
+        /// The home's listen address, when the answering daemon knows it
+        /// (`host:port`); callers with their own peer table may ignore it.
+        addr: Option<String>,
     },
 }
 
@@ -331,8 +322,6 @@ pub const ERR_STATE: u8 = 4;
 const TAG_HELLO: u8 = 0x01;
 const TAG_VOCAB: u8 = 0x02;
 const TAG_ENROLL: u8 = 0x03;
-const TAG_DECIDE: u8 = 0x04;
-const TAG_DECIDE_BATCH: u8 = 0x05;
 const TAG_ISSUE_PROOF: u8 = 0x06;
 const TAG_ARRIVE: u8 = 0x07;
 const TAG_HANDOFF_REQUEST: u8 = 0x08;
@@ -347,8 +336,6 @@ const TAG_DECIDE_BATCH2: u8 = 0x11;
 const TAG_HELLO_ACK: u8 = 0x81;
 const TAG_OK: u8 = 0x82;
 const TAG_ERR: u8 = 0x83;
-const TAG_VERDICT: u8 = 0x84;
-const TAG_VERDICT_BATCH: u8 = 0x85;
 const TAG_HANDOFF_STATE: u8 = 0x86;
 const TAG_METRICS_JSON: u8 = 0x87;
 const TAG_EPOCH_ACK: u8 = 0x88;
@@ -356,6 +343,7 @@ const TAG_REDIRECT: u8 = 0x89;
 const TAG_VERDICT2: u8 = 0x90;
 const TAG_VERDICT_BATCH2: u8 = 0x91;
 const TAG_ERR2: u8 = 0x92;
+const TAG_REDIRECT2: u8 = 0x93;
 
 /// Map a [`DecisionKind`] to its stable wire value.
 pub fn kind_to_u8(kind: DecisionKind) -> u8 {
@@ -685,20 +673,6 @@ impl HandoffWire {
 }
 
 impl Frame {
-    /// The protocol revision this frame's encoding is stamped with: the
-    /// correlated (`*2`) frames are v2, everything else stays v1 so a v1
-    /// peer decodes every frame a well-behaved counterpart sends it.
-    pub fn wire_version(&self) -> u8 {
-        match self {
-            Frame::Decide2 { .. }
-            | Frame::DecideBatch2 { .. }
-            | Frame::Verdict2 { .. }
-            | Frame::VerdictBatch2 { .. }
-            | Frame::Err2 { .. } => PROTOCOL_VERSION_2,
-            _ => PROTOCOL_VERSION,
-        }
-    }
-
     /// Encode into a versioned payload ready for [`crate::wire::write_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
@@ -709,7 +683,7 @@ impl Frame {
     /// Append the versioned payload to `b` — [`Frame::encode`] without a
     /// buffer of its own, for [`crate::wire::put_frame_with`].
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        put_u8(b, self.wire_version());
+        put_u8(b, PROTOCOL_VERSION);
         match self {
             Frame::Hello { proto, peer } => {
                 put_u8(b, TAG_HELLO);
@@ -729,17 +703,6 @@ impl Frame {
                 put_u32(b, roles.len() as u32);
                 for r in roles {
                     put_u32(b, *r);
-                }
-            }
-            Frame::Decide(it) => {
-                put_u8(b, TAG_DECIDE);
-                put_item(b, it);
-            }
-            Frame::DecideBatch { items } => {
-                put_u8(b, TAG_DECIDE_BATCH);
-                put_u32(b, items.len() as u32);
-                for it in items {
-                    put_item(b, it);
                 }
             }
             Frame::IssueProof {
@@ -816,25 +779,6 @@ impl Frame {
                 put_u8(b, *code);
                 put_str(b, msg);
             }
-            Frame::Verdict {
-                kind,
-                epoch,
-                reason,
-            } => {
-                put_u8(b, TAG_VERDICT);
-                put_u8(b, *kind);
-                put_u64(b, *epoch);
-                put_opt_str(b, reason.as_deref());
-            }
-            Frame::VerdictBatch { verdicts } => {
-                put_u8(b, TAG_VERDICT_BATCH);
-                put_u32(b, verdicts.len() as u32);
-                for (kind, epoch, reason) in verdicts {
-                    put_u8(b, *kind);
-                    put_u64(b, *epoch);
-                    put_opt_str(b, reason.as_deref());
-                }
-            }
             Frame::HandoffState { object, state } => {
                 put_u8(b, TAG_HANDOFF_STATE);
                 put_str(b, object);
@@ -882,6 +826,18 @@ impl Frame {
                 put_u8(b, *code);
                 put_str(b, msg);
             }
+            Frame::Redirect2 {
+                id,
+                object,
+                home,
+                addr,
+            } => {
+                put_u8(b, TAG_REDIRECT2);
+                put_u64(b, *id);
+                put_str(b, object);
+                put_str(b, home);
+                put_opt_str(b, addr.as_deref());
+            }
         }
     }
 
@@ -890,21 +846,10 @@ impl Frame {
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
         let mut d = Dec::new(payload);
         let version = d.u8()?;
-        if version != PROTOCOL_VERSION && version != PROTOCOL_VERSION_2 {
+        if version != PROTOCOL_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let tag = d.u8()?;
-        // Version/tag consistency: correlated tags require the v2 stamp and
-        // v1 tags must not carry it, so a peer can dispatch on the version
-        // byte alone without re-inspecting the tag.
-        let is_v2_tag = matches!(
-            tag,
-            TAG_DECIDE2 | TAG_DECIDE_BATCH2 | TAG_VERDICT2 | TAG_VERDICT_BATCH2 | TAG_ERR2
-        );
-        if is_v2_tag != (version == PROTOCOL_VERSION_2) {
-            return Err(WireError::BadVersion(version));
-        }
-        let frame = match tag {
+        let frame = match d.u8()? {
             TAG_HELLO => Frame::Hello {
                 proto: d.u16()?,
                 peer: d.str()?,
@@ -925,15 +870,6 @@ impl Frame {
                     roles.push(d.u32()?);
                 }
                 Frame::Enroll { object, roles }
-            }
-            TAG_DECIDE => Frame::Decide(dec_item(&mut d)?),
-            TAG_DECIDE_BATCH => {
-                let n = d.count()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(dec_item(&mut d)?);
-                }
-                Frame::DecideBatch { items }
             }
             TAG_ISSUE_PROOF => Frame::IssueProof {
                 object: d.u32()?,
@@ -984,22 +920,6 @@ impl Frame {
                 code: d.u8()?,
                 msg: d.str()?,
             },
-            TAG_VERDICT => Frame::Verdict {
-                kind: d.u8()?,
-                epoch: d.u64()?,
-                reason: d.opt_str()?,
-            },
-            TAG_VERDICT_BATCH => {
-                let n = d.count()?;
-                let mut verdicts = Vec::new();
-                for _ in 0..n {
-                    let kind = d.u8()?;
-                    let epoch = d.u64()?;
-                    let reason = d.opt_str()?;
-                    verdicts.push((kind, epoch, reason));
-                }
-                Frame::VerdictBatch { verdicts }
-            }
             TAG_HANDOFF_STATE => Frame::HandoffState {
                 object: d.str()?,
                 state: dec_handoff(&mut d)?,
@@ -1044,6 +964,12 @@ impl Frame {
                 code: d.u8()?,
                 msg: d.str()?,
             },
+            TAG_REDIRECT2 => Frame::Redirect2 {
+                id: d.u64()?,
+                object: d.str()?,
+                home: d.str()?,
+                addr: d.opt_str()?,
+            },
             other => return Err(WireError::BadTag(other)),
         };
         d.finish()?;
@@ -1059,7 +985,7 @@ mod tests {
     fn every_variant_round_trips() {
         let frames = vec![
             Frame::Hello {
-                proto: 1,
+                proto: PROTOCOL_VERSION as u16,
                 peer: "s1".into(),
             },
             Frame::Vocab {
@@ -1069,21 +995,27 @@ mod tests {
                 object: 3,
                 roles: vec![0, 7],
             },
-            Frame::Decide(DecideItem {
-                object: 1,
-                time: 2.5,
-                access: WireAccess {
-                    op: 0,
-                    resource: 1,
-                    server: 2,
+            Frame::Decide2 {
+                id: 4,
+                item: DecideItem {
+                    object: 1,
+                    time: 2.5,
+                    access: WireAccess {
+                        op: 0,
+                        resource: 1,
+                        server: 2,
+                    },
+                    remaining: vec![WireAccess {
+                        op: 0,
+                        resource: 1,
+                        server: 2,
+                    }],
                 },
-                remaining: vec![WireAccess {
-                    op: 0,
-                    resource: 1,
-                    server: 2,
-                }],
-            }),
-            Frame::DecideBatch { items: vec![] },
+            },
+            Frame::DecideBatch2 {
+                id: 5,
+                items: vec![],
+            },
             Frame::IssueProof {
                 object: 9,
                 access: WireAccess {
@@ -1117,7 +1049,7 @@ mod tests {
             },
             Frame::PolicyActivate { epoch: 3 },
             Frame::HelloAck {
-                proto: 1,
+                proto: PROTOCOL_VERSION as u16,
                 server: "s2".into(),
             },
             Frame::Ok,
@@ -1125,13 +1057,20 @@ mod tests {
                 code: ERR_HANDOFF,
                 msg: "nope".into(),
             },
-            Frame::Verdict {
+            Frame::Verdict2 {
+                id: 4,
                 kind: 5,
                 epoch: 2,
                 reason: Some("custody in flight".into()),
             },
-            Frame::VerdictBatch {
+            Frame::VerdictBatch2 {
+                id: 5,
                 verdicts: vec![(0, 0, None), (3, 7, Some("budget".into()))],
+            },
+            Frame::Err2 {
+                id: 6,
+                code: ERR_BAD_REQUEST,
+                msg: "unknown vocabulary id 9".into(),
             },
             Frame::HandoffState {
                 object: "o".into(),
@@ -1168,6 +1107,18 @@ mod tests {
                 home: "s3".into(),
                 addr: None,
             },
+            Frame::Redirect2 {
+                id: 7,
+                object: "o".into(),
+                home: "s3".into(),
+                addr: Some("127.0.0.1:9000".into()),
+            },
+            Frame::Redirect2 {
+                id: 8,
+                object: "o".into(),
+                home: "s3".into(),
+                addr: None,
+            },
         ];
         for f in frames {
             let bytes = f.encode();
@@ -1181,6 +1132,8 @@ mod tests {
     #[test]
     fn bad_version_and_tag_are_rejected() {
         assert_eq!(Frame::decode(&[9, TAG_OK]), Err(WireError::BadVersion(9)));
+        // The retired sequential protocol's version byte is refused too.
+        assert_eq!(Frame::decode(&[1, TAG_OK]), Err(WireError::BadVersion(1)));
         assert_eq!(
             Frame::decode(&[PROTOCOL_VERSION, 0x7E]),
             Err(WireError::BadTag(0x7E))

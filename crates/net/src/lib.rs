@@ -27,7 +27,7 @@
 //! * [`client`] — the synchronous client, including
 //!   [`client::Client::decide_failsafe`]: an unreachable member yields a
 //!   counted `DeniedCoordination`, never an open gate — plus the
-//!   pipelined v2 mode ([`client::Pipeline`]) keeping a window of
+//!   pipelined mode ([`client::Pipeline`]) keeping a window of
 //!   request-id-correlated decisions in flight per connection.
 //!
 //! Telemetry rides on `stacl-obs`: `net.frame-tx/rx`, `net.bytes-tx/rx`,
@@ -50,4 +50,4 @@ pub mod wire;
 pub use client::{Client, NetError, Pipeline, Router};
 pub use daemon::{spawn, DaemonConfig, DaemonHandle};
 pub use frames::Frame;
-pub use wire::{FrameAssembler, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION, PROTOCOL_VERSION_2};
+pub use wire::{FrameAssembler, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -22,18 +22,12 @@ use std::io::{self, Read, Write};
 
 use stacl_obs::Counter;
 
-/// The original (sequential) protocol version: one outstanding request
-/// per connection, replies strictly in request order, frames carry no
-/// correlation id. Still fully served — a v1 client never sees a v2
-/// frame.
-pub const PROTOCOL_VERSION: u8 = 1;
-
-/// The pipelined protocol version: `Decide2`/`DecideBatch2` request
-/// frames carry a `u64` request id echoed by their
-/// `Verdict2`/`VerdictBatch2` replies, so many requests can be in flight
-/// per connection and replies may arrive out of order. Negotiated at
-/// `Hello`: a daemon answers with the highest revision both ends speak.
-pub const PROTOCOL_VERSION_2: u8 = 2;
+/// The protocol version stamped on every frame. Decide requests carry a
+/// `u64` request id echoed by their replies, so many requests can be in
+/// flight per connection and replies may arrive out of order. A payload
+/// stamped with any other version is rejected with
+/// [`WireError::BadVersion`].
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard upper bound on a single frame's payload (16 MiB). A peer
 /// announcing a larger frame is malfunctioning or hostile; the connection

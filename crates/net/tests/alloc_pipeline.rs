@@ -73,7 +73,7 @@ fn make_guard() -> CoordinatedGuard {
 fn pipeline(client: &mut Client, access: &Access, range: Range<usize>) -> usize {
     let remaining = std::slice::from_ref(access);
     let mut granted = 0;
-    let mut p = client.pipeline(WINDOW).expect("v2 negotiated");
+    let mut p = client.pipeline(WINDOW).expect("pipeline");
     for i in range {
         p.submit("obj", access, remaining, i as f64 * 1e-3)
             .expect("submit");

@@ -8,7 +8,7 @@ mod common;
 use common::gen_frame;
 use stacl_ids::prop::forall;
 use stacl_net::frames::Frame;
-use stacl_net::WireError;
+use stacl_net::{WireError, PROTOCOL_VERSION};
 
 #[test]
 fn arbitrary_frames_round_trip() {
@@ -68,7 +68,7 @@ fn corrupted_frames_never_panic() {
 #[test]
 fn hostile_vec_counts_do_not_allocate() {
     // A Vocab frame claiming u32::MAX names must fail on bounds, fast.
-    let mut payload = vec![1u8, 0x02];
+    let mut payload = vec![PROTOCOL_VERSION, 0x02];
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     match Frame::decode(&payload) {
         Err(WireError::TooLarge(_)) | Err(WireError::Truncated { .. }) => {}

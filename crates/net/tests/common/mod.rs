@@ -1,6 +1,6 @@
 //! Shared frame generators for the wire-codec test binaries. Covers
-//! every encodable frame, v1 and v2, so both the round-trip property
-//! tests and the reassembly torture tests draw from the same space.
+//! every encodable frame, so both the round-trip property tests and the
+//! reassembly torture tests draw from the same space.
 
 use stacl_ids::rng::SplitMix64;
 use stacl_net::frames::{DecideItem, Frame, HandoffWire, WireAccess, WireBudget, WireTimeline};
@@ -70,7 +70,7 @@ pub fn gen_handoff(r: &mut SplitMix64) -> HandoffWire {
 }
 
 pub fn gen_frame(r: &mut SplitMix64) -> Frame {
-    match r.gen_range(0u32..28) {
+    match r.gen_range(0u32..25) {
         0 => Frame::Hello {
             proto: r.gen_range(0u32..9) as u16,
             peer: gen_string(r),
@@ -84,55 +84,35 @@ pub fn gen_frame(r: &mut SplitMix64) -> Frame {
                 .map(|_| r.gen_range(0u32..9))
                 .collect(),
         },
-        3 => Frame::Decide(gen_item(r)),
-        4 => Frame::DecideBatch {
-            items: (0..r.gen_range(0usize..4)).map(|_| gen_item(r)).collect(),
-        },
-        5 => Frame::IssueProof {
+        3 => Frame::IssueProof {
             object: r.gen_range(0u32..9),
             access: gen_access(r),
             time: r.gen_range(0i64..1000) as f64,
         },
-        6 => Frame::Arrive {
+        4 => Frame::Arrive {
             object: r.gen_range(0u32..9),
             time: r.gen_range(0i64..1000) as f64,
             from: r.gen_bool(0.5).then(|| gen_string(r)),
         },
-        7 => Frame::HandoffRequest {
+        5 => Frame::HandoffRequest {
             object: gen_string(r),
         },
-        8 => Frame::MetricsRequest,
-        9 => Frame::Shutdown,
-        10 => Frame::HelloAck {
+        6 => Frame::MetricsRequest,
+        7 => Frame::Shutdown,
+        8 => Frame::HelloAck {
             proto: r.gen_range(0u32..9) as u16,
             server: gen_string(r),
         },
-        11 => Frame::Ok,
-        12 => Frame::Err {
+        9 => Frame::Ok,
+        10 => Frame::Err {
             code: r.gen_range(0u32..9) as u8,
             msg: gen_string(r),
         },
-        13 => Frame::Verdict {
-            kind: r.gen_range(0u32..6) as u8,
-            epoch: r.gen_range(0u32..9) as u64,
-            reason: r.gen_bool(0.5).then(|| gen_string(r)),
-        },
-        14 => Frame::VerdictBatch {
-            verdicts: (0..r.gen_range(0usize..4))
-                .map(|_| {
-                    (
-                        r.gen_range(0u32..6) as u8,
-                        r.gen_range(0u32..9) as u64,
-                        r.gen_bool(0.5).then(|| gen_string(r)),
-                    )
-                })
-                .collect(),
-        },
-        15 => Frame::HandoffState {
+        11 => Frame::HandoffState {
             object: gen_string(r),
             state: gen_handoff(r),
         },
-        16 => Frame::PolicyPrepare {
+        12 => Frame::PolicyPrepare {
             epoch: r.gen_range(0u32..9) as u64,
             policy: gen_string(r),
             classes: (0..r.gen_range(0usize..3))
@@ -145,31 +125,31 @@ pub fn gen_frame(r: &mut SplitMix64) -> Frame {
                 })
                 .collect(),
         },
-        17 => Frame::PolicyActivate {
+        13 => Frame::PolicyActivate {
             epoch: r.gen_range(0u32..9) as u64,
         },
-        18 => Frame::EpochAck {
+        14 => Frame::EpochAck {
             epoch: r.gen_range(0u32..9) as u64,
         },
-        19 => Frame::MetricsJson {
+        15 => Frame::MetricsJson {
             json: gen_string(r),
         },
-        // Pipelined v2 frames: every one carries a request id first.
-        20 => Frame::Decide2 {
+        // Correlated frames: every one carries a request id first.
+        16 => Frame::Decide2 {
             id: r.next_u64(),
             item: gen_item(r),
         },
-        21 => Frame::DecideBatch2 {
+        17 => Frame::DecideBatch2 {
             id: r.next_u64(),
             items: (0..r.gen_range(0usize..4)).map(|_| gen_item(r)).collect(),
         },
-        22 => Frame::Verdict2 {
+        18 => Frame::Verdict2 {
             id: r.next_u64(),
             kind: r.gen_range(0u32..6) as u8,
             epoch: r.gen_range(0u32..9) as u64,
             reason: r.gen_bool(0.5).then(|| gen_string(r)),
         },
-        23 => Frame::VerdictBatch2 {
+        19 => Frame::VerdictBatch2 {
             id: r.next_u64(),
             verdicts: (0..r.gen_range(0usize..4))
                 .map(|_| {
@@ -181,20 +161,26 @@ pub fn gen_frame(r: &mut SplitMix64) -> Frame {
                 })
                 .collect(),
         },
-        24 => Frame::Err2 {
+        20 => Frame::Err2 {
             id: r.next_u64(),
             code: r.gen_range(0u32..9) as u8,
             msg: gen_string(r),
         },
-        // Placement frames: locate, custody rebalance, redirect.
-        25 => Frame::Locate {
+        // Placement frames: locate, custody rebalance, redirects.
+        21 => Frame::Locate {
             object: gen_string(r),
         },
-        26 => Frame::Rebalance {
+        22 => Frame::Rebalance {
             object: gen_string(r),
             from: gen_string(r),
         },
-        _ => Frame::Redirect {
+        23 => Frame::Redirect {
+            object: gen_string(r),
+            home: gen_string(r),
+            addr: r.gen_bool(0.5).then(|| gen_string(r)),
+        },
+        _ => Frame::Redirect2 {
+            id: r.next_u64(),
             object: gen_string(r),
             home: gen_string(r),
             addr: r.gen_bool(0.5).then(|| gen_string(r)),

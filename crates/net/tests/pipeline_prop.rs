@@ -133,7 +133,7 @@ fn shuffled_replies_correlate_by_request_id() {
 
         let mut expect: Vec<(u64, String)> = Vec::new();
         let mut got: Vec<(u64, Verdict)> = Vec::new();
-        let mut p = client.pipeline(window).expect("v2 negotiated");
+        let mut p = client.pipeline(window).expect("pipeline");
         for i in 0..n {
             let id = p
                 .submit("obj", &access, &remaining, i as f64)
@@ -205,7 +205,7 @@ fn window_full_applies_backpressure_not_drop() {
     const N: usize = 64;
     const WINDOW: usize = 4;
 
-    let mut p = client.pipeline(WINDOW).expect("v2 negotiated");
+    let mut p = client.pipeline(WINDOW).expect("pipeline");
     let mut done = 0usize;
     for i in 0..N {
         p.submit("obj", &access, &remaining, i as f64)
@@ -227,7 +227,7 @@ fn assert_correlation_error(mode: ReplyMode, requests: usize) {
     let access = Access::new(ACCESS_PARTS.0, ACCESS_PARTS.1, ACCESS_PARTS.2);
     let remaining = [access.clone()];
 
-    let mut p = client.pipeline(4).expect("v2 negotiated");
+    let mut p = client.pipeline(4).expect("pipeline");
     for i in 0..requests {
         p.submit("obj", &access, &remaining, i as f64)
             .expect("submit");

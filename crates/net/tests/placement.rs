@@ -1,5 +1,6 @@
 //! Placement-layer integration tests: ring-routed location with at most
-//! one redirect hop, churn rebalancing that drains only moved keys, and
+//! one redirect hop, redirects inside a pipelined window, churn
+//! rebalancing that drains only moved keys, and
 //! the two event-loop custody bugfixes (severed frames must not be
 //! processed; orphaned pull completions must not strand custody).
 
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 use stacl_coalition::{DecisionKind, Placement, ProofStore};
 use stacl_naplet::guard::{CoordinatedGuard, Custody};
 use stacl_net::frames::{DecideItem, Frame, WireAccess, ERR_NOT_CUSTODIAN};
-use stacl_net::{wire, Client, DaemonConfig, DaemonHandle, NetError, Router};
+use stacl_net::{wire, Client, DaemonConfig, DaemonHandle, NetError, Router, PROTOCOL_VERSION};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
@@ -151,6 +152,72 @@ fn locate_and_one_redirect_hop_resolve_any_object() {
     }
 }
 
+/// A redirect inside a pipelined window does not abort the window: the
+/// request resolves to a counted fail-safe `DeniedCoordination` naming
+/// the home, the redirecting member counts `placement.redirect`, and the
+/// next submit on the same pipeline still resolves.
+#[test]
+fn pipelined_redirect_resolves_to_counted_failsafe_denial() {
+    stacl_obs::set_telemetry(true);
+    let baseline = stacl_obs::snapshot();
+
+    let handles: Vec<DaemonHandle> = (0..2).map(|i| spawn_daemon(&format!("pr-d{i}"))).collect();
+    let members = members_of(&handles);
+    for h in &handles {
+        h.set_members(&members);
+    }
+    let ring = Placement::new(members.iter().map(|(n, _)| n.clone()));
+    let homed_on = |d: usize| -> String {
+        objects()
+            .into_iter()
+            .find(|o| ring.home_of(o) == Some(members[d].0.as_str()))
+            .expect("each member homes some object")
+    };
+    let (away, local) = (homed_on(1), homed_on(0));
+
+    let timeout = Some(Duration::from_secs(2));
+    let access = Access::new("read", "db", "s0");
+    let program = [access.clone()];
+    let mut c1 = Client::connect(handles[1].addr(), "t", timeout).expect("connect");
+    c1.arrive(&away, 0.0, None).expect("arrival at d1");
+    let mut c0 = Client::connect(handles[0].addr(), "t", timeout).expect("connect");
+    c0.arrive(&local, 0.0, None).expect("arrival at d0");
+
+    let mut p = c0.pipeline(4).expect("pipeline");
+    let redirected = p.submit(&away, &access, &program, 1.0).expect("submit");
+    let done = p.recv_some().expect("redirect resolves");
+    assert_eq!(done.len(), 1, "one completion for one request");
+    let (id, v) = &done[0];
+    assert_eq!(*id, redirected);
+    assert_eq!(v.kind, DecisionKind::DeniedCoordination, "fail-safe denial");
+    let reason = v.reason.as_deref().unwrap_or_default();
+    assert!(
+        reason.contains(&members[1].0),
+        "the denial names the home: {reason}"
+    );
+
+    let later = p.submit(&local, &access, &program, 2.0).expect("submit");
+    let done = p.finish().expect("window drains");
+    assert_eq!(done.len(), 1, "the later submit resolves");
+    assert_eq!(done[0].0, later);
+    assert_eq!(done[0].1.kind, DecisionKind::Granted, "window not aborted");
+
+    let d = stacl_obs::snapshot().diff(&baseline);
+    assert!(
+        d.counter(Counter::NetFailsafeDenial) >= 1,
+        "client counted the fail-safe denial"
+    );
+    assert!(
+        d.counter(Counter::PlacementRedirect) >= 1,
+        "d0 counted the redirect"
+    );
+
+    drop((c0, c1));
+    for mut h in handles {
+        h.shutdown();
+    }
+}
+
 /// Churn rebalancing: a join drains exactly the keys the joiner now
 /// wins; a graceful leave drains everything the leaver held. Keys whose
 /// home never moved are untouched.
@@ -270,7 +337,7 @@ fn stall_loop(addr: SocketAddr, frames: usize, names_per_frame: usize) -> JoinHa
     wire::write_frame(
         &mut s,
         &Frame::Hello {
-            proto: 1,
+            proto: PROTOCOL_VERSION as u16,
             peer: "staller".to_string(),
         }
         .encode(),
@@ -342,12 +409,15 @@ fn severed_connection_frames_are_not_processed() {
     for i in 0..8 {
         wire::put_frame(
             &mut victim_bytes,
-            &Frame::Decide(DecideItem {
-                object: 0,
-                time: 10.0 + i as f64,
-                access: wa.clone(),
-                remaining: vec![wa.clone()],
-            })
+            &Frame::Decide2 {
+                id: i,
+                item: DecideItem {
+                    object: 0,
+                    time: 10.0 + i as f64,
+                    access: wa.clone(),
+                    remaining: vec![wa.clone()],
+                },
+            }
             .encode(),
         )
         .unwrap();

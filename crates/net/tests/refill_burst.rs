@@ -74,7 +74,7 @@ fn full_window_refills_in_one_write() {
 
     stacl_obs::reset();
     let mut done = 0usize;
-    let mut p = client.pipeline(WINDOW).expect("v2 negotiated");
+    let mut p = client.pipeline(WINDOW).expect("pipeline");
     for i in 0..DECISIONS {
         p.submit("obj", &access, &remaining, i as f64)
             .expect("submit");

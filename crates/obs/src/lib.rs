@@ -153,7 +153,7 @@ pub enum Counter {
     /// loop instead of being silently discarded.
     NetOrphanedCompletion,
     /// A decide reached a member that is not the object's rendezvous home
-    /// and was answered with a `Redirect` frame instead of a verdict.
+    /// and was answered with a `Redirect2` frame instead of a verdict.
     PlacementRedirect,
     /// A custody rebalance drain moved one object toward its new
     /// rendezvous home after a membership change.

@@ -179,7 +179,7 @@ pub fn build_guard(sc: &Scenario) -> CoordinatedGuard {
 
 /// Run one episode, cross-checking every decision against the oracle.
 pub fn run_episode(sc: &Scenario, bug: Option<OracleBug>) -> Episode {
-    run_episode_with(sc, bug, false)
+    run_episode_opts(sc, bug, false, None)
 }
 
 /// One pending access decision within a run of consecutive `Access`
@@ -196,8 +196,14 @@ struct PendingAccess<'a> {
     program: Option<Program>,
 }
 
+/// How often the episode drivers journal a verdict into the audit
+/// ledger: every `LEDGER_SAMPLE`-th decision (1-indexed), the same on
+/// every transport so ledgers byte-compare across them.
+pub const LEDGER_SAMPLE: usize = 8;
+
 /// Run one episode, optionally fanning independent access decisions
-/// through [`CoordinatedGuard::decide_batch`].
+/// through [`CoordinatedGuard::decide_batch`] and journaling policy
+/// changes and sampled verdicts into an append-only audit [`Ledger`].
 ///
 /// With `batched`, maximal runs of consecutive `Access` events over
 /// pairwise-distinct objects are decided as one parallel batch; the
@@ -207,19 +213,9 @@ struct PendingAccess<'a> {
 /// Scenarios containing any team-scoped permission degrade to batch
 /// size 1 (companion histories make cross-object decisions order-
 /// dependent).
-pub fn run_episode_with(sc: &Scenario, bug: Option<OracleBug>, batched: bool) -> Episode {
-    run_episode_opts(sc, bug, batched, None)
-}
-
-/// How often the episode drivers journal a verdict into the audit
-/// ledger: every `LEDGER_SAMPLE`-th decision (1-indexed), the same on
-/// every transport so ledgers byte-compare across them.
-pub const LEDGER_SAMPLE: usize = 8;
-
-/// [`run_episode_with`], optionally journaling policy changes and
-/// sampled verdicts into an append-only audit [`Ledger`]. The ledger is
-/// transport-independent: the networked driver
-/// ([`crate::net_driver::run_episode_net_opts`]) produces a byte-identical
+///
+/// The ledger is transport-independent: the networked driver
+/// ([`crate::net_driver::run_episode_net`]) produces a byte-identical
 /// chain for the same scenario.
 pub fn run_episode_opts(
     sc: &Scenario,
@@ -481,11 +477,4 @@ pub fn run_episode_opts(
 /// Generate the scenario for `seed` and run it.
 pub fn episode_for_seed(seed: u64, bug: Option<OracleBug>) -> Episode {
     run_episode(&Scenario::generate(seed), bug)
-}
-
-/// Generate the scenario for `seed` and run it through the batched
-/// parallel driver. The log is byte-identical to
-/// [`episode_for_seed`]'s.
-pub fn episode_for_seed_batched(seed: u64, bug: Option<OracleBug>) -> Episode {
-    run_episode_with(&Scenario::generate(seed), bug, true)
 }

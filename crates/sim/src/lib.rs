@@ -39,13 +39,10 @@ pub mod scenario;
 pub mod shrink;
 
 pub use episode::{
-    build_guard, build_model, episode_for_seed, episode_for_seed_batched, run_episode,
-    run_episode_opts, run_episode_with, Divergence, Episode, LEDGER_SAMPLE,
+    build_guard, build_model, episode_for_seed, run_episode, run_episode_opts, Divergence, Episode,
+    LEDGER_SAMPLE,
 };
-pub use net_driver::{
-    episode_for_seed_net, run_episode_net, run_episode_net_opts, run_episode_net_pipelined,
-    run_episode_net_placement, PlacementOpts,
-};
+pub use net_driver::{run_episode_net, PlacementOpts};
 pub use oracle::{OracleBug, ReferenceOracle};
 pub use report::{repro, repro_profile, SweepReport};
 pub use scenario::{AttrCidrSpec, AttrCronSpec, Event, PolicyRev, Profile, Scenario};

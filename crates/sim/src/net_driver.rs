@@ -4,7 +4,7 @@
 //! coalition of `stacl-net` daemons on loopback — one
 //! [`stacl_naplet::guard::CoordinatedGuard`] shard per daemon, custody
 //! enforcement on — and produces an [`Episode`] whose log is
-//! **byte-identical** to [`crate::run_episode_with`]'s for every seed.
+//! **byte-identical** to [`crate::run_episode`]'s for every seed.
 //!
 //! How the distributed replay preserves identity:
 //!
@@ -44,56 +44,7 @@ use crate::episode::{build_guard, build_model, Divergence, Episode, LEDGER_SAMPL
 use crate::oracle::{OracleBug, ReferenceOracle};
 use crate::scenario::{Event, Scenario};
 
-/// Replay `sc` over a loopback coalition of `n_daemons` members.
-///
-/// Returns an error only on transport-setup or migration failures — a
-/// member that cannot *decide* never errors, it fail-safes to
-/// `DeniedCoordination` (and that would surface as a divergence).
-pub fn run_episode_net(
-    sc: &Scenario,
-    bug: Option<OracleBug>,
-    n_daemons: usize,
-) -> Result<Episode, String> {
-    run_episode_net_opts(sc, bug, n_daemons, None)
-}
-
-/// The window depth the pipelined replay opens per decision. The
-/// driver's event stream is data-dependent (each verdict gates the next
-/// proof broadcast), so the effective in-flight depth is 1 — what the
-/// pipelined replay validates is the full v2 correlated frame path
-/// (`Decide2`/`Verdict2`, id matching, coalesced writes), byte-identical
-/// to the in-process episode.
-const PIPELINE_WINDOW: usize = 16;
-
-/// [`run_episode_net`], optionally journaling policy changes and sampled
-/// verdicts into an audit [`Ledger`]. Sampling (every
-/// [`LEDGER_SAMPLE`]-th decision) and payloads mirror
-/// [`crate::episode::run_episode_opts`] exactly, so the chain
-/// byte-compares across transports.
-pub fn run_episode_net_opts(
-    sc: &Scenario,
-    bug: Option<OracleBug>,
-    n_daemons: usize,
-    ledger: Option<&mut Ledger>,
-) -> Result<Episode, String> {
-    run_episode_net_driver(sc, bug, n_daemons, ledger, false, None)
-}
-
-/// [`run_episode_net_opts`] over the **pipelined v2 transport**:
-/// decisions travel as request-id-correlated `Decide2` frames through
-/// [`Client::decide_stream_failsafe`] instead of synchronous v1
-/// `Decide` calls. Logs and ledgers must stay byte-identical to both
-/// the v1 replay and the in-process episode.
-pub fn run_episode_net_pipelined(
-    sc: &Scenario,
-    bug: Option<OracleBug>,
-    n_daemons: usize,
-    ledger: Option<&mut Ledger>,
-) -> Result<Episode, String> {
-    run_episode_net_driver(sc, bug, n_daemons, ledger, true, None)
-}
-
-/// Options for the placement-routed replay ([`run_episode_net_placement`]).
+/// Options for the placement-routed replay (see [`run_episode_net`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PlacementOpts {
     /// Inject membership churn mid-episode: the last member leaves at the
@@ -108,29 +59,28 @@ pub struct PlacementOpts {
     pub compact_after: usize,
 }
 
-/// Replay `sc` over a coalition routed by the **rendezvous placement
-/// ring** instead of arrival-following custody: every object lives on its
-/// ring home, every arrival and decision routes there directly (no
-/// handoff per migration), and membership churn rebalances custody via
-/// [`stacl_net::DaemonHandle::set_members`]. The verdict log must stay
-/// byte-identical to the in-process driver's for every seed, under any
-/// churn/compaction setting.
-pub fn run_episode_net_placement(
-    sc: &Scenario,
-    bug: Option<OracleBug>,
-    n_daemons: usize,
-    ledger: Option<&mut Ledger>,
-    opts: PlacementOpts,
-) -> Result<Episode, String> {
-    run_episode_net_driver(sc, bug, n_daemons, ledger, false, Some(opts))
-}
-
-fn run_episode_net_driver(
+/// Replay `sc` over a loopback coalition of `n_daemons` members,
+/// optionally journaling policy changes and sampled verdicts into an
+/// audit [`Ledger`]. Sampling (every [`LEDGER_SAMPLE`]-th decision) and
+/// payloads mirror [`crate::episode::run_episode_opts`] exactly, so the
+/// chain byte-compares across transports.
+///
+/// Without `placement`, custody follows arrivals: a migration onto a
+/// different member pulls the handoff. With it, the coalition is routed
+/// by the **rendezvous placement ring**: every object lives on its ring
+/// home, every arrival and decision routes there directly (no handoff
+/// per migration), and membership churn rebalances custody via
+/// [`stacl_net::DaemonHandle::set_members`]. Either way the verdict log
+/// must stay byte-identical to the in-process driver's for every seed.
+///
+/// Returns an error only on transport-setup or migration failures — a
+/// member that cannot *decide* never errors, it fail-safes to
+/// `DeniedCoordination` (and that would surface as a divergence).
+pub fn run_episode_net(
     sc: &Scenario,
     bug: Option<OracleBug>,
     n_daemons: usize,
     mut ledger: Option<&mut Ledger>,
-    pipelined: bool,
     placement: Option<PlacementOpts>,
 ) -> Result<Episode, String> {
     assert!(n_daemons >= 1, "a coalition needs at least one member");
@@ -210,7 +160,7 @@ fn run_episode_net_driver(
         clients.push(c);
     }
 
-    // Driver-side topology and oracle state — mirrors run_episode_with.
+    // Driver-side topology and oracle state — mirrors run_episode_opts.
     let mut env = CoalitionEnv::new();
     for s in &sc.servers {
         env.add_server(s);
@@ -370,25 +320,15 @@ fn run_episode_net_driver(
                 cursor[*obj] += 1;
                 let reachable = !dead.contains(&*access.server) && env.resolve(access).is_ok();
                 // Placement mode routes straight to the ring home — any
-                // other member would answer with a Redirect.
+                // other member would answer with a redirect.
                 let target = match ring.as_ref() {
                     Some(r) => member_idx(r.home_of(name).expect("nonempty ring")),
                     None => custodian[*obj],
                 };
                 let system_v = if reachable {
                     // An unreachable or crashed member resolves to the
-                    // counted fail-safe denial inside either driver.
-                    if pipelined {
-                        clients[target]
-                            .decide_stream_failsafe(
-                                &[(name.as_str(), access, remaining, *time)],
-                                PIPELINE_WINDOW,
-                            )
-                            .pop()
-                            .expect("one verdict per submitted request")
-                    } else {
-                        clients[target].decide_failsafe(name, access, remaining, *time)
-                    }
+                    // counted fail-safe denial.
+                    clients[target].decide_failsafe(name, access, remaining, *time)
                 } else {
                     stacl_obs::count(stacl_obs::Counter::VerdictDeniedUnknownTarget);
                     Verdict::denied(
@@ -456,14 +396,4 @@ fn run_episode_net_driver(
         decisions,
         divergence,
     })
-}
-
-/// Generate the scenario for `seed` and replay it over a loopback
-/// coalition of `n_daemons` members.
-pub fn episode_for_seed_net(
-    seed: u64,
-    bug: Option<OracleBug>,
-    n_daemons: usize,
-) -> Result<Episode, String> {
-    run_episode_net(&Scenario::generate(seed), bug, n_daemons)
 }

@@ -5,7 +5,7 @@
 //! transport.
 
 use stacl_coalition::Ledger;
-use stacl_sim::{run_episode_net_opts, run_episode_net_pipelined, run_episode_opts, Scenario};
+use stacl_sim::{run_episode_net, run_episode_opts, Scenario};
 
 const FLIPS: usize = 4;
 
@@ -72,16 +72,7 @@ fn churn_ledgers_verify_and_match_across_drivers() {
 #[test]
 fn net_churn_matches_in_process_seeds_0_8() {
     for seed in 0..8u64 {
-        assert_churn_identical(seed, 2, false);
-    }
-}
-
-/// Mid-episode policy rollouts interleaved with pipelined v2 decisions:
-/// the correlated-frame transport must journal and log identically too.
-#[test]
-fn net_pipelined_churn_matches_in_process_seeds_0_8() {
-    for seed in 0..8u64 {
-        assert_churn_identical(seed, 2, true);
+        assert_churn_identical(seed, 2);
     }
 }
 
@@ -92,30 +83,17 @@ fn net_pipelined_churn_matches_in_process_seeds_0_8() {
 #[ignore = "full churn acceptance sweep; run with --ignored"]
 fn net_churn_matches_in_process_seeds_0_64() {
     for seed in 0..64u64 {
-        assert_churn_identical(seed, 4, false);
+        assert_churn_identical(seed, 4);
     }
 }
 
-/// Full pipelined churn acceptance range (seeds 0..64, 4 daemons).
-#[test]
-#[ignore = "full pipelined churn acceptance sweep; run with --ignored"]
-fn net_pipelined_churn_matches_in_process_seeds_0_64() {
-    for seed in 0..64u64 {
-        assert_churn_identical(seed, 4, true);
-    }
-}
-
-fn assert_churn_identical(seed: u64, daemons: usize, pipelined: bool) {
+fn assert_churn_identical(seed: u64, daemons: usize) {
     let sc = Scenario::generate_churn(seed, FLIPS);
     let mut local_ledger = Ledger::new();
     let local = run_episode_opts(&sc, None, false, Some(&mut local_ledger));
     let mut net_ledger = Ledger::new();
-    let net = if pipelined {
-        run_episode_net_pipelined(&sc, None, daemons, Some(&mut net_ledger))
-    } else {
-        run_episode_net_opts(&sc, None, daemons, Some(&mut net_ledger))
-    }
-    .unwrap_or_else(|e| panic!("seed {seed}: net transport failed: {e}"));
+    let net = run_episode_net(&sc, None, daemons, Some(&mut net_ledger), None)
+        .unwrap_or_else(|e| panic!("seed {seed}: net transport failed: {e}"));
     assert!(
         net.divergence.is_none(),
         "seed {seed}: net churn diverged from the oracle: {:?}",

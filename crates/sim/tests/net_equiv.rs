@@ -1,17 +1,17 @@
 //! Wire-level differential validation: replaying an episode's event
-//! stream over loopback TCP daemons must produce a verdict log
-//! **byte-identical** to the in-process driver's, for every seed —
-//! whether decisions travel as synchronous v1 `Decide` calls or as
-//! request-id-correlated pipelined v2 `Decide2` frames.
+//! stream over loopback TCP daemons must produce a verdict log and an
+//! audit ledger **byte-identical** to the in-process driver's, for every
+//! seed.
 
 use stacl_coalition::Ledger;
-use stacl_sim::{
-    episode_for_seed, episode_for_seed_net, run_episode_net_pipelined, run_episode_opts, Scenario,
-};
+use stacl_sim::{run_episode_net, run_episode_opts, Scenario};
 
 fn assert_identical(seed: u64, daemons: usize) {
-    let local = episode_for_seed(seed, None);
-    let net = episode_for_seed_net(seed, None, daemons)
+    let sc = Scenario::generate(seed);
+    let mut local_ledger = Ledger::new();
+    let local = run_episode_opts(&sc, None, false, Some(&mut local_ledger));
+    let mut net_ledger = Ledger::new();
+    let net = run_episode_net(&sc, None, daemons, Some(&mut net_ledger), None)
         .unwrap_or_else(|e| panic!("seed {seed}: net transport failed: {e}"));
     assert!(
         net.divergence.is_none(),
@@ -30,6 +30,12 @@ fn assert_identical(seed: u64, daemons: usize) {
         net.decisions, local.decisions,
         "seed {seed}: decision counts differ"
     );
+    assert_eq!(
+        net_ledger.render(),
+        local_ledger.render(),
+        "seed {seed}: audit ledgers differ across transports"
+    );
+    net_ledger.verify().expect("wire ledger verifies");
 }
 
 /// Satellite (b): a single daemon hosting the whole coalition — the wire
@@ -51,61 +57,12 @@ fn four_daemons_match_in_process_seeds_0_16() {
 }
 
 /// Full acceptance range (seeds 0..64, 4 daemons). Ignored by default so
-/// tier-1 stays fast; CI's `net` job covers 0..16 via `sim run`.
+/// tier-1 stays fast; CI's `net` job runs it with --ignored and covers
+/// 0..64 again via `sim run --transport net --ledger`.
 #[test]
 #[ignore = "full acceptance sweep; run with --ignored"]
 fn four_daemons_match_in_process_seeds_0_64() {
     for seed in 0..64 {
         assert_identical(seed, 4);
-    }
-}
-
-/// Pipelined variant of [`assert_identical`]: the same episode driven
-/// through the v2 correlated-frame transport, byte-comparing the verdict
-/// log AND the hash-chained audit ledger against the in-process driver.
-fn assert_identical_pipelined(seed: u64, daemons: usize) {
-    let sc = Scenario::generate(seed);
-    let mut local_ledger = Ledger::new();
-    let local = run_episode_opts(&sc, None, false, Some(&mut local_ledger));
-    let mut net_ledger = Ledger::new();
-    let net = run_episode_net_pipelined(&sc, None, daemons, Some(&mut net_ledger))
-        .unwrap_or_else(|e| panic!("seed {seed}: pipelined transport failed: {e}"));
-    assert!(
-        net.divergence.is_none(),
-        "seed {seed}: pipelined transport diverged from the oracle: {:?}",
-        net.divergence
-    );
-    assert_eq!(
-        net.log, local.log,
-        "seed {seed}: pipelined wire log differs from the in-process log"
-    );
-    assert_eq!(
-        net.histogram, local.histogram,
-        "seed {seed}: histograms differ under pipelining"
-    );
-    assert_eq!(
-        net_ledger.render(),
-        local_ledger.render(),
-        "seed {seed}: audit ledgers differ under pipelining"
-    );
-    net_ledger.verify().expect("pipelined wire ledger verifies");
-}
-
-/// The pipelined v2 transport at tier-1 scale: four members, correlated
-/// `Decide2` frames, logs and ledgers still byte-identical.
-#[test]
-fn pipelined_four_daemons_match_in_process_seeds_0_16() {
-    for seed in 0..16 {
-        assert_identical_pipelined(seed, 4);
-    }
-}
-
-/// Full pipelined acceptance range (seeds 0..64, 4 daemons). Ignored by
-/// default so tier-1 stays fast; CI's `net` job runs it with --ignored.
-#[test]
-#[ignore = "full pipelined acceptance sweep; run with --ignored"]
-fn pipelined_four_daemons_match_in_process_seeds_0_64() {
-    for seed in 0..64 {
-        assert_identical_pipelined(seed, 4);
     }
 }

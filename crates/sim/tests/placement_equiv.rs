@@ -8,7 +8,7 @@
 //! verdicts (on/off byte-identical), and churn drains are verdict-neutral.
 
 use stacl_obs::Counter;
-use stacl_sim::{episode_for_seed, run_episode_net_placement, PlacementOpts, Scenario};
+use stacl_sim::{episode_for_seed, run_episode_net, PlacementOpts, Scenario};
 
 /// A compaction trigger low enough that tier-1 scenarios actually hit it
 /// (scenarios issue tens of proofs per object class).
@@ -17,7 +17,7 @@ const COMPACT_EAGERLY: usize = 4;
 fn assert_placement_identical(seed: u64, daemons: usize, opts: PlacementOpts) {
     let local = episode_for_seed(seed, None);
     let sc = Scenario::generate(seed);
-    let net = run_episode_net_placement(&sc, None, daemons, None, opts)
+    let net = run_episode_net(&sc, None, daemons, None, Some(opts))
         .unwrap_or_else(|e| panic!("seed {seed} ({opts:?}): placement transport failed: {e}"));
     assert!(
         net.divergence.is_none(),
@@ -91,26 +91,26 @@ fn placement_churn_and_compaction_match_in_process_seeds_0_16() {
 fn compaction_never_changes_verdicts_seeds_0_8() {
     for seed in 0..8 {
         let sc = Scenario::generate(seed);
-        let off = run_episode_net_placement(
+        let off = run_episode_net(
             &sc,
             None,
             4,
             None,
-            PlacementOpts {
+            Some(PlacementOpts {
                 churn: true,
                 compact_after: 0,
-            },
+            }),
         )
         .unwrap_or_else(|e| panic!("seed {seed}: compaction-off replay failed: {e}"));
-        let on = run_episode_net_placement(
+        let on = run_episode_net(
             &sc,
             None,
             4,
             None,
-            PlacementOpts {
+            Some(PlacementOpts {
                 churn: true,
                 compact_after: COMPACT_EAGERLY,
-            },
+            }),
         )
         .unwrap_or_else(|e| panic!("seed {seed}: compaction-on replay failed: {e}"));
         assert_eq!(

@@ -6,7 +6,7 @@
 //! either constraint kind surfaces as a divergence.
 
 use stacl_sim::{
-    repro_profile, run_episode, run_episode_net, run_episode_with, shrink, OracleBug, Profile,
+    repro_profile, run_episode, run_episode_net, run_episode_opts, shrink, OracleBug, Profile,
     Scenario, SweepReport,
 };
 
@@ -126,7 +126,7 @@ fn batched_driver_is_byte_identical_on_profiles() {
         for seed in FAST_SEEDS {
             let sc = Scenario::generate_profile(seed, profile);
             let seq = run_episode(&sc, None);
-            let bat = run_episode_with(&sc, None, true);
+            let bat = run_episode_opts(&sc, None, true, None);
             assert_eq!(seq.log, bat.log, "{} seed {seed}", profile.name());
             assert_eq!(
                 seq.histogram,
@@ -146,7 +146,7 @@ fn net_replay_is_byte_identical_on_profiles_smoke() {
     for profile in Profile::ALL {
         let sc = Scenario::generate_profile(3, profile);
         let local = run_episode(&sc, None);
-        let net = run_episode_net(&sc, None, 2)
+        let net = run_episode_net(&sc, None, 2, None, None)
             .unwrap_or_else(|e| panic!("{} seed 3: net failed: {e}", profile.name()));
         assert_eq!(net.log, local.log, "{} seed 3", profile.name());
         assert_eq!(net.histogram, local.histogram, "{} seed 3", profile.name());
@@ -162,7 +162,7 @@ fn net_replay_is_byte_identical_on_profiles_seeds_0_16() {
         for seed in 0..16u64 {
             let sc = Scenario::generate_profile(seed, profile);
             let local = run_episode(&sc, None);
-            let net = run_episode_net(&sc, None, 4)
+            let net = run_episode_net(&sc, None, 4, None, None)
                 .unwrap_or_else(|e| panic!("{} seed {seed}: net failed: {e}", profile.name()));
             assert_eq!(net.log, local.log, "{} seed {seed}", profile.name());
         }

@@ -1,8 +1,7 @@
 //! Tier-1 smoke suite: fixed seeds, deterministic, fast (<5 s).
 
 use stacl_sim::{
-    episode_for_seed, episode_for_seed_batched, repro, shrink, Event, OracleBug, Scenario,
-    SweepReport,
+    episode_for_seed, repro, run_episode_opts, shrink, Event, OracleBug, Scenario, SweepReport,
 };
 
 /// The fixed seed window the smoke suite sweeps.
@@ -45,7 +44,7 @@ fn batched_driver_is_byte_identical_to_sequential() {
     // first surfaced at seed 76, outside the 0..64 window.
     for seed in 0..256u64 {
         let seq = episode_for_seed(seed, None);
-        let bat = episode_for_seed_batched(seed, None);
+        let bat = run_episode_opts(&Scenario::generate(seed), None, true, None);
         assert_eq!(seq.log, bat.log, "seed {seed}");
         assert_eq!(seq.histogram, bat.histogram, "seed {seed}");
         assert_eq!(seq.decisions, bat.decisions, "seed {seed}");
