@@ -104,7 +104,8 @@ pub struct Client {
     /// Incremental reassembly of inbound frames: one big read can carry
     /// a whole window of pipelined replies.
     asm: FrameAssembler,
-    /// Coalesced, not-yet-written pipelined request frames.
+    /// Coalesced, not-yet-written request frames: pipelined ones, then
+    /// at most one synchronous frame, which flushes them all.
     out2: Vec<u8>,
     /// Issued request ids and which of them are still in flight.
     pend2: InFlight,
@@ -204,7 +205,7 @@ impl Client {
         self.pend2.len
     }
 
-    /// Write out any coalesced pipelined request frames.
+    /// Write out every coalesced request frame in one write.
     fn flush_out(&mut self) -> Result<(), NetError> {
         if self.out2.is_empty() {
             return Ok(());
@@ -316,11 +317,16 @@ impl Client {
         Ok(())
     }
 
+    /// Queue `frame` behind any pipelined requests, so the daemon's
+    /// interning state stays positional, and write them all at once: a
+    /// synchronous frame never reaches the socket split.
+    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        wire::put_frame_with(&mut self.out2, |b| frame.encode_into(b))?;
+        self.flush_out()
+    }
+
     fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        // Queued pipelined requests must precede this frame on the wire
-        // so the daemon's interning state stays positional.
-        self.flush_out()?;
-        wire::write_frame(&mut self.stream, &frame.encode())?;
+        self.send(frame)?;
         // Read until an uncorrelated frame arrives, absorbing completions
         // of pipelined requests along the way.
         loop {
@@ -339,8 +345,7 @@ impl Client {
     /// as completions on the way. `Err2` maps to [`NetError::Daemon`].
     fn call_correlated(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<Frame, NetError> {
         let id = self.pend2.next_id();
-        self.flush_out()?;
-        wire::write_frame(&mut self.stream, &frame(id).encode())?;
+        self.send(&frame(id))?;
         self.pend2.issue();
         loop {
             let frame = self.read_frame()?;

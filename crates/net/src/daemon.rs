@@ -1303,71 +1303,68 @@ fn apply_handoff(
 /// reply (`Ok` once its pull lands, or an error) closes the drain for
 /// this key.
 fn rebalance_push(shared: &Shared, addr: SocketAddr, object: &str) -> Result<(), String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, shared.cfg.io_timeout).map_err(|e| e.to_string())?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
-    send(
-        &mut stream,
-        &Frame::Hello {
-            proto: PROTOCOL_VERSION as u16,
-            peer: shared.cfg.name.clone(),
-        },
-    )?;
-    match recv(&mut stream)? {
-        Frame::HelloAck { .. } => {}
-        other => return Err(format!("expected HelloAck, got {other:?}")),
-    }
-    send(
-        &mut stream,
-        &Frame::Rebalance {
-            object: object.to_string(),
-            from: shared.cfg.name.clone(),
-        },
-    )?;
-    match recv(&mut stream)? {
+    let request = Frame::Rebalance {
+        object: object.to_string(),
+        from: shared.cfg.name.clone(),
+    };
+    match peer_request(shared, addr, &request)? {
         Frame::Ok => Ok(()),
         Frame::Err { code, msg } => Err(format!("rebalance refused (code {code}): {msg}")),
         other => Err(format!("expected Ok, got {other:?}")),
     }
 }
 
-fn send(stream: &mut TcpStream, frame: &Frame) -> Result<(), String> {
-    wire::write_frame(stream, &frame.encode()).map_err(|e| e.to_string())
-}
-
-fn recv(stream: &mut TcpStream) -> Result<Frame, String> {
-    let payload = wire::read_frame(stream).map_err(|e| e.to_string())?;
-    Frame::decode(&payload).map_err(|e| e.to_string())
-}
-
 fn try_pull(shared: &Shared, addr: SocketAddr, object: &str) -> Result<HandoffWire, String> {
+    let request = Frame::HandoffRequest {
+        object: object.to_string(),
+    };
+    match peer_request(shared, addr, &request)? {
+        Frame::HandoffState { object: o, state } if o == object => Ok(state),
+        Frame::Err { code, msg } => Err(format!("peer refused handoff (code {code}): {msg}")),
+        other => Err(format!("expected HandoffState, got {other:?}")),
+    }
+}
+
+/// Send `request` to the peer at `addr` on a fresh connection, after the
+/// `Hello` handshake, and return its reply. Each frame leaves in one
+/// write and replies are read through one [`FrameAssembler`], so the
+/// peer never wakes on half a frame.
+fn peer_request(shared: &Shared, addr: SocketAddr, request: &Frame) -> Result<Frame, String> {
     let mut stream =
         TcpStream::connect_timeout(&addr, shared.cfg.io_timeout).map_err(|e| e.to_string())?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
-    send(
-        &mut stream,
-        &Frame::Hello {
-            proto: PROTOCOL_VERSION as u16,
-            peer: shared.cfg.name.clone(),
-        },
-    )?;
-    match recv(&mut stream)? {
+    let mut asm = FrameAssembler::new();
+    let hello = Frame::Hello {
+        proto: PROTOCOL_VERSION as u16,
+        peer: shared.cfg.name.clone(),
+    };
+    match round_trip(&mut stream, &mut asm, &hello).map_err(|e| e.to_string())? {
         Frame::HelloAck { .. } => {}
         other => return Err(format!("expected HelloAck, got {other:?}")),
     }
-    send(
-        &mut stream,
-        &Frame::HandoffRequest {
-            object: object.to_string(),
-        },
-    )?;
-    match recv(&mut stream)? {
-        Frame::HandoffState { object: o, state } if o == object => Ok(state),
-        Frame::Err { code, msg } => Err(format!("peer refused handoff (code {code}): {msg}")),
-        other => Err(format!("expected HandoffState, got {other:?}")),
+    round_trip(&mut stream, &mut asm, request).map_err(|e| e.to_string())
+}
+
+/// Write `frame` in one write and read the reply through `asm`.
+fn round_trip(
+    stream: &mut TcpStream,
+    asm: &mut FrameAssembler,
+    frame: &Frame,
+) -> io::Result<Frame> {
+    let mut out = Vec::new();
+    wire::put_frame_with(&mut out, |b| frame.encode_into(b))?;
+    stream.write_all(&out)?;
+    loop {
+        if let Some(payload) = asm.next_frame()? {
+            return Ok(Frame::decode(payload)?);
+        }
+        if asm.read_from(stream)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed the connection",
+            ));
+        }
     }
 }

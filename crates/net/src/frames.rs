@@ -673,7 +673,7 @@ impl HandoffWire {
 }
 
 impl Frame {
-    /// Encode into a versioned payload ready for [`crate::wire::write_frame`].
+    /// Encode into a versioned payload ready for [`crate::wire::put_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
         self.encode_into(&mut b);

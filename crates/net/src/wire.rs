@@ -18,7 +18,7 @@
 //! | `Vec<T>`      | `u32` element count + elements             |
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use stacl_obs::Counter;
 
@@ -252,17 +252,18 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Incremental (nonblocking) frame reassembly.
+// Incremental frame reassembly.
 // ---------------------------------------------------------------------
 
 /// Reassembles length-prefixed frames from an arbitrarily-chunked byte
-/// stream — the nonblocking counterpart of [`read_frame`].
+/// stream. Every reader of frames — the daemon's event loop, the client
+/// and daemon-to-daemon peer links — goes through one, so a frame that
+/// arrived whole is taken in one read.
 ///
 /// Bytes arrive via [`read_from`], which reads straight into the
 /// assembler's own buffer, in whatever amounts the reader produces (one
 /// byte at a time in the worst case); [`next_frame`] pops the next
-/// complete payload as a slice of that buffer, byte-identical to what a
-/// blocking [`read_frame`] would have returned. A partial frame simply
+/// complete payload as a slice of that buffer. A partial frame simply
 /// stays buffered — it never blocks, errors, or corrupts subsequent
 /// frames.
 ///
@@ -343,8 +344,8 @@ impl FrameAssembler {
 
     /// Pop the next complete frame payload, or `None` if more bytes are
     /// needed. The payload borrows the assembler's buffer until the next
-    /// call. Counts `net.frame-rx` / `net.bytes-rx` per popped frame,
-    /// mirroring [`read_frame`].
+    /// call. Counts `net.frame-rx` / `net.bytes-rx` (prefix included) per
+    /// popped frame.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
         let Some(len) = self.peek_len() else {
             return Ok(None);
@@ -378,12 +379,12 @@ impl FrameAssembler {
     }
 }
 
-/// Append one length-prefixed frame to an in-memory write buffer instead
-/// of a stream — the coalescing counterpart of [`write_frame`]. Many
-/// frames accumulate in one buffer and reach the socket in a single
-/// vectored write, so the per-frame syscall disappears from the hot
-/// path. Counts `net.frame-tx` / `net.bytes-tx` per frame, exactly like
-/// [`write_frame`].
+/// Append one length-prefixed frame to an in-memory write buffer. This
+/// is the only way a frame is written: header and payload always reach
+/// the socket in the same write, and many frames accumulating in one
+/// buffer share it, so the per-frame syscall disappears from the hot
+/// path. Counts `net.frame-tx` / `net.bytes-tx` (prefix included) per
+/// frame.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(payload.len()));
@@ -410,41 +411,6 @@ pub fn put_frame_with(
     stacl_obs::count(Counter::NetFrameTx);
     stacl_obs::add(Counter::NetBytesTx, (len + 4) as u64);
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Framing over a byte stream.
-// ---------------------------------------------------------------------
-
-/// Write one length-prefixed frame and flush. Counts `net.frame-tx` /
-/// `net.bytes-tx` (prefix included) when telemetry is enabled.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge(payload.len()).into());
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    stacl_obs::count(Counter::NetFrameTx);
-    stacl_obs::add(Counter::NetBytesTx, (payload.len() + 4) as u64);
-    Ok(())
-}
-
-/// Read one length-prefixed frame payload. Counts `net.frame-rx` /
-/// `net.bytes-rx`. An announced length over [`MAX_FRAME_LEN`] is an
-/// `InvalidData` error — the stream is no longer trustworthy after it.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge(len).into());
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    stacl_obs::count(Counter::NetFrameRx);
-    stacl_obs::add(Counter::NetBytesRx, (len + 4) as u64);
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -501,11 +467,15 @@ mod tests {
     #[test]
     fn framing_round_trips_over_a_buffer() {
         let mut pipe = Vec::new();
-        write_frame(&mut pipe, b"abc").unwrap();
-        write_frame(&mut pipe, b"").unwrap();
+        put_frame(&mut pipe, b"abc").unwrap();
+        put_frame(&mut pipe, b"").unwrap();
+        assert_eq!(pipe, b"\x03\0\0\0abc\0\0\0\0");
         let mut r = io::Cursor::new(pipe);
-        assert_eq!(read_frame(&mut r).unwrap(), b"abc");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
+        let mut asm = FrameAssembler::new();
+        assert_eq!(asm.read_from(&mut r).unwrap(), 11);
+        assert_eq!(asm.next_frame().unwrap(), Some(&b"abc"[..]));
+        assert_eq!(asm.next_frame().unwrap(), Some(&b""[..]));
+        assert_eq!(asm.next_frame().unwrap(), None);
     }
 
     #[test]
@@ -513,6 +483,9 @@ mod tests {
         let mut pipe = Vec::new();
         pipe.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         let mut r = io::Cursor::new(pipe);
-        assert!(read_frame(&mut r).is_err());
+        let err = FrameAssembler::new().read_from(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let cause = err.get_ref().and_then(|e| e.downcast_ref::<WireError>());
+        assert!(matches!(cause, Some(WireError::TooLarge(_))));
     }
 }

@@ -1,9 +1,31 @@
-//! Shared frame generators for the wire-codec test binaries. Covers
-//! every encodable frame, so both the round-trip property tests and the
-//! reassembly torture tests draw from the same space.
+//! Shared helpers for the stacl-net test binaries: frame generators
+//! covering every encodable frame, so both the round-trip property tests
+//! and the reassembly torture tests draw from the same space, and a
+//! blocking frame reader for tests that talk to a daemon over a raw
+//! socket.
+
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
+
+use std::io::Read;
 
 use stacl_ids::rng::SplitMix64;
 use stacl_net::frames::{DecideItem, Frame, HandoffWire, WireAccess, WireBudget, WireTimeline};
+use stacl_net::FrameAssembler;
+
+/// The next whole frame on a blocking stream, read through `asm`. Bytes
+/// of later frames that arrive with it stay buffered in `asm`.
+pub fn recv_frame(asm: &mut FrameAssembler, r: &mut impl Read) -> Frame {
+    loop {
+        if let Some(payload) = asm.next_frame().expect("frame length in bounds") {
+            return Frame::decode(payload).expect("frame decodes");
+        }
+        assert!(
+            asm.read_from(r).expect("read a frame") > 0,
+            "stream closed mid-frame"
+        );
+    }
+}
 
 pub fn gen_string(r: &mut SplitMix64) -> String {
     const POOL: &[&str] = &["", "o1", "read", "db", "s0", "héllo-wörld", "a b c", "🌍"];

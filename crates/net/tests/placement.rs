@@ -9,10 +9,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+mod common;
+
 use stacl_coalition::{DecisionKind, Placement, ProofStore};
 use stacl_naplet::guard::{CoordinatedGuard, Custody};
 use stacl_net::frames::{DecideItem, Frame, WireAccess, ERR_NOT_CUSTODIAN};
-use stacl_net::{wire, Client, DaemonConfig, DaemonHandle, NetError, Router, PROTOCOL_VERSION};
+use stacl_net::{
+    wire, Client, DaemonConfig, DaemonHandle, FrameAssembler, NetError, Router, PROTOCOL_VERSION,
+};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
@@ -331,11 +335,16 @@ fn membership_change_rebalances_only_moved_keys() {
 /// event loop busy decoding. The writer runs on its own thread (the
 /// payload far exceeds socket buffers); join the handle and read the
 /// `frames` Ok replies to rejoin the loop.
-fn stall_loop(addr: SocketAddr, frames: usize, names_per_frame: usize) -> JoinHandle<TcpStream> {
+fn stall_loop(
+    addr: SocketAddr,
+    frames: usize,
+    names_per_frame: usize,
+) -> JoinHandle<(TcpStream, FrameAssembler)> {
     let mut s = TcpStream::connect(addr).expect("connect staller");
     s.set_nodelay(true).unwrap();
-    wire::write_frame(
-        &mut s,
+    let mut hello = Vec::new();
+    wire::put_frame(
+        &mut hello,
         &Frame::Hello {
             proto: PROTOCOL_VERSION as u16,
             peer: "staller".to_string(),
@@ -343,30 +352,31 @@ fn stall_loop(addr: SocketAddr, frames: usize, names_per_frame: usize) -> JoinHa
         .encode(),
     )
     .unwrap();
-    let ack = wire::read_frame(&mut s).unwrap();
+    s.write_all(&hello).unwrap();
+    let mut asm = FrameAssembler::new();
     assert!(matches!(
-        Frame::decode(&ack).unwrap(),
+        common::recv_frame(&mut asm, &mut s),
         Frame::HelloAck { .. }
     ));
     let names: Vec<String> = (0..names_per_frame).map(|i| format!("stall-{i}")).collect();
-    let payload = Frame::Vocab { names }.encode();
+    let mut vocab = Vec::new();
+    wire::put_frame(&mut vocab, &Frame::Vocab { names }.encode()).unwrap();
     std::thread::spawn(move || {
         for _ in 0..frames {
-            wire::write_frame(&mut s, &payload).unwrap();
+            s.write_all(&vocab).unwrap();
         }
-        s
+        (s, asm)
     })
 }
 
 /// Join the staller's writer and read its Ok replies, proving the loop
 /// finished the stall (and therefore also reached every connection
 /// queued behind it).
-fn drain_stall(writer: JoinHandle<TcpStream>, frames: usize) {
-    let mut s = writer.join().expect("staller writer");
+fn drain_stall(writer: JoinHandle<(TcpStream, FrameAssembler)>, frames: usize) {
+    let (mut s, mut asm) = writer.join().expect("staller writer");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     for _ in 0..frames {
-        let reply = wire::read_frame(&mut s).unwrap();
-        assert!(matches!(Frame::decode(&reply).unwrap(), Frame::Ok));
+        assert!(matches!(common::recv_frame(&mut asm, &mut s), Frame::Ok));
     }
 }
 
