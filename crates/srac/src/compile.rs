@@ -97,8 +97,22 @@ fn ordered(alphabet: &Alphabet, first: u32, second: u32) -> Dfa {
 }
 
 /// The counting automaton for `#(min, max, σ)`. `matching[sym]` marks the
-/// symbols σ selects. States are saturating counters.
+/// symbols σ selects. States are saturating counters, and the chain is
+/// minimal as built: with `min ≤ max` and some symbol selected, every
+/// counter value is reachable and a run of selected symbols tells any
+/// two apart. The other shapes collapse to one state — with `min > max`
+/// no count is accepted, and with nothing selected the count stays 0.
 fn counting(alphabet: &Alphabet, matching: &[bool], min: usize, max: Option<usize>) -> Dfa {
+    if max.is_some_and(|n| min > n) {
+        return empty(alphabet);
+    }
+    if !matching.contains(&true) {
+        return if min == 0 {
+            universal(alphabet)
+        } else {
+            empty(alphabet)
+        };
+    }
     let k = alphabet.len();
     // With a finite max we must distinguish counts 0..=max and "overflow";
     // with max = ∞ we only need counts 0..=min (saturated).
@@ -124,7 +138,7 @@ fn counting(alphabet: &Alphabet, matching: &[bool], min: usize, max: Option<usiz
             None => count >= min,
         })
         .collect();
-    Dfa::from_parts(alphabet.clone(), trans, 0, accept).minimize()
+    Dfa::from_parts(alphabet.clone(), trans, 0, accept)
 }
 
 /// Build the union alphabet a program/constraint check needs: every symbol
@@ -247,14 +261,29 @@ mod tests {
     #[test]
     fn counting_automaton_sizes() {
         let (table, al, _) = setup();
-        let c = Constraint::at_most(5, Selector::any());
-        let d = compile(&c, &al, &table);
-        // ≤5 of anything: 7 counter states minimise to 7 (6 accepting + sink).
-        assert!(d.num_states() <= 7, "{}", d.num_states());
-        // at_least(m) with unbounded max minimises to m+1 states.
-        let c2 = Constraint::at_least(3, Selector::any());
-        let d2 = compile(&c2, &al, &table);
-        assert!(d2.num_states() <= 4);
+        let card = |min, max, selector| Constraint::Card { min, max, selector };
+        let nothing = Selector::any().with_resources(["no-such-resource"]);
+        for (c, states) in [
+            // ≤5 of anything: 6 accepting counters + the overflow sink.
+            (Constraint::at_most(5, Selector::any()), 7),
+            // at_least(m) with unbounded max: counters 0..=m.
+            (Constraint::at_least(3, Selector::any()), 4),
+            (card(1, Some(3), Selector::any().with_servers(["s1"])), 5),
+            // Degenerate shapes collapse to one state.
+            (card(3, Some(2), Selector::any()), 1),
+            (card(0, Some(2), nothing.clone()), 1),
+            (card(1, None, nothing.clone()), 1),
+        ] {
+            let d = compile(&c, &al, &table);
+            assert_eq!(d.num_states(), states, "{c}");
+            // Minimal as built: a further pass removes nothing.
+            assert_eq!(d.minimize().num_states(), states, "{c}");
+        }
+        // min > max accepts nothing; an unmatched selector counts 0.
+        assert!(compile(&card(3, Some(2), Selector::any()), &al, &table).is_empty());
+        let d = compile(&card(0, Some(2), nothing.clone()), &al, &table);
+        assert!(d.accepts(&Trace::empty()) && d.accepts(&Trace::from_ids(al.ids())));
+        assert!(compile(&card(1, None, nothing), &al, &table).is_empty());
     }
 
     #[test]

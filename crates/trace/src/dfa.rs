@@ -334,8 +334,11 @@ impl Dfa {
             .map(|w| Trace::from_ids(w.into_iter().map(|sym| self.alphabet.id_at(sym))))
     }
 
-    /// Hopcroft's partition-refinement minimisation. Unreachable states are
-    /// dropped first; the result is the canonical minimal complete DFA.
+    /// Hopcroft's partition-refinement minimisation, O(k·n·log n) on a
+    /// refinable partition. Unreachable states are dropped first; the
+    /// result is the minimal complete DFA, with its states in no
+    /// particular order. Callers that need one numbering per language
+    /// (hash-consing) follow with [`Dfa::canonicalize`].
     pub fn minimize(&self) -> Dfa {
         let k = self.alphabet.len();
         // 1. Restrict to reachable states.
@@ -373,18 +376,32 @@ impl Dfa {
             return self.clone();
         }
 
-        // 2. Hopcroft refinement.
-        // block[s] = block id of state s.
-        let mut block = vec![0u32; n];
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        let acc: Vec<u32> = (0..n as u32).filter(|&s| accept[s as usize]).collect();
-        let rej: Vec<u32> = (0..n as u32).filter(|&s| !accept[s as usize]).collect();
-        for (i, b) in [acc, rej].into_iter().filter(|b| !b.is_empty()).enumerate() {
-            for &s in &b {
-                block[s as usize] = i as u32;
-            }
-            blocks.push(b);
+        // 2. Hopcroft refinement on a refinable partition (Valmari &
+        // Lehtinen, STACS 2008): `elems` lists the states with every
+        // block contiguous at `first[b]..end[b]`, `loc[s]` is state s's
+        // position in `elems` and `block[s]` its block id. The states of
+        // block b marked by the current splitter sit at `first[b]..mid[b]`.
+        // Initial blocks: accepting states, then rejecting ones.
+        let mut elems: Vec<u32> = Vec::with_capacity(n);
+        elems.extend((0..n as u32).filter(|&s| accept[s as usize]));
+        let n_acc = elems.len() as u32;
+        elems.extend((0..n as u32).filter(|&s| !accept[s as usize]));
+        let mut loc = vec![0u32; n];
+        for (at, &s) in elems.iter().enumerate() {
+            loc[s as usize] = at as u32;
         }
+        let mut block = vec![0u32; n];
+        let (mut first, mut end): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for (lo, hi) in [(0, n_acc), (n_acc, n as u32)] {
+            if lo < hi {
+                for &s in &elems[lo as usize..hi as usize] {
+                    block[s as usize] = first.len() as u32;
+                }
+                first.push(lo);
+                end.push(hi);
+            }
+        }
+        let mut mid = first.clone();
 
         // Reverse transitions in CSR layout: for bucket `i = sym * n + t`,
         // `rev[rev_off[i]..rev_off[i + 1]]` lists the states s with
@@ -424,7 +441,7 @@ impl Dfa {
         // larger half under the old id — pending entries keep referring
         // to it — while enqueuing the smaller half.
         let mut worklist: VecDeque<(u32, u32)> = VecDeque::new();
-        let seed = if blocks.len() == 2 && blocks[1].len() < blocks[0].len() {
+        let seed = if first.len() == 2 && end[1] - first[1] < end[0] - first[0] {
             1u32
         } else {
             0u32
@@ -433,45 +450,57 @@ impl Dfa {
             worklist.push_back((seed, sym));
         }
 
+        // Scratch reused across pops: the splitter's preimage X, and the
+        // blocks X marked, in first-marked order.
+        let mut x: Vec<u32> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
         while let Some((b_id, sym)) = worklist.pop_front() {
-            // X = preimage of block b under sym.
-            let mut x: Vec<u32> = Vec::new();
-            for &t in &blocks[b_id as usize] {
+            // X = preimage of block b under sym, gathered before marking:
+            // marking permutes `elems`, possibly inside b itself. States
+            // are deterministic, so X has no duplicates.
+            x.clear();
+            let b = b_id as usize;
+            for &t in &elems[first[b] as usize..end[b] as usize] {
                 x.extend_from_slice(rev_of(sym as usize, t as usize));
             }
-            if x.is_empty() {
-                continue;
-            }
-            // Group X by current block.
-            let mut touched: FnvHashMap<u32, Vec<u32>> = FnvHashMap::default();
+            // Mark X: swap each state to its block's marked prefix.
             for &s in &x {
-                touched.entry(block[s as usize]).or_default().push(s);
+                let y = block[s as usize] as usize;
+                let (at, m) = (loc[s as usize], mid[y]);
+                if m == first[y] {
+                    touched.push(y as u32);
+                }
+                let other = elems[m as usize];
+                elems.swap(at as usize, m as usize);
+                loc[s as usize] = m;
+                loc[other as usize] = at;
+                mid[y] += 1;
             }
-            for (y_id, x_in_y) in touched {
-                let y_len = blocks[y_id as usize].len();
-                if x_in_y.len() == y_len {
+            // Split every touched block Y into (Y ∩ X) and (Y \ X). The
+            // larger part keeps the old id (Hopcroft's trick); only the
+            // smaller part is relabelled and enqueued.
+            for y in touched.drain(..) {
+                let y = y as usize;
+                let (lo, m, hi) = (first[y], mid[y], end[y]);
+                if m == hi {
+                    mid[y] = lo;
                     continue; // Y ⊆ X: no split.
                 }
-                // Split Y into (Y ∩ X) and (Y \ X).
-                let new_id = blocks.len() as u32;
-                let mut in_x = vec![false; n];
-                for &s in &x_in_y {
-                    in_x[s as usize] = true;
-                }
-                let y = std::mem::take(&mut blocks[y_id as usize]);
-                let (yx, rest): (Vec<u32>, Vec<u32>) =
-                    y.into_iter().partition(|&s| in_x[s as usize]);
-                // Keep the larger part under the old id (Hopcroft's trick).
-                let (keep, split) = if yx.len() <= rest.len() {
-                    (rest, yx)
+                let new_id = first.len() as u32;
+                let (new_lo, new_hi) = if m - lo <= hi - m {
+                    first[y] = m;
+                    (lo, m)
                 } else {
-                    (yx, rest)
+                    end[y] = m;
+                    (m, hi)
                 };
-                for &s in &split {
+                mid[y] = first[y];
+                first.push(new_lo);
+                end.push(new_hi);
+                mid.push(new_lo);
+                for &s in &elems[new_lo as usize..new_hi as usize] {
                     block[s as usize] = new_id;
                 }
-                blocks[y_id as usize] = keep;
-                blocks.push(split);
                 for sym2 in 0..k as u32 {
                     worklist.push_back((new_id, sym2));
                 }
@@ -479,11 +508,11 @@ impl Dfa {
         }
 
         // 3. Build the quotient automaton.
-        let m = blocks.len();
+        let m = first.len();
         let mut q_trans = vec![0u32; m * k];
         let mut q_accept = vec![false; m];
-        for (b_id, b) in blocks.iter().enumerate() {
-            let rep = b[0] as usize;
+        for b_id in 0..m {
+            let rep = elems[first[b_id] as usize] as usize;
             q_accept[b_id] = accept[rep];
             for sym in 0..k {
                 q_trans[b_id * k + sym] = block[trans[rep * k + sym] as usize];
@@ -617,6 +646,18 @@ impl Dfa {
         ) {
             return Some(Vec::new());
         }
+        // In `And`/`Diff` mode an accepted pair needs an accepting left
+        // state, so pairs whose left state is dead are never explored.
+        // A dead state only leads to dead states, so the pairs that are
+        // explored keep their BFS order and the witness is unchanged.
+        let live = match mode {
+            ProductMode::And | ProductMode::Diff => self.live_states(),
+            ProductMode::Or | ProductMode::Xor => None,
+        };
+        let is_live = |q: u32| live.as_ref().is_none_or(|l| l[q as usize]);
+        if !is_live(self_start) {
+            return None;
+        }
         let mut index: FnvHashMap<(u32, u32), u32> = FnvHashMap::default();
         let mut pairs: Vec<(u32, u32)> = vec![start];
         // pred[i] = (parent index, symbol taken); u32::MAX marks the root.
@@ -627,7 +668,7 @@ impl Dfa {
             let (qa, qb) = pairs[head];
             for sym in 0..k as u32 {
                 let pair = (self.next(qa, sym), other.next(qb, map[sym as usize]));
-                if index.contains_key(&pair) {
+                if !is_live(pair.0) || index.contains_key(&pair) {
                     continue;
                 }
                 index.insert(pair, pairs.len() as u32);
@@ -647,6 +688,53 @@ impl Dfa {
             head += 1;
         }
         None
+    }
+
+    /// Which states can still reach an accepting state, by one backward
+    /// search from the accepting states; `None` when the automaton has no
+    /// rejecting sink. Every dead region of a complete DFA is closed
+    /// under transitions, and in a minimal one it is a single rejecting
+    /// sink — so without a sink the search is skipped and nothing is marked
+    /// dead, which only forgoes pruning and is always sound.
+    fn live_states(&self) -> Option<Vec<bool>> {
+        let n = self.num_states();
+        let k = self.alphabet.len();
+        let is_sink = |s: usize| {
+            !self.accept[s]
+                && self.trans[s * k..(s + 1) * k]
+                    .iter()
+                    .all(|&t| t as usize == s)
+        };
+        if !(0..n).any(is_sink) {
+            return None;
+        }
+        // Predecessor lists in CSR layout, symbols dropped: count, take
+        // inclusive prefix sums, then fill each bucket from its end so
+        // that `pred_off[t]` finishes at the bucket's start.
+        let mut pred_off = vec![0u32; n + 1];
+        for &t in &self.trans {
+            pred_off[t as usize] += 1;
+        }
+        for i in 1..=n {
+            pred_off[i] += pred_off[i - 1];
+        }
+        let mut preds = vec![0u32; n * k];
+        for (i, &t) in self.trans.iter().enumerate() {
+            pred_off[t as usize] -= 1;
+            preds[pred_off[t as usize] as usize] = (i / k) as u32;
+        }
+        let mut live = self.accept.clone();
+        let mut stack: Vec<u32> = (0..n as u32).filter(|&s| live[s as usize]).collect();
+        while let Some(t) = stack.pop() {
+            let t = t as usize;
+            for &s in &preds[pred_off[t] as usize..pred_off[t + 1] as usize] {
+                if !live[s as usize] {
+                    live[s as usize] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        Some(live)
     }
 
     /// Language equivalence via symmetric-difference emptiness, after

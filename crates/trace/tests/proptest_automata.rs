@@ -3,12 +3,14 @@
 //! checker relies on. Driven by the in-tree seeded `stacl_ids::prop`
 //! runner.
 
+use std::collections::{HashMap, HashSet};
+
 use stacl_ids::prop::forall;
 use stacl_ids::rng::SplitMix64;
 
 use stacl_trace::dfa::{advance, ProductMode};
 use stacl_trace::enumerate::enumerate_traces;
-use stacl_trace::symbol::AccessId;
+use stacl_trace::symbol::{AccessId, Alphabet};
 use stacl_trace::{Dfa, Regex, Trace};
 
 fn gen_regex(rng: &mut SplitMix64, n_syms: u32, depth: u32) -> Regex {
@@ -214,52 +216,245 @@ fn enumeration_is_sound_and_complete() {
     });
 }
 
-/// `minimize` output is *minimal*: no two states are language-equivalent.
-/// Checked by Moore refinement to a fixpoint — if the automaton were not
-/// minimal, two states would share acceptance and successor classes at
-/// every refinement round and the class count would fall short of the
-/// state count. Also pins that canonicalization keeps minimality and is
+/// `minimize` output is *minimal*: no two states are language-equivalent
+/// — the reference Moore refinement finds as many classes as there are
+/// states. Also pins that canonicalization keeps minimality and is
 /// deterministic across two independent builds of the same language.
 #[test]
 fn minimize_output_is_minimal() {
     forall("minimize_output_is_minimal", 0xd0ab, 128, |rng| {
         let re = gen_regex(rng, 3, 3);
         let d = Dfa::from_regex(&re).minimize();
-        let n = d.num_states();
-        let k = d.alphabet_len();
-        // Moore refinement: classes start as acceptance, refine by
-        // (own class, successor-class vector) signatures. Each round
-        // strictly refines the partition or reaches the fixpoint, so the
-        // class count is stationary exactly at the fixpoint.
-        let mut class: Vec<u32> = d.accept.iter().map(|&a| u32::from(a)).collect();
-        let mut distinct = class.iter().collect::<std::collections::HashSet<_>>().len();
-        loop {
-            let mut sig_index: std::collections::HashMap<(u32, Vec<u32>), u32> =
-                std::collections::HashMap::new();
-            let mut next_class = vec![0u32; n];
-            for s in 0..n as u32 {
-                let succ: Vec<u32> = (0..k as u32)
-                    .map(|sym| class[d.next(s, sym) as usize])
-                    .collect();
-                let fresh = sig_index.len() as u32;
-                let id = *sig_index.entry((class[s as usize], succ)).or_insert(fresh);
-                next_class[s as usize] = id;
-            }
-            let next_distinct = sig_index.len();
-            class = next_class;
-            if next_distinct == distinct {
-                break;
-            }
-            distinct = next_distinct;
-        }
+        let classes = moore_minimize(&d).num_states();
         assert_eq!(
-            distinct, n,
-            "minimize left language-equivalent states: {distinct} classes over {n} states ({re})"
+            classes,
+            d.num_states(),
+            "minimize left language-equivalent states ({re})"
         );
         // Canonical forms of independently built equal languages coincide.
         let c1 = d.canonicalize();
         let c2 = Dfa::from_regex(&re).minimize().canonicalize();
         assert!(c1.same_structure(&c2), "canonical form unstable for {re}");
         assert_eq!(c1.structural_hash(), c2.structural_hash());
+    });
+}
+
+/// Reference minimiser: restrict to the reachable states, refine Moore
+/// style — classes start as acceptance and split by (own class,
+/// successor classes) signatures until the class count stops growing —
+/// and build the quotient.
+fn moore_minimize(d: &Dfa) -> Dfa {
+    let (n, k) = (d.num_states(), d.alphabet_len() as u32);
+    let mut reach = vec![false; n];
+    reach[d.start as usize] = true;
+    let mut stack = vec![d.start];
+    while let Some(s) = stack.pop() {
+        for sym in 0..k {
+            let t = d.next(s, sym);
+            if !reach[t as usize] {
+                reach[t as usize] = true;
+                stack.push(t);
+            }
+        }
+    }
+    let states: Vec<u32> = (0..n as u32).filter(|&s| reach[s as usize]).collect();
+    let mut class: Vec<u32> = d.accept.iter().map(|&a| u32::from(a)).collect();
+    let mut count = usize::from(states.iter().any(|&s| d.accept[s as usize]))
+        + usize::from(states.iter().any(|&s| !d.accept[s as usize]));
+    loop {
+        let mut sig_index: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
+        let mut next_class = vec![0u32; n];
+        for &s in &states {
+            let succ = (0..k).map(|sym| class[d.next(s, sym) as usize]).collect();
+            let fresh = sig_index.len() as u32;
+            next_class[s as usize] = *sig_index.entry((class[s as usize], succ)).or_insert(fresh);
+        }
+        class = next_class;
+        if sig_index.len() == count {
+            break;
+        }
+        count = sig_index.len();
+    }
+    let mut trans = vec![0u32; count * k as usize];
+    let mut accept = vec![false; count];
+    for &s in &states {
+        let c = class[s as usize] as usize;
+        accept[c] = d.accept[s as usize];
+        for sym in 0..k {
+            trans[c * k as usize + sym as usize] = class[d.next(s, sym) as usize];
+        }
+    }
+    Dfa::from_parts(d.alphabet.clone(), trans, class[d.start as usize], accept)
+}
+
+fn alphabet_of(k: u32) -> Alphabet {
+    Alphabet::from_ids((0..k).map(AccessId))
+}
+
+/// A random complete DFA: random transitions from a random start (so
+/// some states are often unreachable), acceptance all, none or random,
+/// and sometimes a rejecting sink the other states fall into.
+fn gen_dfa(rng: &mut SplitMix64, k: u32) -> Dfa {
+    let n = rng.gen_range(1usize..12);
+    let mut trans: Vec<u32> = (0..n * k as usize)
+        .map(|_| rng.gen_range(0..n as u32))
+        .collect();
+    let mut accept: Vec<bool> = match rng.gen_range(0u32..4) {
+        0 => vec![true; n],
+        1 => vec![false; n],
+        _ => (0..n).map(|_| rng.gen_bool(0.4)).collect(),
+    };
+    if rng.gen_bool(0.5) {
+        let sink = rng.gen_range(0..n);
+        accept[sink] = false;
+        for sym in 0..k as usize {
+            trans[sink * k as usize + sym] = sink as u32;
+        }
+    }
+    let start = rng.gen_range(0..n as u32);
+    Dfa::from_parts(alphabet_of(k), trans, start, accept)
+}
+
+/// A saturating counter chain — the compiled `count(min, max, σ)` shape
+/// — with random bounds, a random selected-symbol set and a few
+/// unreachable states appended after the chain.
+fn gen_counting(rng: &mut SplitMix64, k: u32) -> Dfa {
+    let chain = rng.gen_range(1usize..40);
+    let extra = rng.gen_range(0usize..4);
+    let n = chain + extra;
+    let matching: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.5)).collect();
+    let min = rng.gen_range(0..chain);
+    let max = rng.gen_range(0..chain);
+    let mut trans = vec![0u32; n * k as usize];
+    for state in 0..n {
+        for sym in 0..k as usize {
+            trans[state * k as usize + sym] = if state >= chain {
+                rng.gen_range(0..n as u32)
+            } else if matching[sym] {
+                (state + 1).min(chain - 1) as u32
+            } else {
+                state as u32
+            };
+        }
+    }
+    let accept = (0..n).map(|c| c >= min && c <= max).collect();
+    Dfa::from_parts(alphabet_of(k), trans, 0, accept)
+}
+
+/// `minimize` agrees with the reference minimiser exactly: their
+/// canonical forms are structurally identical, on random DFAs (with
+/// unreachable states, all-accepting and all-rejecting ones) and on
+/// counting chains.
+#[test]
+fn minimize_matches_moore_reference() {
+    forall("minimize_matches_moore_reference", 0xd0ac, 512, |rng| {
+        let k = rng.gen_range(1u32..4);
+        let d = if rng.gen_bool(0.5) {
+            gen_dfa(rng, k)
+        } else {
+            gen_counting(rng, k)
+        };
+        let fast = d.minimize().canonicalize();
+        let reference = moore_minimize(&d).canonicalize();
+        assert!(
+            fast.same_structure(&reference),
+            "minimize disagrees with Moore refinement on {d:?}"
+        );
+    });
+}
+
+/// Reference mapped product: the unpruned BFS over every reachable pair,
+/// stopping at the first accepting one.
+fn product_shortest_unpruned(
+    left: &Dfa,
+    left_start: u32,
+    right: &Dfa,
+    right_start: u32,
+    mode: ProductMode,
+    map: &[u32],
+) -> Option<Vec<u32>> {
+    let combine = |a: u32, b: u32| {
+        let (a, b) = (left.is_accepting(a), right.is_accepting(b));
+        match mode {
+            ProductMode::And => a && b,
+            ProductMode::Or => a || b,
+            ProductMode::Diff => a && !b,
+            ProductMode::Xor => a != b,
+        }
+    };
+    let start = (left_start, right_start);
+    if combine(start.0, start.1) {
+        return Some(Vec::new());
+    }
+    let mut seen = HashSet::from([start]);
+    let mut pairs = vec![start];
+    let mut pred: Vec<(u32, u32)> = vec![(u32::MAX, 0)];
+    let mut head = 0;
+    while head < pairs.len() {
+        let (qa, qb) = pairs[head];
+        for sym in 0..left.alphabet_len() as u32 {
+            let pair = (left.next(qa, sym), right.next(qb, map[sym as usize]));
+            if !seen.insert(pair) {
+                continue;
+            }
+            if combine(pair.0, pair.1) {
+                let mut word = vec![sym];
+                let mut at = head;
+                while pred[at].0 != u32::MAX {
+                    word.push(pred[at].1);
+                    at = pred[at].0 as usize;
+                }
+                word.reverse();
+                return Some(word);
+            }
+            pred.push((head as u32, sym));
+            pairs.push(pair);
+        }
+        head += 1;
+    }
+    None
+}
+
+/// Dead-pair pruning never changes the answer: the mapped product
+/// returns exactly the unpruned BFS's witness in all four modes, from
+/// random start states, with left automata that have dead states
+/// (random DFAs with sinks, minimised regex automata) and without.
+#[test]
+fn mapped_product_matches_unpruned_bfs() {
+    forall("mapped_product_matches_unpruned_bfs", 0xd0ad, 512, |rng| {
+        let k_left = rng.gen_range(1u32..4);
+        let left = if rng.gen_bool(0.5) {
+            gen_dfa(rng, k_left)
+        } else {
+            let mut al = alphabet_of(1);
+            let re = gen_regex(rng, 3, 3);
+            for id in re.alphabet().ids() {
+                al.insert(id);
+            }
+            Dfa::from_regex_with(&re, al)
+        };
+        let k_right = rng.gen_range(1u32..4);
+        let right = if rng.gen_bool(0.5) {
+            gen_dfa(rng, k_right)
+        } else {
+            gen_counting(rng, k_right)
+        };
+        let map: Vec<u32> = (0..left.alphabet_len())
+            .map(|_| rng.gen_range(0..k_right))
+            .collect();
+        let ls = rng.gen_range(0..left.num_states() as u32);
+        let rs = rng.gen_range(0..right.num_states() as u32);
+        for mode in [
+            ProductMode::And,
+            ProductMode::Or,
+            ProductMode::Diff,
+            ProductMode::Xor,
+        ] {
+            assert_eq!(
+                left.product_shortest_mapped(ls, &right, rs, mode, &map),
+                product_shortest_unpruned(&left, ls, &right, rs, mode, &map),
+                "mode {mode:?} from ({ls}, {rs})"
+            );
+        }
     });
 }
