@@ -3,6 +3,7 @@
 //! All generators are seeded and deterministic so every experiment run is
 //! reproducible; sizes are parameters so the benches can sweep them.
 
+use stacl::naplet::guard::GuardRequest;
 use stacl::prelude::*;
 use stacl::srac::Constraint;
 use stacl::sral::builder as b;
@@ -311,10 +312,8 @@ pub fn open_model(user: &str, resource: &str) -> RbacModel {
 /// `cap` must exceed the per-object access count so every decision is a
 /// grant: the interesting cost is then the spatial `P ⊨ C` check itself,
 /// not denial short-circuits. The counting automaton for `at_most(cap)`
-/// has `cap + 2` states, which is exactly what makes the from-scratch
-/// slow path expensive (it re-walks the whole per-object history and
-/// clones that automaton on every decision) while the incremental cursor
-/// advances one transition per grant.
+/// has `cap + 2` states; the warm cursor advances one transition per
+/// grant.
 pub fn fleet_model(objects: usize, resource: &str, cap: usize) -> RbacModel {
     let mut m = RbacModel::new();
     m.add_role("licensee");
@@ -336,6 +335,66 @@ pub fn fleet_model(objects: usize, resource: &str, cap: usize) -> RbacModel {
         m.assign_user(&user, "licensee").unwrap();
     }
     m
+}
+
+/// A reactive guard over [`fleet_model`] with every object enrolled; the
+/// cap sits just above `accesses`, so the fleet workload is all-grant.
+pub fn fleet_guard(objects: usize, accesses: usize) -> CoordinatedGuard {
+    let guard = CoordinatedGuard::new(ExtendedRbac::new(fleet_model(objects, "rsw", accesses + 2)))
+        .with_mode(EnforcementMode::Reactive);
+    for i in 0..objects {
+        guard.enroll(format!("n{i}"), ["licensee"]);
+    }
+    guard
+}
+
+/// The fleet workload's access vocabulary: `exec rsw` on four servers, so
+/// the cursor alphabet has more than one symbol.
+pub fn fleet_vocab() -> Vec<Access> {
+    (0..4)
+        .map(|s| Access::new("exec", "rsw", format!("s{s}")))
+        .collect()
+}
+
+/// Drive the fleet workload through sequential `decide` calls against
+/// `guard`: `accesses` rounds, round `k` at time `k` with access
+/// `k mod 4` of [`fleet_vocab`], each round visiting `n0`..`n{objects-1}`
+/// in order and issuing one proof per grant. `before(i)` runs ahead of
+/// the `i`-th decision. Returns every verdict in order.
+pub fn run_fleet(
+    guard: &CoordinatedGuard,
+    objects: usize,
+    accesses: usize,
+    mut before: impl FnMut(usize),
+) -> Vec<stacl::coalition::Verdict> {
+    let proofs = ProofStore::new();
+    let vocab = fleet_vocab();
+    let mut table = AccessTable::new();
+    for a in &vocab {
+        table.intern(a);
+    }
+    let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
+    let programs: Vec<Program> = vocab.iter().map(|a| Program::Access(a.clone())).collect();
+    let mut verdicts = Vec::with_capacity(objects * accesses);
+    for k in 0..accesses {
+        let (access, remaining) = (&vocab[k % vocab.len()], &programs[k % vocab.len()]);
+        let time = TimePoint::new(k as f64);
+        for object in &names {
+            before(verdicts.len());
+            let req = GuardRequest {
+                object,
+                access,
+                remaining,
+                time,
+            };
+            let v = guard.decide(&req, &proofs, &mut table);
+            if v.is_granted() {
+                proofs.issue(object, access.clone(), time);
+            }
+            verdicts.push(v);
+        }
+    }
+    verdicts
 }
 
 /// Fit the slope of `log(y) ~ slope * log(x) + c` — the empirical scaling

@@ -1,13 +1,11 @@
-//! A tiny dependency-free JSON emitter shared by every crate that renders
-//! machine-readable reports (`stacl-obs` metrics snapshots, the bench
-//! bins' `BENCH_*.json` artifacts).
+//! A tiny dependency-free JSON emitter for machine-readable reports
+//! (`stacl-obs` metrics snapshots).
 //!
-//! One pretty-printed dialect, one implementation: objects put every
-//! field on its own line at two-space indentation; arrays render inline.
-//! Keys and string values are escaped minimally (quote, backslash,
-//! control characters) — the writers only emit identifier-like keys and
-//! short labels, but the escaping keeps the output well-formed even if a
-//! caller passes something unusual.
+//! One pretty-printed dialect: objects put every field on its own line at
+//! two-space indentation; arrays render inline. Keys are escaped minimally
+//! (quote, backslash, control characters) — callers only emit
+//! identifier-like keys, but the escaping keeps the output well-formed
+//! even if a caller passes something unusual.
 
 use std::fmt::Write as _;
 
@@ -28,36 +26,18 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Render an `f64` the way the reports always have: finite values via
-/// `{}` (shortest round-trip form), non-finite values as `null` (JSON has
-/// no NaN/Inf literals).
-pub fn f64_str(x: f64) -> String {
-    if x.is_finite() {
-        // Ensure a decimal point so consumers see a JSON number that is
-        // unambiguously floating-point.
-        let s = format!("{x}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 /// A streaming pretty-printed JSON writer.
 ///
 /// ```
 /// use stacl_ids::json::JsonWriter;
 /// let mut w = JsonWriter::object();
-/// w.field_str("experiment", "E0");
+/// w.field_bool("telemetry_enabled", true);
 /// w.open_object("totals");
 /// w.field_u64("decisions", 42);
 /// w.close();
 /// w.array_u64("buckets", [1, 2, 3]);
 /// let text = w.finish();
-/// assert!(text.starts_with("{\n  \"experiment\": \"E0\","));
+/// assert!(text.starts_with("{\n  \"telemetry_enabled\": true,"));
 /// assert!(text.ends_with("}\n"));
 /// ```
 #[derive(Debug)]
@@ -99,42 +79,16 @@ impl JsonWriter {
         self.out.push_str("\": ");
     }
 
-    /// A field whose value is already rendered JSON.
-    pub fn field_raw(&mut self, key: &str, raw: &str) {
-        self.key(key);
-        self.out.push_str(raw);
-    }
-
     /// An unsigned-integer field.
     pub fn field_u64(&mut self, key: &str, v: u64) {
         self.key(key);
         let _ = write!(self.out, "{v}");
     }
 
-    /// A `usize` field.
-    pub fn field_usize(&mut self, key: &str, v: usize) {
-        self.field_u64(key, v as u64);
-    }
-
-    /// A floating-point field (non-finite renders as `null`).
-    pub fn field_f64(&mut self, key: &str, v: f64) {
-        self.key(key);
-        let s = f64_str(v);
-        self.out.push_str(&s);
-    }
-
     /// A boolean field.
     pub fn field_bool(&mut self, key: &str, v: bool) {
         self.key(key);
         self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    /// A string field.
-    pub fn field_str(&mut self, key: &str, v: &str) {
-        self.key(key);
-        self.out.push('"');
-        escape_into(&mut self.out, v);
-        self.out.push('"');
     }
 
     /// Open a nested object under `key`; close with [`JsonWriter::close`].
@@ -162,21 +116,6 @@ impl JsonWriter {
                 self.out.push_str(", ");
             }
             let _ = write!(self.out, "{v}");
-        }
-        self.out.push(']');
-    }
-
-    /// An inline array of strings.
-    pub fn array_str<'a>(&mut self, key: &str, items: impl IntoIterator<Item = &'a str>) {
-        self.key(key);
-        self.out.push('[');
-        for (i, v) in items.into_iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            self.out.push('"');
-            escape_into(&mut self.out, v);
-            self.out.push('"');
         }
         self.out.push(']');
     }
@@ -218,17 +157,9 @@ mod tests {
     #[test]
     fn strings_are_escaped() {
         let mut w = JsonWriter::object();
-        w.field_str("msg", "a\"b\\c\nd");
+        w.field_u64("a\"b\\c\nd", 1);
         let text = w.finish();
-        assert!(text.contains("\"msg\": \"a\\\"b\\\\c\\nd\""), "{text}");
-    }
-
-    #[test]
-    fn floats_render_as_numbers_or_null() {
-        assert_eq!(f64_str(1.5), "1.5");
-        assert_eq!(f64_str(2.0), "2.0");
-        assert_eq!(f64_str(f64::NAN), "null");
-        assert_eq!(f64_str(f64::INFINITY), "null");
+        assert!(text.contains("\"a\\\"b\\\\c\\nd\": 1"), "{text}");
     }
 
     #[test]

@@ -206,18 +206,21 @@ mod tests {
 
     #[test]
     fn card_constraint_compresses_to_two_classes() {
-        let table = table_with(64);
-        let c = parse_constraint("count(0, 5, resource=rsw)").unwrap();
-        let cls = SymbolClasses::build(&c, &table);
-        assert_eq!(cls.num_classes(), 2, "rsw-matching vs everything else");
-        assert_eq!(cls.domain_len(), 64);
-        // All rsw accesses share a class, all db accesses the other.
-        let c0 = cls.class_of(AccessId(0)).unwrap();
-        let c1 = cls.class_of(AccessId(1)).unwrap();
-        assert_ne!(c0, c1);
-        for (id, a) in table.iter() {
-            let expect = if &*a.resource == "rsw" { c0 } else { c1 };
-            assert_eq!(cls.class_of(id), Some(expect));
+        // The class count does not grow with the table's width.
+        for width in [64, 4096] {
+            let table = table_with(width);
+            let c = parse_constraint("count(0, 5, resource=rsw)").unwrap();
+            let cls = SymbolClasses::build(&c, &table);
+            assert_eq!(cls.num_classes(), 2, "rsw-matching vs everything else");
+            assert_eq!(cls.domain_len(), width);
+            // All rsw accesses share a class, all db accesses the other.
+            let c0 = cls.class_of(AccessId(0)).unwrap();
+            let c1 = cls.class_of(AccessId(1)).unwrap();
+            assert_ne!(c0, c1);
+            for (id, a) in table.iter() {
+                let expect = if &*a.resource == "rsw" { c0 } else { c1 };
+                assert_eq!(cls.class_of(id), Some(expect));
+            }
         }
     }
 
