@@ -28,19 +28,19 @@
 //! so the format needs no quoting.
 
 use std::fmt;
+use std::hash::Hasher;
 
+use stacl_ids::hash::FnvHasher;
 use stacl_obs::Counter;
 
-/// The 64-bit FNV-1a hash of a byte string (the workspace is
-/// zero-external-dependency; FNV is small, fast and good enough for a
-/// tamper-evident — not cryptographic — chain).
+/// The 64-bit FNV-1a hash of a byte string, from the standard fixed
+/// basis (FNV is small, fast and good enough for a tamper-evident — not
+/// cryptographic — chain, and any process must re-derive the same
+/// chain).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = FnvHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// What an entry records.
@@ -280,6 +280,13 @@ use crate::log::Verdict;
 mod tests {
     use super::*;
     use crate::log::DecisionKind;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn chain_round_trips_and_verifies() {

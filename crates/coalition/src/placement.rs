@@ -12,15 +12,16 @@
 //! moved — the keys homed on a departed member, or the ~1/N slice newly
 //! won by a joiner. Nothing else shuffles.
 //!
-//! Scoring reuses the workspace's FNV-1a ([`stacl_trace::hash`]): the
-//! score of `(object, member)` is the hash of the object name streamed
-//! into the hash of the member name. Ties (astronomically unlikely, but
+//! Scoring reuses the workspace's FNV-1a ([`stacl_ids::hash`]) from its
+//! fixed basis, so every member scores alike: the score of
+//! `(object, member)` is the hash of the object name streamed into the
+//! hash of the member name. Ties (astronomically unlikely, but
 //! the ring must be a total function) break toward the lexicographically
 //! smaller member so every replica agrees byte-for-byte.
 
 use std::hash::Hasher;
 
-use stacl_trace::hash::FnvHasher;
+use stacl_ids::hash::FnvHasher;
 
 /// A rendezvous-hash ring over coalition member names.
 ///
@@ -163,6 +164,25 @@ mod tests {
             assert_eq!(a.home_of(&k), b.home_of(&k));
             assert!(a.contains(a.home_of(&k).unwrap()));
         }
+    }
+
+    /// Homes must agree across processes and releases: members of one
+    /// coalition compute them independently. Pinned to the fixed-basis
+    /// FNV-1a scores; a per-process seed here would split the ring.
+    #[test]
+    fn homes_match_a_fixed_vector() {
+        assert_eq!(Placement::score("obj-0", "d0"), 0x7c77_39bb_ee1e_adc7);
+        let ring = Placement::new(["d0", "d1", "d2", "d3"]);
+        let homes: Vec<&str> = (0..16)
+            .map(|i| ring.home_of(&format!("obj-{i}")).unwrap())
+            .collect();
+        assert_eq!(
+            homes,
+            [
+                "d3", "d1", "d3", "d1", "d2", "d3", "d3", "d3", "d0", "d2", "d1", "d1", "d0", "d0",
+                "d1", "d1"
+            ]
+        );
     }
 
     #[test]

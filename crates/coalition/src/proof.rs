@@ -42,11 +42,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use stacl_ids::hash::FnvHashMap;
 use stacl_ids::sync::RwLock;
 use stacl_sral::ast::Name;
 use stacl_sral::Access;
 use stacl_temporal::TimePoint;
-use stacl_trace::hash::FnvHashMap;
 use stacl_trace::{AccessTable, Trace};
 
 /// One execution proof: who did what, where, when.

@@ -20,7 +20,9 @@
 //! * [`prop`] — a seeded property-test driver (`forall`) used by the
 //!   randomized test suites;
 //! * [`json`] — the shared pretty-printed JSON emitter behind metrics
-//!   snapshots and bench artifacts.
+//!   snapshots and bench artifacts;
+//! * [`hash`] — FNV-1a, the one hasher behind every map on the decision
+//!   path (seeded per process) and every cross-process hash (fixed).
 //!
 //! It also defines [`PolicyEpoch`], the coalition-wide version stamp of
 //! an activated policy: epoch 0 is the policy a process booted with, and
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod json;
 pub mod prop;
 pub mod rng;
@@ -42,10 +45,10 @@ pub mod sync;
 /// transparent alias keeps the stamp allocation- and ceremony-free.
 pub type PolicyEpoch = u64;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::hash::FnvHashMap;
 use crate::sync::RwLock;
 
 /// A dense `u32`-backed identifier kind. Implemented by the typed id
@@ -111,6 +114,82 @@ define_id!(
     ClassId
 );
 
+/// A set of dense typed ids, one bit per id index: membership tests and
+/// updates index a word directly, with no hashing. Sized by the largest
+/// id ever inserted, so it suits the small id spaces a policy assigns
+/// (permissions, validity classes).
+#[derive(Clone)]
+pub struct IdSet<I: IdKind> {
+    words: Vec<u64>,
+    _kind: std::marker::PhantomData<fn() -> I>,
+}
+
+impl<I: IdKind> Default for IdSet<I> {
+    fn default() -> Self {
+        IdSet {
+            words: Vec::new(),
+            _kind: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<I: IdKind> fmt::Debug for IdSet<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<I: IdKind> IdSet<I> {
+    /// An empty set.
+    pub fn new() -> Self {
+        IdSet::default()
+    }
+
+    /// Is `id` in the set?
+    #[inline]
+    pub fn contains(&self, id: I) -> bool {
+        let i = id.as_usize();
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Add `id`.
+    #[inline]
+    pub fn insert(&mut self, id: I) {
+        let i = id.as_usize();
+        if self.words.len() <= i / 64 {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Remove `id` (no-op when absent).
+    #[inline]
+    pub fn remove(&mut self, id: I) {
+        let i = id.as_usize();
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w &= !(1 << (i % 64));
+        }
+    }
+
+    /// Keep only the ids that are also in `other`.
+    pub fn intersect_with(&mut self, other: &IdSet<I>) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w &= other.words.get(i).copied().unwrap_or(0);
+        }
+    }
+
+    /// The members, in increasing id order.
+    pub fn iter(&self) -> impl Iterator<Item = I> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            (0..64)
+                .filter(move |b| w & (1 << b) != 0)
+                .map(move |b| I::from_index((i * 64 + b) as u32))
+        })
+    }
+}
+
 /// A thread-safe string interner producing dense typed ids.
 ///
 /// Names are interned once (write lock) and thereafter resolved by cheap
@@ -123,7 +202,7 @@ pub struct Interner<I: IdKind> {
 
 struct Inner {
     names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    index: FnvHashMap<Arc<str>, u32>,
 }
 
 impl<I: IdKind> Default for Interner<I> {
@@ -131,7 +210,7 @@ impl<I: IdKind> Default for Interner<I> {
         Interner {
             inner: RwLock::new(Inner {
                 names: Vec::new(),
-                index: HashMap::new(),
+                index: FnvHashMap::default(),
             }),
             _kind: std::marker::PhantomData,
         }
@@ -222,6 +301,26 @@ mod tests {
         assert_eq!(&*it.resolve(a), "alpha");
         assert_eq!(it.get("beta"), Some(b));
         assert_eq!(it.get("gamma"), None);
+    }
+
+    #[test]
+    fn id_set_tracks_membership() {
+        let mut s: IdSet<PermId> = IdSet::new();
+        assert!(!s.contains(PermId(3)));
+        s.insert(PermId(3));
+        s.insert(PermId(70));
+        s.insert(PermId(3));
+        assert!(s.contains(PermId(3)) && s.contains(PermId(70)));
+        assert!(!s.contains(PermId(4)) && !s.contains(PermId(500)));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![PermId(3), PermId(70)]);
+        s.remove(PermId(3));
+        s.remove(PermId(900));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![PermId(70)]);
+        let mut keep: IdSet<PermId> = IdSet::new();
+        keep.insert(PermId(1));
+        s.insert(PermId(1));
+        s.intersect_with(&keep);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![PermId(1)]);
     }
 
     #[test]

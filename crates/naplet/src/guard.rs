@@ -19,6 +19,7 @@
 //! requests across object shards on a scoped thread pool.
 
 use stacl_coalition::{DecisionKind, Placement, ProofStore, Verdict};
+use stacl_ids::hash::FnvHashMap;
 use stacl_ids::sync::{Mutex, RwLock};
 use stacl_rbac::{AccessRequest, ExtendedRbac, ObjectGateExport, SessionId};
 use stacl_sral::ast::{name, Name};
@@ -26,7 +27,6 @@ use stacl_sral::{Access, Program};
 use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -161,10 +161,10 @@ pub struct CoordinatedGuard {
     /// never the reverse.
     rbac: RwLock<ExtendedRbac>,
     /// object → roles to activate on first contact.
-    enrollments: RwLock<HashMap<Name, Vec<Name>>>,
+    enrollments: RwLock<FnvHashMap<Name, Vec<Name>>>,
     /// object → its guard-state shard (created lazily, only for enrolled
     /// objects).
-    objects: RwLock<HashMap<Name, Arc<Mutex<ObjectState>>>>,
+    objects: RwLock<FnvHashMap<Name, Arc<Mutex<ObjectState>>>>,
     mode: EnforcementMode,
     /// Whether monotone approval reuse is enabled (on by default; turn
     /// off to measure the unoptimised Eq. 3.1 gate — see E10).
@@ -172,7 +172,7 @@ pub struct CoordinatedGuard {
     /// object → custody state on this coalition member. Consulted only
     /// when `custody_enforced` is set; single-process guards never pay
     /// for it.
-    custody: RwLock<HashMap<Name, Custody>>,
+    custody: RwLock<FnvHashMap<Name, Custody>>,
     /// Whether decisions require resident custody (default off — the
     /// in-process guard is its own sole custodian).
     custody_enforced: AtomicBool,
@@ -194,11 +194,11 @@ impl CoordinatedGuard {
     pub fn new(rbac: ExtendedRbac) -> Self {
         CoordinatedGuard {
             rbac: RwLock::new(rbac),
-            enrollments: RwLock::new(HashMap::new()),
-            objects: RwLock::new(HashMap::new()),
+            enrollments: RwLock::new(FnvHashMap::default()),
+            objects: RwLock::new(FnvHashMap::default()),
             mode: EnforcementMode::Preventive,
             approval_reuse: true,
-            custody: RwLock::new(HashMap::new()),
+            custody: RwLock::new(FnvHashMap::default()),
             custody_enforced: AtomicBool::new(false),
             placement: RwLock::new(None),
             table_pool: Mutex::new(Vec::new()),
@@ -535,7 +535,7 @@ impl CoordinatedGuard {
         // Group request indices by object, preserving first-seen order
         // (and per-object order within each group).
         let mut order: Vec<&str> = Vec::new();
-        let mut by_object: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut by_object: FnvHashMap<&str, Vec<usize>> = FnvHashMap::default();
         for (i, r) in requests.iter().enumerate() {
             by_object
                 .entry(r.object)

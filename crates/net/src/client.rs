@@ -23,13 +23,14 @@
 //! pipelined fail-safe driver: any transport failure resolves *every*
 //! unresolved request to a counted `DeniedCoordination`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use stacl_coalition::{DecisionKind, Verdict};
+use stacl_ids::hash::FnvHashMap;
 use stacl_obs::Counter;
 use stacl_sral::ast::Access;
 
@@ -99,7 +100,7 @@ impl From<WireError> for NetError {
 /// replies are correlated by request id.
 pub struct Client {
     stream: TcpStream,
-    vocab: HashMap<String, u32>,
+    vocab: FnvHashMap<String, u32>,
     server: String,
     /// Incremental reassembly of inbound frames: one big read can carry
     /// a whole window of pipelined replies.
@@ -176,7 +177,7 @@ impl Client {
         stream.set_write_timeout(io_timeout)?;
         let mut c = Client {
             stream,
-            vocab: HashMap::new(),
+            vocab: FnvHashMap::default(),
             server: String::new(),
             asm: FrameAssembler::new(),
             out2: Vec::new(),
@@ -634,21 +635,29 @@ impl Client {
         requests: &[(&str, &Access, &[Access], f64)],
         window: usize,
     ) -> Vec<Verdict> {
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
         let mut out: Vec<Option<Verdict>> = Vec::new();
         out.resize_with(requests.len(), || None);
+        // Request ids are issued consecutively, so request `i` is id
+        // `first + i`. A completion left over from an earlier pipeline on
+        // this connection falls outside that range and is dropped.
+        let first = self.pend2.next_id();
         let drive = (|| -> Result<(), NetError> {
-            let mut p = self.pipeline(window)?;
-            for (i, (object, access, remaining, time)) in requests.iter().enumerate() {
-                let id = p.submit(object, access, remaining, *time)?;
-                slot_of.insert(id, i);
-                for (id, v) in p.take() {
-                    out[slot_of[&id]] = Some(v);
+            let mut place = |done: Vec<(u64, Verdict)>| {
+                for (id, v) in done {
+                    let slot = id
+                        .checked_sub(first)
+                        .and_then(|i| out.get_mut(usize::try_from(i).ok()?));
+                    if let Some(slot) = slot {
+                        *slot = Some(v);
+                    }
                 }
+            };
+            let mut p = self.pipeline(window)?;
+            for (object, access, remaining, time) in requests {
+                p.submit(object, access, remaining, *time)?;
+                place(p.take());
             }
-            for (id, v) in p.finish()? {
-                out[slot_of[&id]] = Some(v);
-            }
+            place(p.finish()?);
             Ok(())
         })();
         let failure = drive.err();
@@ -752,8 +761,8 @@ impl Pipeline<'_> {
 pub struct Router {
     name: String,
     io_timeout: Option<Duration>,
-    addrs: HashMap<String, SocketAddr>,
-    clients: HashMap<String, Client>,
+    addrs: FnvHashMap<String, SocketAddr>,
+    clients: FnvHashMap<String, Client>,
 }
 
 impl Router {
@@ -762,8 +771,8 @@ impl Router {
         Router {
             name: name.to_string(),
             io_timeout,
-            addrs: HashMap::new(),
-            clients: HashMap::new(),
+            addrs: FnvHashMap::default(),
+            clients: FnvHashMap::default(),
         }
     }
 

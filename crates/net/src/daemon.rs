@@ -48,7 +48,7 @@
 //! connections keep flowing. Past [`DaemonConfig::partial_deadline`] the
 //! loop evicts the stalled connection and counts `net.partial-eviction`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -58,6 +58,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use stacl_coalition::{DecisionKind, ProofStore, Verdict};
+use stacl_ids::hash::FnvHashMap;
 use stacl_ids::sync::{Mutex, RwLock};
 use stacl_naplet::guard::{BatchRequest, CoordinatedGuard, Custody, GuardRequest};
 use stacl_obs::Counter;
@@ -125,7 +126,7 @@ struct Shared {
     proofs: ProofStore,
     cfg: DaemonConfig,
     addr: SocketAddr,
-    peers: RwLock<HashMap<String, SocketAddr>>,
+    peers: RwLock<FnvHashMap<String, SocketAddr>>,
     shutdown: AtomicBool,
     /// Write side of the event loop's wake channel (a loopback TCP
     /// self-pair — the workspace has no `libc` for a real pipe). One
@@ -176,7 +177,7 @@ pub fn spawn(
         proofs,
         cfg,
         addr,
-        peers: RwLock::new(HashMap::new()),
+        peers: RwLock::new(FnvHashMap::default()),
         shutdown: AtomicBool::new(false),
         wake_tx,
         pending_epoch: Mutex::new(None),

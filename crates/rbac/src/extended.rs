@@ -22,9 +22,10 @@
 //! [`ObjectId`]/[`PermId`]/[`ClassId`] indices. The per-access gate then
 //! works entirely on machine words: candidate permissions and the
 //! object's gate handle come from a generation-validated per-session
-//! view, permission attributes from a dense table indexed by `PermId`,
-//! and spatial approvals and validity timelines from maps keyed by
-//! `Copy` id tuples.
+//! view (a `Vec` slot per session), permission attributes — validity
+//! class already resolved — from a dense table indexed by `PermId`,
+//! spatial approvals from a `PermId` bitset and validity timelines from
+//! a short per-object list. Nothing on the warm path hashes.
 //! In the steady state (approvals reusable, timelines warm) a granted
 //! decision performs **zero heap allocations**.
 //!
@@ -63,12 +64,12 @@
 //! and are always checked from scratch.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use stacl_coalition::{DecisionKind, ProofStore, Verdict};
 use stacl_ids::sync::{Mutex, RwLock, Snapshot};
-use stacl_ids::{ClassId, IdKind, Interner, ObjectId, PermId};
+use stacl_ids::{ClassId, IdKind, IdSet, Interner, ObjectId, PermId};
 use stacl_obs::Counter;
 use stacl_srac::check::{check_residual_cached, ConstraintCache, Semantics};
 use stacl_srac::{Constraint, ConstraintCursor, CursorBank};
@@ -140,7 +141,7 @@ impl<'a> Declared<'a> {
 
 /// The timeline a permission draws its validity budget from: its own
 /// per-object budget, or the shared budget of its validity class.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum BudgetKey {
     /// The permission's own budget.
     Perm(PermId),
@@ -152,16 +153,50 @@ enum BudgetKey {
 /// attributes. Filled from the model when the permission first becomes a
 /// candidate; permission definitions are immutable in [`RbacModel`]
 /// (re-definition is rejected), so entries only go stale if the whole
-/// model is swapped — which the generation check detects.
+/// model is swapped — which the generation check detects — or a validity
+/// class is (re)defined, which re-resolves the affected entries.
 #[derive(Clone, Debug)]
 struct PermEntry {
     name: Name,
     grants: AccessPattern,
     spatial: Option<Constraint>,
     scope: HistoryScope,
+    /// The declared validity class, named in temporal denials.
+    class: Option<Name>,
+    /// The budget the permission draws from, with that budget's duration
+    /// and scheme: its class's when the class is defined, else its own
+    /// (an undefined class falls back to the permission's attributes).
+    budget: BudgetKey,
     validity: Option<f64>,
     scheme: BaseTimeScheme,
-    class: Option<Name>,
+}
+
+impl PermEntry {
+    /// Resolve `p`'s budget against the validity classes in force.
+    fn new(
+        p: &crate::perm::Permission,
+        pid: PermId,
+        classes: &HashMap<Name, (f64, BaseTimeScheme)>,
+        class_ids: &Interner<ClassId>,
+    ) -> PermEntry {
+        let (budget, validity, scheme) =
+            match p.class.as_ref().and_then(|c| Some((c, classes.get(c)?))) {
+                Some((class, &(dur, scheme))) => {
+                    (BudgetKey::Class(class_ids.intern(class)), Some(dur), scheme)
+                }
+                None => (BudgetKey::Perm(pid), p.validity, p.scheme),
+            };
+        PermEntry {
+            name: p.name.clone(),
+            grants: p.grants.clone(),
+            spatial: p.spatial.clone(),
+            scope: p.scope,
+            class: p.class.clone(),
+            budget,
+            validity,
+            scheme,
+        }
+    }
 }
 
 /// The cached decision view of one session, valid for one model
@@ -190,18 +225,58 @@ struct PermTable {
     entries: Vec<Option<Arc<PermEntry>>>,
 }
 
+/// One object's validity timelines, one per budget it has drawn from.
+/// An object holds a handful of budgets, so a linear scan over the
+/// `Copy` keys beats hashing them.
+#[derive(Debug, Default)]
+struct Timelines(Vec<(BudgetKey, PermissionTimeline)>);
+
+impl Timelines {
+    fn get(&self, key: BudgetKey) -> Option<&PermissionTimeline> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, tl)| tl)
+    }
+
+    fn get_mut(&mut self, key: BudgetKey) -> Option<&mut PermissionTimeline> {
+        self.0.iter_mut().find(|(k, _)| *k == key).map(|(_, tl)| tl)
+    }
+
+    fn get_or_insert_with(
+        &mut self,
+        key: BudgetKey,
+        init: impl FnOnce() -> PermissionTimeline,
+    ) -> &mut PermissionTimeline {
+        let i = match self.0.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.0.push((key, init()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    /// Add a timeline; `false` (and no change) when `key` already has one.
+    fn insert(&mut self, key: BudgetKey, tl: PermissionTimeline) -> bool {
+        if self.get(key).is_some() {
+            return false;
+        }
+        self.0.push((key, tl));
+        true
+    }
+}
+
 /// All per-object mutable decision state, one shard per object: two
 /// decisions contend only when they concern the *same* object.
 #[derive(Debug, Default)]
 struct ObjectGate {
     /// budget → validity timeline.
-    timelines: HashMap<BudgetKey, PermissionTimeline>,
+    timelines: Timelines,
     /// Recorded server-arrival times (replayed into new timelines so
     /// late-activated permissions see the same epochs).
     arrivals: Vec<TimePoint>,
     /// Permissions whose spatial constraint has been established for the
     /// object's declared program (see [`AccessRequest::reuse_spatial`]).
-    spatial_ok: HashSet<PermId>,
+    spatial_ok: IdSet<PermId>,
     /// Incremental residual-check cursors (the fast path), keyed by
     /// `PermId` index, stored structure-of-arrays so one proof event
     /// advances every in-lockstep permission's leaves in a single
@@ -268,7 +343,7 @@ pub struct PreparedEpoch {
     /// flip: the proof they record is about the object's history and
     /// declared program checked against an identical constraint, so it
     /// is exactly the state a no-flip run would hold.
-    carried: HashSet<PermId>,
+    carried: IdSet<PermId>,
 }
 
 impl PreparedEpoch {
@@ -307,6 +382,11 @@ impl std::fmt::Display for EpochError {
 
 impl std::error::Error for EpochError {}
 
+/// The `Vec` slot of a session: ids are issued densely from 0.
+fn session_slot(id: SessionId) -> Option<usize> {
+    usize::try_from(id.0).ok()
+}
+
 /// RBAC with coordinated spatio-temporal enforcement.
 #[derive(Debug)]
 pub struct ExtendedRbac {
@@ -314,8 +394,8 @@ pub struct ExtendedRbac {
     /// field is detected via [`RbacModel::generation`] and invalidates
     /// the derived id-indexed caches.
     pub model: RbacModel,
-    sessions: BTreeMap<SessionId, Session>,
-    next_session: u64,
+    /// Open sessions, indexed by [`SessionId`] (issued densely from 0).
+    sessions: Vec<Session>,
 
     // ---- interned decision state (the hot path) ----
     /// Mobile-object name interner.
@@ -329,11 +409,12 @@ pub struct ExtendedRbac {
     /// Serialises `perm_table` copy-modify-publish cycles so concurrent
     /// rebuilds cannot lose each other's entries.
     rebuild: Mutex<()>,
-    /// session → generation-validated candidate `PermId` list (in
+    /// session index → generation-validated candidate `PermId` list (in
     /// permission-name order) plus the session object's gate handle.
-    session_views: RwLock<HashMap<SessionId, Arc<SessionView>>>,
-    /// object → its decision-state shard (created on first decision).
-    gates: RwLock<HashMap<ObjectId, Arc<Mutex<ObjectGate>>>>,
+    session_views: RwLock<Vec<Option<Arc<SessionView>>>>,
+    /// `ObjectId` index → its decision-state shard (created on first
+    /// decision).
+    gates: RwLock<Vec<Option<Arc<Mutex<ObjectGate>>>>>,
 
     /// Memo of compiled constraint automata (policies are stable; only
     /// programs and histories change between gate calls).
@@ -352,15 +433,14 @@ impl Default for ExtendedRbac {
     fn default() -> Self {
         ExtendedRbac {
             model: RbacModel::default(),
-            sessions: BTreeMap::new(),
-            next_session: 0,
+            sessions: Vec::new(),
             objects: Interner::default(),
             perms: Interner::default(),
             class_ids: Interner::default(),
             perm_table: Snapshot::default(),
             rebuild: Mutex::new(()),
-            session_views: RwLock::new(HashMap::new()),
-            gates: RwLock::new(HashMap::new()),
+            session_views: RwLock::new(Vec::new()),
+            gates: RwLock::new(Vec::new()),
             cache: Mutex::new(ConstraintCache::new()),
             classes: HashMap::new(),
             epoch: 0,
@@ -402,31 +482,33 @@ impl ExtendedRbac {
         user: impl AsRef<str>,
         dsd: Vec<SodConstraint>,
     ) -> Result<SessionId, RbacError> {
-        let id = SessionId(self.next_session);
+        let id = SessionId(self.sessions.len() as u64);
         let s = Session::open(&self.model, id, user, dsd)?;
-        self.next_session += 1;
-        self.sessions.insert(id, s);
+        self.sessions.push(s);
         Ok(id)
     }
 
     /// Activate a role within a session.
     pub fn activate_role(&mut self, session: SessionId, role: &str) -> Result<(), RbacError> {
         let model = &self.model;
-        let s = self
-            .sessions
-            .get_mut(&session)
+        let s = session_slot(session)
+            .and_then(|i| self.sessions.get_mut(i))
             .ok_or_else(|| RbacError::UnknownUser(format!("session {session:?}")))?;
         let res = s.activate_role(model, role);
         if res.is_ok() {
             // The session's candidate set changed.
-            self.session_views.write().remove(&session);
+            if let Some(view) =
+                session_slot(session).and_then(|i| self.session_views.get_mut().get_mut(i))
+            {
+                *view = None;
+            }
         }
         res
     }
 
     /// Access a session (read-only).
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.sessions.get(&id)
+        self.sessions.get(session_slot(id)?)
     }
 
     /// Define (or redefine) a validity class: every permission declaring
@@ -441,8 +523,23 @@ impl ExtendedRbac {
         scheme: BaseTimeScheme,
     ) {
         assert!(dur_seconds.is_finite() && dur_seconds >= 0.0);
-        self.classes
-            .insert(stacl_sral::ast::name(name_), (dur_seconds, scheme));
+        let class = stacl_sral::ast::name(name_);
+        self.classes.insert(class.clone(), (dur_seconds, scheme));
+        // Entries resolved before this definition drew from the old
+        // duration (or, for a new class, from their own budgets).
+        let budget = BudgetKey::Class(self.class_ids.intern(&class));
+        let mut pt = (*self.perm_table.load()).clone();
+        for e in pt.entries.iter_mut().flatten() {
+            if e.class.as_ref() == Some(&class) {
+                *e = Arc::new(PermEntry {
+                    budget,
+                    validity: Some(dur_seconds),
+                    scheme,
+                    ..PermEntry::clone(e)
+                });
+            }
+        }
+        self.perm_table.publish(pt);
     }
 
     /// Look up a validity class.
@@ -468,7 +565,7 @@ impl ExtendedRbac {
             return;
         }
         gate.arrivals.push(time);
-        for tl in gate.timelines.values_mut() {
+        for (_, tl) in gate.timelines.0.iter_mut() {
             if tl.try_arrive_at_server(time).is_err() {
                 stacl_obs::count(Counter::ClockRegression);
             }
@@ -477,22 +574,37 @@ impl ExtendedRbac {
 
     /// The decision-state shard for `object`, created on first use.
     fn gate_of(&self, oid: ObjectId) -> Arc<Mutex<ObjectGate>> {
-        if let Some(g) = self.gates.read().get(&oid) {
-            return Arc::clone(g);
+        if let Some(g) = self.existing_gate(oid) {
+            return g;
         }
-        Arc::clone(self.gates.write().entry(oid).or_default())
+        let mut gates = self.gates.write();
+        let i = oid.as_usize();
+        if gates.len() <= i {
+            gates.resize(i + 1, None);
+        }
+        Arc::clone(gates[i].get_or_insert_with(Default::default))
+    }
+
+    /// The decision-state shard for `object`, if it has one.
+    fn existing_gate(&self, oid: ObjectId) -> Option<Arc<Mutex<ObjectGate>>> {
+        self.gates
+            .read()
+            .get(oid.as_usize())?
+            .as_ref()
+            .map(Arc::clone)
     }
 
     /// The decision view of a session — candidate `PermId` list and the
     /// object's gate handle — rebuilt when the model generation moved (or
     /// on the session's first decide / after a role activation). Steady
-    /// state: one read-locked `HashMap` hit + an `Arc` bump, with no
-    /// object-name hashing. Rebuilds copy-modify-publish a new
+    /// state: one read-locked `Vec` slot + an `Arc` bump, with no
+    /// hashing at all. Rebuilds copy-modify-publish a new
     /// permission-table snapshot under the rebuild mutex; readers are
     /// never blocked.
     fn session_view(&self, sid: SessionId) -> Option<Arc<SessionView>> {
         let generation = self.model.generation();
-        if let Some(sp) = self.session_views.read().get(&sid) {
+        let slot = session_slot(sid)?;
+        if let Some(Some(sp)) = self.session_views.read().get(slot) {
             if sp.generation == generation {
                 return Some(Arc::clone(sp));
             }
@@ -507,7 +619,7 @@ impl ExtendedRbac {
             }
             pt.generation = generation;
         }
-        let session = self.sessions.get(&sid)?;
+        let session = self.sessions.get(slot)?;
         let names = session.available_permissions(&self.model);
         let mut out = Vec::with_capacity(names.len());
         for n in &names {
@@ -518,15 +630,12 @@ impl ExtendedRbac {
             }
             if pt.entries[idx].is_none() {
                 if let Some(p) = self.model.permission(n) {
-                    pt.entries[idx] = Some(Arc::new(PermEntry {
-                        name: p.name.clone(),
-                        grants: p.grants.clone(),
-                        spatial: p.spatial.clone(),
-                        scope: p.scope,
-                        validity: p.validity,
-                        scheme: p.scheme,
-                        class: p.class.clone(),
-                    }));
+                    pt.entries[idx] = Some(Arc::new(PermEntry::new(
+                        p,
+                        pid,
+                        &self.classes,
+                        &self.class_ids,
+                    )));
                 }
             }
             out.push(pid);
@@ -538,7 +647,11 @@ impl ExtendedRbac {
             perms: out,
             gate: self.gate_of(self.objects.intern(&session.user)),
         });
-        self.session_views.write().insert(sid, Arc::clone(&view));
+        let mut views = self.session_views.write();
+        if views.len() <= slot {
+            views.resize(slot + 1, None);
+        }
+        views[slot] = Some(Arc::clone(&view));
         Some(view)
     }
 
@@ -590,7 +703,7 @@ impl ExtendedRbac {
         table: &mut AccessTable,
     ) -> Verdict {
         // 1. Subject and candidate permissions.
-        let Some(session) = self.sessions.get(&req.session) else {
+        let Some(session) = self.session(req.session) else {
             return DecisionKind::DeniedNoPermission.into();
         };
         if &*session.user != req.object {
@@ -626,12 +739,12 @@ impl ExtendedRbac {
                 // histories grow independently of this object's execution.
                 let already_approved = req.reuse_spatial
                     && entry.scope == HistoryScope::PerObject
-                    && gate.spatial_ok.contains(&pid);
+                    && gate.spatial_ok.contains(pid);
                 if !already_approved {
                     let holds = self
                         .spatial_holds(&mut gate, pid, entry, req.object, declared, proofs, table);
                     if !holds {
-                        gate.spatial_ok.remove(&pid);
+                        gate.spatial_ok.remove(pid);
                         spatial_failure = Some(c.to_string());
                         continue;
                     }
@@ -641,20 +754,9 @@ impl ExtendedRbac {
 
             // Temporal (Eq. 4.1): activate on first grant, then require
             // the valid state. A permission in a validity class shares the
-            // class's per-object timeline (aggregated budget).
-            let (bkey, validity, scheme) = match &entry.class {
-                Some(class) => match self.classes.get(class) {
-                    Some(&(dur, scheme)) => (
-                        BudgetKey::Class(self.class_ids.intern(class)),
-                        Some(dur),
-                        scheme,
-                    ),
-                    // Undefined class: fall back to the permission's own
-                    // attributes (and note it in the failure message).
-                    None => (BudgetKey::Perm(pid), entry.validity, entry.scheme),
-                },
-                None => (BudgetKey::Perm(pid), entry.validity, entry.scheme),
-            };
+            // class's per-object timeline (aggregated budget); the entry
+            // carries the resolved budget.
+            let (bkey, validity, scheme) = (entry.budget, entry.validity, entry.scheme);
             // Destructure for disjoint field borrows: the timeline entry
             // closure replays the arrival log.
             let ObjectGate {
@@ -662,7 +764,7 @@ impl ExtendedRbac {
                 arrivals,
                 ..
             } = &mut *gate;
-            let tl = timelines.entry(bkey).or_insert_with(|| {
+            let tl = timelines.get_or_insert_with(bkey, || {
                 let mut tl = match validity {
                     Some(d) => PermissionTimeline::new(d, scheme),
                     None => PermissionTimeline::unlimited(scheme),
@@ -842,11 +944,11 @@ impl ExtendedRbac {
         let Some((oid, bkey)) = self.timeline_key(object, perm) else {
             return PermissionState::Inactive;
         };
-        let Some(gate) = self.gates.read().get(&oid).map(Arc::clone) else {
+        let Some(gate) = self.existing_gate(oid) else {
             return PermissionState::Inactive;
         };
         let gate = gate.lock();
-        match gate.timelines.get(&bkey) {
+        match gate.timelines.get(bkey) {
             None => PermissionState::Inactive,
             Some(tl) => {
                 if !tl.active_fn().at(time) {
@@ -864,8 +966,8 @@ impl ExtendedRbac {
     /// closed, or an enforcement event set `valid` to 0).
     pub fn release_permission(&self, object: &str, perm: &str, time: TimePoint) {
         if let Some((oid, bkey)) = self.timeline_key(object, perm) {
-            if let Some(gate) = self.gates.read().get(&oid).map(Arc::clone) {
-                if let Some(tl) = gate.lock().timelines.get_mut(&bkey) {
+            if let Some(gate) = self.existing_gate(oid) {
+                if let Some(tl) = gate.lock().timelines.get_mut(bkey) {
                     if tl.try_deactivate(time).is_err() {
                         stacl_obs::count(Counter::ClockRegression);
                     }
@@ -879,8 +981,8 @@ impl ExtendedRbac {
     /// object's gate lock.
     pub fn timeline(&self, object: &str, perm: &str) -> Option<PermissionTimeline> {
         let (oid, bkey) = self.timeline_key(object, perm)?;
-        let gate = self.gates.read().get(&oid).map(Arc::clone)?;
-        let tl = gate.lock().timelines.get(&bkey).cloned();
+        let gate = self.existing_gate(oid)?;
+        let tl = gate.lock().timelines.get(bkey).cloned();
         tl
     }
 
@@ -892,7 +994,7 @@ impl ExtendedRbac {
     /// caller may compact the whole history).
     pub fn min_cursor_consumed(&self, object: &str) -> Option<usize> {
         let oid = self.objects.get(object)?;
-        let gate = self.gates.read().get(&oid).map(Arc::clone)?;
+        let gate = self.existing_gate(oid)?;
         let gate = gate.lock();
         gate.bank
             .iter_consumed()
@@ -908,12 +1010,13 @@ impl ExtendedRbac {
         let Some(oid) = self.objects.get(object) else {
             return ObjectGateExport::default();
         };
-        let Some(gate) = self.gates.read().get(&oid).map(Arc::clone) else {
+        let Some(gate) = self.existing_gate(oid) else {
             return ObjectGateExport::default();
         };
         let gate = gate.lock();
         let mut timelines: Vec<(GateBudget, stacl_temporal::TimelineParts)> = gate
             .timelines
+            .0
             .iter()
             .map(|(k, tl)| {
                 let key = match *k {
@@ -927,7 +1030,7 @@ impl ExtendedRbac {
         let mut spatial_ok: Vec<String> = gate
             .spatial_ok
             .iter()
-            .map(|&p| self.perms.resolve(p).to_string())
+            .map(|p| self.perms.resolve(p).to_string())
             .collect();
         spatial_ok.sort_unstable();
         let mut cursor_seeds: Vec<(String, u64)> = gate
@@ -970,7 +1073,7 @@ impl ExtendedRbac {
                 GateBudget::Perm(n) => BudgetKey::Perm(self.perms.intern(n)),
                 GateBudget::Class(n) => BudgetKey::Class(self.class_ids.intern(n)),
             };
-            if gate.timelines.insert(bkey, tl).is_some() {
+            if !gate.timelines.insert(bkey, tl) {
                 return Err(format!("duplicate timeline budget `{}`", key.name()));
             }
         }
@@ -1068,15 +1171,23 @@ impl ExtendedRbac {
                 }
             }
         }
+        let classes: HashMap<Name, (f64, BaseTimeScheme)> = classes
+            .into_iter()
+            .map(|(n, dur, scheme)| {
+                assert!(dur.is_finite() && dur >= 0.0);
+                (stacl_sral::ast::name(n), (dur, scheme))
+            })
+            .collect();
         // Fill the dense permission table for *every* permission (not
-        // lazily, as session rebuilds do): the flip must not pay a
-        // cold-start fill storm. The shared interner keeps `PermId`s
+        // lazily, as session rebuilds do), with budgets resolved against
+        // the incoming classes: the flip must not pay a cold-start fill
+        // storm. The shared interner keeps `PermId`s
         // stable across epochs. While filling, diff each entry against
         // the active table: spatially-identical permissions are marked
         // `carried` so activation can keep their warm state instead of
         // forcing every object through a from-scratch residual check.
         let current = self.perm_table.load();
-        let mut carried = HashSet::new();
+        let mut carried = IdSet::new();
         let mut entries: Vec<Option<Arc<PermEntry>>> = Vec::new();
         for p in model.permissions() {
             let pid = self.perms.intern(&p.name);
@@ -1094,15 +1205,7 @@ impl ExtendedRbac {
             {
                 carried.insert(pid);
             }
-            entries[idx] = Some(Arc::new(PermEntry {
-                name: p.name.clone(),
-                grants: p.grants.clone(),
-                spatial: p.spatial.clone(),
-                scope: p.scope,
-                validity: p.validity,
-                scheme: p.scheme,
-                class: p.class.clone(),
-            }));
+            entries[idx] = Some(Arc::new(PermEntry::new(p, pid, &classes, &self.class_ids)));
         }
         // Warm the compiled-constraint cache: entries inserted now carry
         // the *current* cache epoch, which `begin_epoch`'s two-epoch
@@ -1115,13 +1218,6 @@ impl ExtendedRbac {
                 }
             }
         }
-        let classes = classes
-            .into_iter()
-            .map(|(n, dur, scheme)| {
-                assert!(dur.is_finite() && dur >= 0.0);
-                (stacl_sral::ast::name(n), (dur, scheme))
-            })
-            .collect();
         stacl_obs::count(Counter::EpochPrepare);
         Ok(PreparedEpoch {
             epoch,
@@ -1186,10 +1282,10 @@ impl ExtendedRbac {
         // spatially-unchanged (`carried`) permissions keep theirs, with
         // cursors re-stamped so the fast path stays warm across the
         // flip.
-        for gate in self.gates.read().values() {
+        for gate in self.gates.read().iter().flatten() {
             let mut g = gate.lock();
-            g.spatial_ok.retain(|pid| carried.contains(pid));
-            g.bank.retain_keys(|key| carried.contains(&PermId(key)));
+            g.spatial_ok.intersect_with(&carried);
+            g.bank.retain_keys(|key| carried.contains(PermId(key)));
             g.bank.set_generation_all(generation);
         }
         self.cache.lock().begin_epoch(epoch);
@@ -1695,6 +1791,14 @@ mod tests {
             reuse_spatial: false,
         };
         assert!(x.decide(&req, &proofs, &mut table).is_granted());
+        // Defining the class later rebinds the already-resolved
+        // permission to the class's 5 s budget, activated at t=6.
+        x.define_validity_class("ghost-class", 5.0, BaseTimeScheme::WholeLifetime);
+        let at = |t: f64| AccessRequest { time: tp(t), ..req };
+        assert!(x.decide(&at(6.0), &proofs, &mut table).is_granted());
+        let d = x.decide(&at(12.0), &proofs, &mut table);
+        assert_eq!(d.kind, DecisionKind::DeniedTemporal, "{d:?}");
+        assert!(d.reason_str().contains("dur=5"), "{d:?}");
     }
 
     #[test]

@@ -22,10 +22,10 @@
 
 use std::sync::Arc;
 
+use stacl_ids::hash::{fnv_hash_one, FnvHashMap};
 use stacl_sral::Program;
 use stacl_trace::abstraction::{traces, AbstractionConfig};
 use stacl_trace::dfa::{advance, ProductMode};
-use stacl_trace::hash::{fnv_hash_one, FnvHashMap};
 use stacl_trace::{AccessTable, Dfa, Trace};
 
 use crate::ast::Constraint;

@@ -35,7 +35,7 @@
 //! outside the map's domain; consumers must **decline** (fall back to
 //! the slow path) on them, mirroring the cursor's table-version rule.
 
-use stacl_trace::hash::FnvHashMap;
+use stacl_ids::hash::FnvHashMap;
 use stacl_trace::{AccessId, AccessTable, Alphabet, Trace};
 
 use crate::ast::Constraint;

@@ -10,11 +10,11 @@
 
 use std::collections::VecDeque;
 
-use crate::hash::FnvHashMap;
 use crate::nfa::Nfa;
 use crate::regex::Regex;
 use crate::symbol::Alphabet;
 use crate::trace::Trace;
+use stacl_ids::hash::FnvHashMap;
 
 /// How to combine acceptance in a product construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -585,7 +585,7 @@ impl Dfa {
     /// collisions, which [`Dfa::same_structure`] resolves).
     pub fn structural_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
-        let mut h = crate::hash::FnvHasher::default();
+        let mut h = stacl_ids::hash::FnvHasher::default();
         for id in self.alphabet.ids() {
             id.0.hash(&mut h);
         }

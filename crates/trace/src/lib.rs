@@ -52,7 +52,6 @@ pub mod abstraction;
 pub mod dfa;
 pub mod enumerate;
 pub mod extract;
-pub mod hash;
 pub mod model;
 pub mod nfa;
 pub mod regex;

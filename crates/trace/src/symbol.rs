@@ -5,10 +5,10 @@
 //! into an [`AccessTable`], and all traces, regexes and automata operate on
 //! [`AccessId`]s — plain `u32`s that index dense transition tables.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use stacl_ids::hash::FnvHashMap;
 use stacl_sral::Access;
 
 /// Global source of table-version stamps. Every *mutation* of any
@@ -42,7 +42,7 @@ impl fmt::Display for AccessId {
 /// so they can be stored in long-lived traces, proofs and automata.
 #[derive(Clone, Default, Debug)]
 pub struct AccessTable {
-    by_access: HashMap<Access, AccessId>,
+    by_access: FnvHashMap<Access, AccessId>,
     by_id: Vec<Access>,
     /// Lineage stamp: 0 for a fresh empty table, otherwise the globally
     /// unique value drawn by the table's most recent new interning.
@@ -129,7 +129,7 @@ impl AccessTable {
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct Alphabet {
     ids: Vec<AccessId>,
-    index: HashMap<AccessId, u32>,
+    index: FnvHashMap<AccessId, u32>,
 }
 
 impl Alphabet {
