@@ -51,5 +51,5 @@ pub use event::EventQueue;
 pub use ledger::{Ledger, LedgerEntry, LedgerKind};
 pub use log::{AccessLog, Decision, DecisionKind, Verdict};
 pub use placement::Placement;
-pub use proof::{ExecutionProof, ProofStore};
+pub use proof::{ExecutionProof, ProofStore, ShardRef};
 pub use signal::SignalBoard;

@@ -135,6 +135,24 @@ impl<'a> History<'a> {
 
 type Shard = Arc<RwLock<ShardState>>;
 
+/// A resolved handle on one object's shard, for a caller that reads the
+/// same object's history on every decision: reading through it skips
+/// the shard-map read lock and the name hash. It is valid only for the
+/// store that resolved it (a store never replaces or removes a shard),
+/// so it also remembers that store, and
+/// [`ProofStore::read_history_via`] re-resolves a handle from any other.
+pub struct ShardRef {
+    store: Arc<Inner>,
+    shard: Shard,
+}
+
+/// Opaque: printing the store behind the handle would dump every shard.
+impl std::fmt::Debug for ShardRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardRef").finish_non_exhaustive()
+    }
+}
+
 #[derive(Default, Debug)]
 struct Inner {
     /// Global issue counter: proofs across all shards are totally ordered
@@ -252,6 +270,32 @@ impl ProofStore {
         let shards = self.inner.shards.read();
         match shards.get(object) {
             Some(s) => f(History(Some(&s.read()))),
+            None => f(History(None)),
+        }
+    }
+
+    /// [`ProofStore::read_history`] through a handle the caller keeps
+    /// across calls. A handle resolved from another store (or none yet) is
+    /// re-resolved first, so the view is always this store's: a cursor
+    /// built against a swapped store still sees this store's watermark.
+    /// An object without proofs has no shard yet, and so no handle.
+    pub fn read_history_via<R>(
+        &self,
+        object: &str,
+        cached: &mut Option<ShardRef>,
+        f: impl FnOnce(History<'_>) -> R,
+    ) -> R {
+        if !cached
+            .as_ref()
+            .is_some_and(|s| Arc::ptr_eq(&s.store, &self.inner))
+        {
+            *cached = self.shard(object).map(|shard| ShardRef {
+                store: Arc::clone(&self.inner),
+                shard,
+            });
+        }
+        match cached {
+            Some(s) => f(History(Some(&s.shard.read()))),
             None => f(History(None)),
         }
     }
@@ -403,6 +447,31 @@ mod tests {
             assert_eq!(h.watermark(), 0);
             assert_eq!(h.suffix(0).count(), 0);
         });
+    }
+
+    #[test]
+    fn cached_shard_handle_follows_the_store() {
+        let a = ProofStore::new();
+        let b = ProofStore::new();
+        let mut cached = None;
+        assert_eq!(a.read_history_via("o", &mut cached, |h| h.watermark()), 0);
+        assert!(cached.is_none(), "no shard before the first issue");
+        a.issue("o", Access::new("x", "r", "s1"), tp(0.0));
+        a.issue("o", Access::new("y", "r", "s1"), tp(1.0));
+        assert_eq!(a.read_history_via("o", &mut cached, |h| h.watermark()), 2);
+        // A clone shares the store, so the handle stays valid.
+        a.issue("o", Access::new("z", "r", "s1"), tp(2.0));
+        assert_eq!(
+            a.clone()
+                .read_history_via("o", &mut cached, |h| h.watermark()),
+            3
+        );
+        // Another store re-resolves: its own (empty, then one-proof) view.
+        assert_eq!(b.read_history_via("o", &mut cached, |h| h.watermark()), 0);
+        b.issue("o", Access::new("w", "r", "s2"), tp(0.0));
+        let seen: Vec<Access> =
+            b.read_history_via("o", &mut cached, |h| h.suffix(0).cloned().collect());
+        assert_eq!(seen, vec![Access::new("w", "r", "s2")]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::fmt;
 use std::sync::{
-    Arc, Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
+    Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
@@ -88,52 +88,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// A read-mostly published value: the std-only stand-in for an
-/// epoch/arc-swap cell. Readers take a briefly-held shared lock to bump
-/// an `Arc` refcount and then work entirely lock-free on an immutable
-/// snapshot; writers build a replacement off to the side and `publish`
-/// it atomically. Readers holding older snapshots are unaffected — they
-/// simply keep the epoch they loaded.
-///
-/// Intended for state that is read on every decision but mutated only
-/// at policy-load/enroll frequency (e.g. the dense permission table).
-pub struct Snapshot<T> {
-    inner: RwLock<Arc<T>>,
-}
-
-impl<T> Snapshot<T> {
-    /// Publish an initial value.
-    pub fn new(value: T) -> Self {
-        Snapshot {
-            inner: RwLock::new(Arc::new(value)),
-        }
-    }
-
-    /// Load the current snapshot (an `Arc` bump; never blocks on
-    /// readers, and on writers only for the duration of a pointer swap).
-    pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.inner.read())
-    }
-
-    /// Atomically replace the published value. Existing loaded snapshots
-    /// keep the epoch they saw.
-    pub fn publish(&self, value: T) {
-        *self.inner.write() = Arc::new(value);
-    }
-}
-
-impl<T: Default> Default for Snapshot<T> {
-    fn default() -> Self {
-        Snapshot::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Snapshot<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Snapshot").field(&self.load()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,33 +105,6 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
-    }
-
-    #[test]
-    fn snapshot_readers_keep_their_epoch() {
-        let s = Snapshot::new(vec![1, 2]);
-        let epoch1 = s.load();
-        s.publish(vec![3]);
-        // The old reader still sees its epoch; new loads see the new one.
-        assert_eq!(*epoch1, vec![1, 2]);
-        assert_eq!(*s.load(), vec![3]);
-    }
-
-    #[test]
-    fn snapshot_is_shareable_across_threads() {
-        let s = std::sync::Arc::new(Snapshot::new(0u64));
-        let mut handles = Vec::new();
-        for i in 1..=4u64 {
-            let s = std::sync::Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                s.publish(i);
-                *s.load()
-            }));
-        }
-        for h in handles {
-            let seen = h.join().unwrap();
-            assert!((1..=4).contains(&seen));
-        }
     }
 
     #[test]

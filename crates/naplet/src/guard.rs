@@ -7,10 +7,9 @@
 //! guard also sees the proof store (the object's cross-server history) and
 //! may record state of its own.
 //!
-//! [`CoordinatedGuard`] keeps its per-object state (open session, clean
-//! record) in **per-object shards** behind fine-grained locks and exposes
-//! a `&self` decision path ([`CoordinatedGuard::decide`]), so one guard
-//! can serve concurrent per-object request streams; the
+//! [`CoordinatedGuard`] keeps one record per object (its open session)
+//! and exposes a `&self` decision path ([`CoordinatedGuard::decide`]), so
+//! one guard can serve concurrent per-object request streams; the
 //! [`SecurityGuard`] impl is a thin `&mut` adapter over it. The decision
 //! core itself is `&self` too ([`ExtendedRbac::decide`]), held behind a
 //! read-write lock that decisions only *read* — writers are the rare
@@ -28,7 +27,7 @@ use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// One interception: everything a guard may consult.
 pub struct GuardRequest<'a> {
@@ -130,16 +129,6 @@ pub struct ObjectHandoff {
     pub gate: ObjectGateExport,
 }
 
-/// Per-object guard state, one shard per enrolled object.
-#[derive(Debug)]
-struct ObjectState {
-    /// The object's open session, established on first contact.
-    session: Option<SessionId>,
-    /// True while every decision so far was a grant — the condition under
-    /// which preventive-mode spatial approvals may be reused.
-    clean: bool,
-}
-
 /// The coordinated guard: extended RBAC with spatio-temporal constraints
 /// (the paper's model, end to end).
 ///
@@ -147,24 +136,26 @@ struct ObjectState {
 /// opens a session and activates the roles registered for the object via
 /// [`CoordinatedGuard::enroll`].
 ///
-/// All state lives behind interior locks: each object's session/clean
-/// record in its own shard, the decision core behind a read-write lock
-/// that the decide path only ever *reads* (the core's own per-object
-/// gates provide mutual exclusion where it matters — see
-/// `ExtendedRbac`'s module docs). The real decision path is the `&self`
+/// All state lives behind interior locks: each object's session record
+/// in the `objects` map, the decision core behind a read-write lock that
+/// the decide path only ever *reads* (the core's own per-object gates
+/// provide mutual exclusion where it matters, and keep the object's
+/// clean record — see `ExtendedRbac`'s module docs). The real decision
+/// path is the `&self`
 /// [`CoordinatedGuard::decide`]; [`SecurityGuard::check`] simply
 /// forwards to it.
 pub struct CoordinatedGuard {
     /// The decision core. Decisions take the read lock; policy mutations
     /// ([`CoordinatedGuard::with_rbac`]) and first-contact session opens
-    /// take the write lock. Lock order: object shard first, then this —
+    /// take the write lock. Lock order: `objects` first, then this —
     /// never the reverse.
     rbac: RwLock<ExtendedRbac>,
     /// object → roles to activate on first contact.
     enrollments: RwLock<FnvHashMap<Name, Vec<Name>>>,
-    /// object → its guard-state shard (created lazily, only for enrolled
-    /// objects).
-    objects: RwLock<FnvHashMap<Name, Arc<Mutex<ObjectState>>>>,
+    /// object → its session, set once on first contact (records are
+    /// created lazily, only for enrolled objects). A decision borrows its
+    /// record under the read lock for its whole length.
+    objects: RwLock<FnvHashMap<Name, OnceLock<SessionId>>>,
     mode: EnforcementMode,
     /// Whether monotone approval reuse is enabled (on by default; turn
     /// off to measure the unoptimised Eq. 3.1 gate — see E10).
@@ -248,27 +239,36 @@ impl CoordinatedGuard {
         f(&self.rbac.read())
     }
 
-    /// The state shard for `object`, created on first contact — but only
-    /// for enrolled objects, so strangers cannot grow the shard map.
-    fn object_state(&self, object: &str) -> Option<Arc<Mutex<ObjectState>>> {
-        if let Some(s) = self.objects.read().get(object) {
-            return Some(Arc::clone(s));
-        }
-        if !self.enrollments.read().contains_key(object) {
-            return None;
-        }
-        let mut map = self.objects.write();
-        Some(Arc::clone(map.entry(name(object)).or_insert_with(|| {
-            Arc::new(Mutex::new(ObjectState {
-                session: None,
-                clean: true,
-            }))
-        })))
+    /// Whether `object` was enrolled on this guard.
+    fn is_enrolled(&self, object: &str) -> bool {
+        self.enrollments.read().contains_key(object)
     }
 
-    /// Open the object's session and activate its enrolled roles. Called
-    /// under the object's shard lock with the rbac lock held.
-    fn open_session_for(&self, rbac: &mut ExtendedRbac, object: &str) -> Option<SessionId> {
+    /// Run `f` on `object`'s session record, borrowed under the `objects`
+    /// read lock. The record is created on first contact — but only for
+    /// enrolled objects, so strangers cannot grow the map.
+    fn with_record<R>(&self, object: &str, f: impl FnOnce(&OnceLock<SessionId>) -> R) -> Option<R> {
+        if let Some(record) = self.objects.read().get(object) {
+            return Some(f(record));
+        }
+        if !self.is_enrolled(object) {
+            return None;
+        }
+        self.objects.write().entry(name(object)).or_default();
+        self.objects.read().get(object).map(f)
+    }
+
+    /// First contact: open the object's session, activate its enrolled
+    /// roles and record the session. Session open mutates the core, so
+    /// this takes the core's write lock, released before the decision
+    /// proper.
+    fn open_session(&self, record: &OnceLock<SessionId>, object: &str) -> Option<SessionId> {
+        let mut rbac = self.rbac.write();
+        // Re-check under the write lock: a racing first contact may have
+        // opened the session while this one waited for the lock.
+        if let Some(&sid) = record.get() {
+            return Some(sid);
+        }
         let enrollments = self.enrollments.read();
         let roles = enrollments.get(object)?;
         let sid = rbac.open_session(object, vec![]).ok()?;
@@ -277,6 +277,8 @@ impl CoordinatedGuard {
             // object then simply lacks those permissions.
             let _ = rbac.activate_role(sid, role);
         }
+        // Every setter holds the write lock, so this is the only set.
+        let _ = record.set(sid);
         Some(sid)
     }
 
@@ -387,11 +389,10 @@ impl CoordinatedGuard {
     /// member stops answering for the object the moment the export is
     /// taken (fail-safe — during the transfer *nobody* grants).
     pub fn export_object(&self, object: &str) -> ObjectHandoff {
-        let clean = self
-            .object_state(object)
-            .map(|st| st.lock().clean)
-            .unwrap_or(true);
-        let gate = self.rbac.read().export_gate(object);
+        let (clean, gate) = {
+            let rbac = self.rbac.read();
+            (rbac.object_clean(object), rbac.export_gate(object))
+        };
         self.custody.write().insert(name(object), Custody::Remote);
         ObjectHandoff { clean, gate }
     }
@@ -400,7 +401,7 @@ impl CoordinatedGuard {
     /// custody. Fails (leaving custody unclaimed) if the object is not
     /// enrolled here or the handoff is malformed.
     pub fn import_object(&self, object: &str, handoff: &ObjectHandoff) -> Result<(), String> {
-        let Some(state) = self.object_state(object) else {
+        if !self.is_enrolled(object) {
             // A custody-only move: the previous custodian held residency
             // but no decision state (never enrolled, never decided — the
             // common case for the cold majority of a million-object
@@ -411,9 +412,10 @@ impl CoordinatedGuard {
                 return Ok(());
             }
             return Err(format!("object `{object}` is not enrolled on this member"));
-        };
-        self.rbac.read().import_gate(object, &handoff.gate)?;
-        state.lock().clean = handoff.clean;
+        }
+        self.rbac
+            .read()
+            .import_gate(object, &handoff.gate, handoff.clean)?;
         // An explicit import is authoritative: the previous custodian
         // already released, so residency transfers even if the ring says
         // this member is not the home (a rebalance drain will move it).
@@ -422,9 +424,9 @@ impl CoordinatedGuard {
     }
 
     /// The `&self` decision path. Decisions for one object serialize on
-    /// that object's shard; the decision core is only *read*-locked (its
-    /// own per-object gates serialize what must be), so decisions for
-    /// distinct objects run concurrently. In the steady state (session
+    /// that object's gate inside the core; the guard's maps and the core
+    /// are only *read*-locked, so decisions for distinct objects run
+    /// concurrently. In the steady state (session
     /// open, cursor warm or approvals reusable) a granted decision
     /// allocates nothing.
     pub fn decide(
@@ -460,45 +462,36 @@ impl CoordinatedGuard {
                 .with_epoch(self.rbac.read().epoch());
             }
         }
-        let Some(state) = self.object_state(req.object) else {
-            return DecisionKind::DeniedNoPermission.into();
-        };
-        // Lock order: object shard, then the rbac core.
-        let mut st = state.lock();
-        let sid = match st.session {
-            Some(sid) => sid,
-            None => {
-                // First contact: session open mutates the core — brief
-                // write lock, released before the decision proper.
-                let mut rbac = self.rbac.write();
-                let Some(sid) = self.open_session_for(&mut rbac, req.object) else {
-                    return DecisionKind::DeniedNoPermission.into();
-                };
-                st.session = Some(sid);
-                sid
+        // Lock order: `objects` (held for the whole decision), then the
+        // rbac core.
+        self.with_record(req.object, |record| {
+            let Some(sid) = record
+                .get()
+                .copied()
+                .or_else(|| self.open_session(record, req.object))
+            else {
+                return DecisionKind::DeniedNoPermission.into();
+            };
+            let rbac = self.rbac.read();
+            let request = AccessRequest {
+                object: req.object,
+                session: sid,
+                access: req.access,
+                program: req.remaining,
+                time: req.time,
+                // Spatial approvals are monotone along clean preventive
+                // execution; the core checks the object's clean record
+                // (see `AccessRequest::reuse_spatial`).
+                reuse_spatial: self.approval_reuse && self.mode == EnforcementMode::Preventive,
+            };
+            match self.mode {
+                EnforcementMode::Preventive => rbac.decide(&request, proofs, table),
+                // In reactive mode only the attempted access itself is
+                // declared.
+                EnforcementMode::Reactive => rbac.decide_reactive(&request, proofs, table),
             }
-        };
-        let rbac = self.rbac.read();
-        // Spatial approvals are monotone along clean preventive execution
-        // (see `AccessRequest::reuse_spatial`).
-        let object_clean = st.clean;
-        let request = AccessRequest {
-            object: req.object,
-            session: sid,
-            access: req.access,
-            program: req.remaining,
-            time: req.time,
-            reuse_spatial: self.approval_reuse
-                && self.mode == EnforcementMode::Preventive
-                && object_clean,
-        };
-        let decision = match self.mode {
-            EnforcementMode::Preventive => rbac.decide(&request, proofs, table),
-            // In reactive mode only the attempted access itself is declared.
-            EnforcementMode::Reactive => rbac.decide_reactive(&request, proofs, table),
-        };
-        st.clean = object_clean && decision.is_granted();
-        decision
+        })
+        .unwrap_or_else(|| DecisionKind::DeniedNoPermission.into())
     }
 
     /// `&self` arrival notification (see [`SecurityGuard::note_arrival`]).
@@ -855,6 +848,85 @@ mod tests {
         g_other.import_object("n1", &h).expect("import off-home");
         assert_eq!(g_other.custody_of("n1"), Custody::Resident);
         assert_eq!(g_other.resident_objects(), vec!["n1".to_string()]);
+    }
+
+    /// The clean record lives in the core's object gate: a denial clears
+    /// it, an all-grant history keeps it, and a handoff carries it both
+    /// ways. An importer whose record is dirty reuses no approval.
+    #[test]
+    fn clean_record_travels_with_the_handoff() {
+        use stacl_srac::parser::parse_constraint;
+        use stacl_sral::builder::seq;
+        fn guard() -> CoordinatedGuard {
+            let mut m = RbacModel::new();
+            m.add_user("n1");
+            m.add_role("r");
+            m.add_permission(
+                Permission::new("p", AccessPattern::parse("exec:rsw:*").unwrap())
+                    .with_spatial(parse_constraint("count(0, 2, resource=rsw)").unwrap()),
+            )
+            .unwrap();
+            m.assign_permission("r", "p").unwrap();
+            m.assign_user("n1", "r").unwrap();
+            // Preventive mode (the default), approval reuse on.
+            let g = CoordinatedGuard::new(ExtendedRbac::new(m));
+            g.enroll("n1", ["r"]);
+            g
+        }
+        let proofs = ProofStore::new();
+        let mut table = AccessTable::new();
+        let mut decide = |g: &CoordinatedGuard, a: &Access, remaining: &Program| {
+            let req = GuardRequest {
+                object: "n1",
+                access: a,
+                remaining,
+                time: tp(0.0),
+            };
+            g.decide(&req, &proofs, &mut table)
+        };
+        let exec = Access::new("exec", "rsw", "s1");
+        let once = access("exec", "rsw", "s1");
+        // Three accesses against a cap of two: only a reused approval
+        // grants this program.
+        let thrice = seq([once.clone(), once.clone(), once.clone()]);
+        let read = Access::new("read", "db", "s1");
+
+        // All grants: the record stays clean through export and import.
+        let g = guard();
+        assert!(decide(&g, &exec, &once).is_granted());
+        let h = g.export_object("n1");
+        assert!(h.clean);
+        let g2 = guard();
+        g2.import_object("n1", &h).unwrap();
+        assert!(g2.export_object("n1").clean);
+
+        // One denial makes it dirty; the approval for `p` stays recorded.
+        let g = guard();
+        assert!(decide(&g, &exec, &once).is_granted());
+        assert_eq!(
+            decide(&g, &read, &access("read", "db", "s1")).kind,
+            DecisionKind::DeniedNoPermission
+        );
+        let h = g.export_object("n1");
+        assert!(!h.clean);
+        assert_eq!(h.gate.spatial_ok, vec!["p".to_string()]);
+        let g2 = guard();
+        g2.import_object("n1", &h).unwrap();
+        assert!(!g2.export_object("n1").clean, "import restores the record");
+        // The dirty importer checks the program afresh instead of
+        // reusing the approval ...
+        assert_eq!(
+            decide(&g2, &exec, &thrice).kind,
+            DecisionKind::DeniedSpatial
+        );
+        // ... where a clean one reuses it.
+        let g3 = guard();
+        let clean = ObjectHandoff {
+            clean: true,
+            gate: h.gate.clone(),
+        };
+        g3.import_object("n1", &clean).unwrap();
+        assert!(decide(&g3, &exec, &thrice).is_granted());
     }
 
     #[test]

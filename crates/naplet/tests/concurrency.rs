@@ -5,14 +5,14 @@
 //! its own shard, so cross-object interleaving cannot leak into any
 //! object's decisions.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use stacl_coalition::ProofStore;
 use stacl_ids::sync::Mutex;
 use stacl_naplet::guard::{CoordinatedGuard, GuardRequest, SecurityGuard};
 use stacl_naplet::prelude::*;
 use stacl_rbac::policy::parse_policy;
-use stacl_rbac::ExtendedRbac;
+use stacl_rbac::{ExtendedRbac, SessionId};
 use stacl_sral::Access;
 use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
@@ -359,5 +359,96 @@ fn mixed_enroll_decide_arrival_interleaving_matches_sequential() {
         });
         let conc: Vec<Vec<String>> = logs.into_iter().map(|m| m.into_inner()).collect();
         assert_eq!(seq, conc, "mixed per-object logs must be identical");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Racing first contact: one session per object, whoever wins the race.
+// ---------------------------------------------------------------------
+
+const RACERS: usize = 8;
+
+/// One enrolled object whose permission has no spatial or temporal
+/// constraint, so a verdict depends only on whether the access is
+/// covered, never on the order of the racing decisions. The object
+/// activates many roles on first contact: a long session open keeps the
+/// race window wide, so racers reliably find the session unopened.
+fn first_contact_guard() -> CoordinatedGuard {
+    const ROLES: usize = 64;
+    let mut policy = String::from("user n0\npermission p grants=exec:rsw:*\n");
+    for r in 0..ROLES {
+        policy.push_str(&format!("role r{r}\ngrant r{r} p\nassign n0 r{r}\n"));
+    }
+    let guard = CoordinatedGuard::new(ExtendedRbac::new(parse_policy(&policy).unwrap()))
+        .with_mode(EnforcementMode::Reactive);
+    guard.enroll("n0", (0..ROLES).map(|r| format!("r{r}")));
+    guard
+}
+
+/// Racer `i`'s decision: even racers ask for a covered access, odd
+/// racers for an uncovered one.
+fn racer_verdict(
+    guard: &CoordinatedGuard,
+    i: usize,
+    proofs: &ProofStore,
+    table: &mut AccessTable,
+) -> String {
+    let a = if i.is_multiple_of(2) {
+        Access::new("exec", "rsw", format!("s{i}"))
+    } else {
+        Access::new("read", "db", format!("s{i}"))
+    };
+    let remaining = stacl_sral::Program::Access(a.clone());
+    let req = GuardRequest {
+        object: "n0",
+        access: &a,
+        remaining: &remaining,
+        time: TimePoint::new(0.0),
+    };
+    guard.decide(&req, proofs, table).to_string()
+}
+
+/// Eight threads make a freshly enrolled object's first contact at
+/// once. The guard re-checks the object's session under the core's
+/// write lock, so exactly one session is opened, and every verdict is
+/// the one the sequential run gives.
+#[test]
+fn racing_first_contact_opens_one_session() {
+    let seq: Vec<String> = {
+        let guard = first_contact_guard();
+        let proofs = ProofStore::new();
+        let mut table = AccessTable::new();
+        (0..RACERS)
+            .map(|i| racer_verdict(&guard, i, &proofs, &mut table))
+            .collect()
+    };
+    assert!(seq.iter().any(|v| v.contains("granted")));
+    assert!(seq.iter().any(|v| v.contains("denied-no-permission")));
+
+    for _ in 0..50 {
+        let guard = first_contact_guard();
+        let proofs = ProofStore::new();
+        let start = Barrier::new(RACERS);
+        let verdicts: Vec<String> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|i| {
+                    let (guard, proofs, start) = (&guard, &proofs, &start);
+                    scope.spawn(move || {
+                        let mut table = AccessTable::new();
+                        start.wait();
+                        racer_verdict(guard, i, proofs, &mut table)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(verdicts, seq, "racing verdicts must match sequential");
+        guard.with_rbac_read(|rbac| {
+            assert!(rbac.session(SessionId(0)).is_some(), "no session opened");
+            assert!(
+                rbac.session(SessionId(1)).is_none(),
+                "racing first contacts opened a second session"
+            );
+        });
     }
 }

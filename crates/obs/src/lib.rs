@@ -89,7 +89,9 @@ pub enum Counter {
     CacheHit,
     /// Constraint-compilation cache miss (DFA compiled and inserted).
     CacheMiss,
-    /// Read-mostly `Snapshot<PermTable>` rebuilt after a model change.
+    /// A session's decision view (candidates with their permission-table
+    /// entries) rebuilt: on first contact, after a role activation or a
+    /// policy change.
     SnapshotRebuild,
     /// A proof was appended to an object shard, advancing its watermark.
     WatermarkAdvance,

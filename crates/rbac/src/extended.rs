@@ -20,31 +20,32 @@
 //! Names cross this API as strings exactly once — at policy-load,
 //! session-open or first contact — and are interned into dense
 //! [`ObjectId`]/[`PermId`]/[`ClassId`] indices. The per-access gate then
-//! works entirely on machine words: candidate permissions and the
-//! object's gate handle come from a generation-validated per-session
-//! view (a `Vec` slot per session), permission attributes — validity
-//! class already resolved — from a dense table indexed by `PermId`,
-//! spatial approvals from a `PermId` bitset and validity timelines from
-//! a short per-object list. Nothing on the warm path hashes.
+//! works entirely on machine words: candidate permissions — each with
+//! its attributes, validity class already resolved — and the object's
+//! gate handle come from a generation-validated per-session view (a
+//! `Vec` slot per session), spatial approvals from a `PermId` bitset and
+//! validity timelines from a short per-object list. Nothing on the warm
+//! path hashes.
 //! In the steady state (approvals reusable, timelines warm) a granted
 //! decision performs **zero heap allocations**.
 //!
 //! ## The concurrent decision path
 //!
 //! [`ExtendedRbac::decide`] takes `&self`: decisions for *distinct*
-//! objects never contend. Read-mostly policy state (the dense permission
-//! table) is published as an epoch-style [`Snapshot`] that readers load
-//! with an `Arc` bump; per-object mutable state (validity timelines,
-//! arrival log, spatial approvals, incremental constraint cursors) lives
-//! in one [`ObjectGate`] shard per object behind its own lock. Policy
-//! mutations (`&mut` methods behind the guard's write lock) publish new
-//! snapshots; the [`RbacModel::generation`] stamp invalidates everything
+//! objects never contend. A decision borrows its session view under the
+//! view map's read lock; per-object mutable state (validity timelines,
+//! arrival log, spatial approvals, the clean record, incremental
+//! constraint cursors and a cached proof-shard handle) lives in one
+//! [`ObjectGate`] shard per object behind its own lock. The dense
+//! permission table is read only when a view is rebuilt. Policy
+//! mutations (`&mut` methods behind the guard's write lock) drop the
+//! views; the [`RbacModel::generation`] stamp invalidates everything
 //! derived.
 //!
-//! Lock order inside a decision: object gate → permission snapshot /
-//! session-view map reads → proof-store shard read → constraint cache.
-//! The rebuild mutex serialises snapshot publication and is never taken
-//! while a gate is held by the same thread after the candidate lookup.
+//! Lock order inside a decision: session-view map read → object gate →
+//! proof-store shard read → constraint cache. A view rebuild (permission
+//! table mutex, then the `gates` and view-map write locks) runs before
+//! the view map is read-locked, never under it.
 //!
 //! ## The incremental fast path
 //!
@@ -67,8 +68,8 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use stacl_coalition::{DecisionKind, ProofStore, Verdict};
-use stacl_ids::sync::{Mutex, RwLock, Snapshot};
+use stacl_coalition::{DecisionKind, ProofStore, ShardRef, Verdict};
+use stacl_ids::sync::{Mutex, RwLock};
 use stacl_ids::{ClassId, IdKind, IdSet, Interner, ObjectId, PermId};
 use stacl_obs::Counter;
 use stacl_srac::check::{check_residual_cached, ConstraintCache, Semantics};
@@ -115,8 +116,10 @@ pub struct AccessRequest<'a> {
     /// (b) every prior decision for the object was a grant — then every
     /// future full trace was already covered by the original ∀-check
     /// (Eq. 3.1's "the permission stays active"). The caller asserts
-    /// those conditions; the Naplet guard does so in preventive mode
-    /// while the object's record is clean.
+    /// (a); the Naplet guard does so in preventive mode. The gate checks
+    /// (b) itself: it keeps the object's clean record (see
+    /// [`ExtendedRbac::object_clean`]) and reuses nothing once any
+    /// decision for the object was denied.
     pub reuse_spatial: bool,
 }
 
@@ -200,21 +203,25 @@ impl PermEntry {
 }
 
 /// The cached decision view of one session, valid for one model
-/// generation: its candidate permissions and the gate shard of the
-/// session's object (a session's user is fixed, and gate handles are
-/// never replaced — see [`ExtendedRbac::import_gate`]).
+/// generation: its candidate permissions with their table entries, and
+/// the gate shard of the session's object (a session's user is fixed,
+/// and gate handles are never replaced — see
+/// [`ExtendedRbac::import_gate`]). Anything that changes an entry in
+/// place ([`ExtendedRbac::define_validity_class`],
+/// [`ExtendedRbac::activate_epoch`]) drops every view.
 #[derive(Debug)]
 struct SessionView {
     generation: u64,
-    perms: Vec<PermId>,
+    /// The epoch of the permission table the entries came from.
+    epoch: stacl_ids::PolicyEpoch,
+    perms: Vec<(PermId, Arc<PermEntry>)>,
     gate: Arc<Mutex<ObjectGate>>,
 }
 
-/// The dense `PermId`-indexed permission table, published as a
-/// read-mostly [`Snapshot`]: decisions load it with an `Arc` bump and
-/// read it lock-free; candidate rebuilds copy-modify-publish under the
-/// rebuild mutex. Entries are `Arc`s so the copy is shallow.
-#[derive(Clone, Debug, Default)]
+/// The dense `PermId`-indexed permission table. Only session-view
+/// rebuilds and epoch preparation read it; a decision reads its view's
+/// copies of the entries. Entries are `Arc`s so a view shares them.
+#[derive(Debug, Default)]
 struct PermTable {
     /// The model generation the entries were filled against.
     generation: u64,
@@ -267,8 +274,12 @@ impl Timelines {
 
 /// All per-object mutable decision state, one shard per object: two
 /// decisions contend only when they concern the *same* object.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ObjectGate {
+    /// True while every decision for the object was a grant — the
+    /// condition under which spatial approvals may be reused (see
+    /// [`AccessRequest::reuse_spatial`]).
+    clean: bool,
     /// budget → validity timeline.
     timelines: Timelines,
     /// Recorded server-arrival times (replayed into new timelines so
@@ -283,6 +294,21 @@ struct ObjectGate {
     /// flat sweep ([`CursorBank::advance_synced`]). Each cursor's
     /// model-generation stamp lives in the bank entry.
     bank: CursorBank,
+    /// The object's proof shard in the store the fast path last read.
+    shard: Option<ShardRef>,
+}
+
+impl Default for ObjectGate {
+    fn default() -> Self {
+        ObjectGate {
+            clean: true,
+            timelines: Timelines::default(),
+            arrivals: Vec::new(),
+            spatial_ok: IdSet::new(),
+            bank: CursorBank::default(),
+            shard: None,
+        }
+    }
 }
 
 /// Which budget a timeline in an [`ObjectGateExport`] draws from. Keyed
@@ -404,14 +430,11 @@ pub struct ExtendedRbac {
     perms: Interner<PermId>,
     /// Validity-class name interner.
     class_ids: Interner<ClassId>,
-    /// The published permission table (read-mostly snapshot).
-    perm_table: Snapshot<PermTable>,
-    /// Serialises `perm_table` copy-modify-publish cycles so concurrent
-    /// rebuilds cannot lose each other's entries.
-    rebuild: Mutex<()>,
-    /// session index → generation-validated candidate `PermId` list (in
+    /// The dense permission table, filled lazily by view rebuilds.
+    perm_table: Mutex<PermTable>,
+    /// session index → generation-validated candidate list (in
     /// permission-name order) plus the session object's gate handle.
-    session_views: RwLock<Vec<Option<Arc<SessionView>>>>,
+    session_views: RwLock<Vec<Option<SessionView>>>,
     /// `ObjectId` index → its decision-state shard (created on first
     /// decision).
     gates: RwLock<Vec<Option<Arc<Mutex<ObjectGate>>>>>,
@@ -437,8 +460,7 @@ impl Default for ExtendedRbac {
             objects: Interner::default(),
             perms: Interner::default(),
             class_ids: Interner::default(),
-            perm_table: Snapshot::default(),
-            rebuild: Mutex::new(()),
+            perm_table: Mutex::default(),
             session_views: RwLock::new(Vec::new()),
             gates: RwLock::new(Vec::new()),
             cache: Mutex::new(ConstraintCache::new()),
@@ -526,10 +548,10 @@ impl ExtendedRbac {
         let class = stacl_sral::ast::name(name_);
         self.classes.insert(class.clone(), (dur_seconds, scheme));
         // Entries resolved before this definition drew from the old
-        // duration (or, for a new class, from their own budgets).
+        // duration (or, for a new class, from their own budgets). Views
+        // hold their own copies of the entries, so they go too.
         let budget = BudgetKey::Class(self.class_ids.intern(&class));
-        let mut pt = (*self.perm_table.load()).clone();
-        for e in pt.entries.iter_mut().flatten() {
+        for e in self.perm_table.get_mut().entries.iter_mut().flatten() {
             if e.class.as_ref() == Some(&class) {
                 *e = Arc::new(PermEntry {
                     budget,
@@ -539,7 +561,7 @@ impl ExtendedRbac {
                 });
             }
         }
-        self.perm_table.publish(pt);
+        self.session_views.get_mut().clear();
     }
 
     /// Look up a validity class.
@@ -594,23 +616,13 @@ impl ExtendedRbac {
             .map(Arc::clone)
     }
 
-    /// The decision view of a session — candidate `PermId` list and the
-    /// object's gate handle — rebuilt when the model generation moved (or
-    /// on the session's first decide / after a role activation). Steady
-    /// state: one read-locked `Vec` slot + an `Arc` bump, with no
-    /// hashing at all. Rebuilds copy-modify-publish a new
-    /// permission-table snapshot under the rebuild mutex; readers are
-    /// never blocked.
-    fn session_view(&self, sid: SessionId) -> Option<Arc<SessionView>> {
-        let generation = self.model.generation();
-        let slot = session_slot(sid)?;
-        if let Some(Some(sp)) = self.session_views.read().get(slot) {
-            if sp.generation == generation {
-                return Some(Arc::clone(sp));
-            }
-        }
-        let _rebuilding = self.rebuild.lock();
-        let mut pt = (*self.perm_table.load()).clone();
+    /// Rebuild the decision view of the session in `slot` — its
+    /// candidates with their table entries and the object's gate handle
+    /// — for the current model `generation`. Runs on the session's first
+    /// decide, after a role activation and after any policy change; the
+    /// warm path only reads the view.
+    fn rebuild_session_view(&self, slot: usize, session: &Session, generation: u64) {
+        let mut pt = self.perm_table.lock();
         // The model changed since the table was filled: drop every dense
         // entry so attributes are re-read from the current model.
         if pt.generation != generation {
@@ -619,9 +631,8 @@ impl ExtendedRbac {
             }
             pt.generation = generation;
         }
-        let session = self.sessions.get(slot)?;
         let names = session.available_permissions(&self.model);
-        let mut out = Vec::with_capacity(names.len());
+        let mut perms = Vec::with_capacity(names.len());
         for n in &names {
             let pid = self.perms.intern(n);
             let idx = pid.as_usize();
@@ -638,21 +649,23 @@ impl ExtendedRbac {
                     )));
                 }
             }
-            out.push(pid);
+            if let Some(e) = &pt.entries[idx] {
+                perms.push((pid, Arc::clone(e)));
+            }
         }
         stacl_obs::count(Counter::SnapshotRebuild);
-        self.perm_table.publish(pt);
-        let view = Arc::new(SessionView {
+        let view = SessionView {
             generation,
-            perms: out,
+            epoch: pt.epoch,
+            perms,
             gate: self.gate_of(self.objects.intern(&session.user)),
-        });
+        };
+        drop(pt);
         let mut views = self.session_views.write();
         if views.len() <= slot {
-            views.resize(slot + 1, None);
+            views.resize_with(slot + 1, || None);
         }
-        views[slot] = Some(Arc::clone(&view));
-        Some(view)
+        views[slot] = Some(view);
     }
 
     /// The paper's permission gate. On success the caller must issue an
@@ -668,7 +681,7 @@ impl ExtendedRbac {
     /// Every verdict is stamped with the active [`stacl_ids::PolicyEpoch`].
     /// `epoch` only moves through `&mut self` (the guard's write lock), so
     /// one `decide` call — and therefore one verdict — observes exactly
-    /// one epoch: the stamp and the loaded permission table always agree.
+    /// one epoch: the stamp and the session view's entries always agree.
     pub fn decide(
         &self,
         req: &AccessRequest<'_>,
@@ -702,31 +715,55 @@ impl ExtendedRbac {
         proofs: &ProofStore,
         table: &mut AccessTable,
     ) -> Verdict {
-        // 1. Subject and candidate permissions.
-        let Some(session) = self.session(req.session) else {
+        // 1. Subject and candidate permissions: borrow the session's view
+        // under the map's read lock, rebuilding it first if it is stale.
+        let Some((slot, session)) = session_slot(req.session)
+            .and_then(|slot| Some((slot, self.sessions.get(slot)?)))
+            .filter(|(_, s)| &*s.user == req.object)
+        else {
             return DecisionKind::DeniedNoPermission.into();
         };
-        if &*session.user != req.object {
-            return DecisionKind::DeniedNoPermission.into();
+        let generation = self.model.generation();
+        let mut views = self.session_views.read();
+        let fresh = views
+            .get(slot)
+            .and_then(Option::as_ref)
+            .is_some_and(|v| v.generation == generation);
+        if !fresh {
+            drop(views);
+            self.rebuild_session_view(slot, session, generation);
+            views = self.session_views.read();
         }
-        let Some(view) = self.session_view(req.session) else {
+        let Some(view) = views.get(slot).and_then(Option::as_ref) else {
             return DecisionKind::DeniedNoPermission.into();
         };
-        let entries = self.perm_table.load();
         debug_assert_eq!(
-            entries.epoch, self.epoch,
+            view.epoch, self.epoch,
             "decision loaded a permission table from another epoch"
         );
         let mut gate = view.gate.lock();
+        let verdict = self.decide_gated(&mut gate, &view.perms, req, declared, proofs, table);
+        gate.clean &= verdict.is_granted();
+        verdict
+    }
 
+    /// Steps 2–3 of the gate, under the object's gate lock.
+    fn decide_gated(
+        &self,
+        gate: &mut ObjectGate,
+        perms: &[(PermId, Arc<PermEntry>)],
+        req: &AccessRequest<'_>,
+        declared: Declared<'_>,
+        proofs: &ProofStore,
+        table: &mut AccessTable,
+    ) -> Verdict {
+        let reuse_spatial = req.reuse_spatial && gate.clean;
         // 2–3. Try each covering candidate: spatial, then temporal.
         let mut covered = false;
         let mut spatial_failure: Option<String> = None;
         let mut temporal_failure: Option<String> = None;
-        for &pid in view.perms.iter() {
-            let Some(entry) = entries.entries.get(pid.as_usize()).and_then(|e| e.as_ref()) else {
-                continue;
-            };
+        for (pid, entry) in perms {
+            let pid = *pid;
             if !entry.grants.covers(req.access) {
                 continue;
             }
@@ -737,12 +774,12 @@ impl ExtendedRbac {
             if let Some(c) = &entry.spatial {
                 // Approval reuse is unsound for team scope: companions'
                 // histories grow independently of this object's execution.
-                let already_approved = req.reuse_spatial
+                let already_approved = reuse_spatial
                     && entry.scope == HistoryScope::PerObject
                     && gate.spatial_ok.contains(pid);
                 if !already_approved {
-                    let holds = self
-                        .spatial_holds(&mut gate, pid, entry, req.object, declared, proofs, table);
+                    let holds =
+                        self.spatial_holds(gate, pid, entry, req.object, declared, proofs, table);
                     if !holds {
                         gate.spatial_ok.remove(pid);
                         spatial_failure = Some(c.to_string());
@@ -763,7 +800,7 @@ impl ExtendedRbac {
                 timelines,
                 arrivals,
                 ..
-            } = &mut *gate;
+            } = gate;
             let tl = timelines.get_or_insert_with(bkey, || {
                 let mut tl = match validity {
                     Some(d) => PermissionTimeline::new(d, scheme),
@@ -872,9 +909,10 @@ impl ExtendedRbac {
                 // in the same SoA sweep. An unknown or out-of-class
                 // symbol aborts the fold (the bank is left untouched by
                 // the failing step) and falls through to the slow path,
-                // which rebuilds this cursor.
-                let bank = &mut gate.bank;
-                let fast = proofs.read_history(object, |h| {
+                // which rebuilds this cursor. The gate keeps the shard
+                // handle, so a warm read skips the store's shard map.
+                let ObjectGate { bank, shard, .. } = gate;
+                let fast = proofs.read_history_via(object, shard, |h| {
                     if consumed > h.watermark() {
                         return Err(Counter::CursorDeclineWatermark);
                     }
@@ -1002,6 +1040,16 @@ impl ExtendedRbac {
             .min()
     }
 
+    /// Whether every decision for `object` so far was a grant — the
+    /// object's clean record, which gates spatial-approval reuse and
+    /// travels with custody handoffs. An object with no gate is clean.
+    pub fn object_clean(&self, object: &str) -> bool {
+        self.objects
+            .get(object)
+            .and_then(|oid| self.existing_gate(oid))
+            .is_none_or(|gate| gate.lock().clean)
+    }
+
     /// Export an object's gate shard by name, for coalition custody
     /// handoff. An object with no recorded state exports an empty
     /// snapshot (the receiving member starts it fresh). Deterministic:
@@ -1047,13 +1095,19 @@ impl ExtendedRbac {
         }
     }
 
-    /// Install an exported gate shard for `object`, replacing any state
-    /// this member previously held for it. Validates everything — the
-    /// export typically arrives over a wire from another coalition
-    /// member. Cursors are *not* reconstructed here (see
+    /// Install an exported gate shard for `object` with its clean record
+    /// (see [`ExtendedRbac::object_clean`]), replacing any state this
+    /// member previously held for it. Validates everything — the export
+    /// typically arrives over a wire from another coalition member.
+    /// Cursors are *not* reconstructed here (see
     /// [`ExtendedRbac::warm_cursor`]); a cold cursor only declines the
     /// fast path.
-    pub fn import_gate(&self, object: &str, export: &ObjectGateExport) -> Result<(), String> {
+    pub fn import_gate(
+        &self,
+        object: &str,
+        export: &ObjectGateExport,
+        clean: bool,
+    ) -> Result<(), String> {
         for w in export.arrivals.windows(2) {
             if w[1] < w[0] {
                 return Err(format!(
@@ -1063,6 +1117,7 @@ impl ExtendedRbac {
             }
         }
         let mut gate = ObjectGate {
+            clean,
             arrivals: export.arrivals.clone(),
             ..ObjectGate::default()
         };
@@ -1186,7 +1241,7 @@ impl ExtendedRbac {
         // the active table: spatially-identical permissions are marked
         // `carried` so activation can keep their warm state instead of
         // forcing every object through a from-scratch residual check.
-        let current = self.perm_table.load();
+        let current = self.perm_table.lock();
         let mut carried = IdSet::new();
         let mut entries: Vec<Option<Arc<PermEntry>>> = Vec::new();
         for p in model.permissions() {
@@ -1207,6 +1262,7 @@ impl ExtendedRbac {
             }
             entries[idx] = Some(Arc::new(PermEntry::new(p, pid, &classes, &self.class_ids)));
         }
+        drop(current);
         // Warm the compiled-constraint cache: entries inserted now carry
         // the *current* cache epoch, which `begin_epoch`'s two-epoch
         // grace keeps alive across the flip.
@@ -1272,17 +1328,14 @@ impl ExtendedRbac {
         let generation = table.generation;
         self.model = model;
         self.classes = classes;
-        {
-            let _rebuilding = self.rebuild.lock();
-            self.perm_table.publish(table);
-        }
-        self.session_views.write().clear();
+        *self.perm_table.get_mut() = table;
+        self.session_views.get_mut().clear();
         // Established spatial approvals are proofs about the *old*
         // constraints; the new policy may constrain differently. Only
         // spatially-unchanged (`carried`) permissions keep theirs, with
         // cursors re-stamped so the fast path stays warm across the
         // flip.
-        for gate in self.gates.read().iter().flatten() {
+        for gate in self.gates.get_mut().iter().flatten() {
             let mut g = gate.lock();
             g.spatial_ok.intersect_with(&carried);
             g.bank.retain_keys(|key| carried.contains(PermId(key)));
@@ -1858,7 +1911,7 @@ mod tests {
         x2.note_arrival("decoy", tp(0.0));
         let sid2 = x2.open_session("naplet-1", vec![]).unwrap();
         x2.activate_role(sid2, "worker").unwrap();
-        x2.import_gate("naplet-1", &export).unwrap();
+        x2.import_gate("naplet-1", &export, true).unwrap();
 
         // Re-export matches the import (cursors do not travel).
         let mut back = x2.export_gate("naplet-1");
@@ -1881,10 +1934,10 @@ mod tests {
         // Malformed imports are rejected, not panicked on.
         let mut bad = export.clone();
         bad.arrivals = vec![tp(5.0), tp(1.0)];
-        assert!(x2.import_gate("naplet-1", &bad).is_err());
+        assert!(x2.import_gate("naplet-1", &bad, true).is_err());
         let mut bad = export;
         bad.timelines[0].1.active_now = !bad.timelines[0].1.active_now;
-        assert!(x2.import_gate("naplet-1", &bad).is_err());
+        assert!(x2.import_gate("naplet-1", &bad, true).is_err());
     }
 
     /// Session views cache the object's gate handle, so `import_gate`
@@ -1919,14 +1972,14 @@ mod tests {
             ..req(0.0)
         };
         assert!(other.decide(&first, &proofs, &mut table).is_granted());
-        x.import_gate("naplet-1", &other.export_gate("naplet-1"))
+        x.import_gate("naplet-1", &other.export_gate("naplet-1"), true)
             .unwrap();
         let d = x.decide(&req(11.5), &proofs, &mut table);
         assert_eq!(d.kind, DecisionKind::DeniedTemporal);
 
         // A fresh export resets the object: the next decision starts a
         // new budget and grants.
-        x.import_gate("naplet-1", &ObjectGateExport::default())
+        x.import_gate("naplet-1", &ObjectGateExport::default(), true)
             .unwrap();
         assert!(x.decide(&req(11.5), &proofs, &mut table).is_granted());
     }
