@@ -249,7 +249,7 @@ impl CronExpr {
     /// mismatched field jumps straight to its next admissible value
     /// (resetting all finer fields), so the search cost is counted in
     /// calendar jumps, not seconds. `None` when no fire exists within
-    /// [`MAX_FIRE_JUMPS`] jumps — a schedule like `0 0 31 2 *` that can
+    /// `MAX_FIRE_JUMPS` jumps — a schedule like `0 0 31 2 *` that can
     /// never fire in this calendar.
     pub fn next_fire(&self, from: u64) -> Option<u64> {
         let mut t = from;

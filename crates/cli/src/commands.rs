@@ -385,59 +385,28 @@ pub fn ledger(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `stacl metrics [--seeds N] [--start-seed S] [--batch true|false]
-/// [--out FILE]`
-///
-/// Runs a telemetry-enabled sim sweep (no oracle-bug injection) and prints
-/// the decision-path [`stacl_obs::MetricsSnapshot`] as JSON: verdict
-/// counters, cursor fast-path hits vs. per-rule declines (DESIGN.md §8),
-/// constraint-cache hits/misses, snapshot rebuilds, watermark advances and
-/// the decide/batch latency histograms. `--out FILE` also writes the JSON
-/// to a file.
-pub fn metrics(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["seeds", "start-seed", "batch", "out"])?;
-    let [] = opts.expect_positional(&[])? else {
-        unreachable!()
-    };
-    let seeds: u64 = opts.get_parsed("seeds", 16)?;
-    let start: u64 = opts.get_parsed("start-seed", 0)?;
-    let batch: bool = opts.get_parsed("batch", false)?;
-
-    stacl_obs::set_telemetry(true);
-    let baseline = stacl_obs::snapshot();
-    for seed in start..start.saturating_add(seeds) {
-        let ep =
-            stacl_sim::run_episode_opts(&stacl_sim::Scenario::generate(seed), None, batch, None);
-        if let Some(d) = ep.divergence {
-            return Err(format!("seed {seed} diverged: {d}"));
-        }
-    }
-    let json = stacl_obs::snapshot().diff(&baseline).to_json();
-    if let Some(path) = opts.get("out") {
-        fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    }
-    print!("{json}");
-    Ok(())
-}
-
 /// `stacl sim run [--seeds N] [--start-seed S] [--oracle-bug B]
-/// [--out DIR] [--max-seconds T] [--batch true|false]`
+/// [--out DIR] [--max-seconds T] [--batch true|false] [--stats true|false]
+/// [--transport in-process|net] [--daemons N] [--churn F] [--ledger FILE]
+/// [--profile NAME]`
 ///
 /// Sweeps `N` seeded episodes starting at `S`, cross-checking the real
 /// guard against the reference oracle. Exits non-zero if any episode
 /// diverges; with `--out DIR` every diverging seed's full repro dump is
 /// written to `DIR/seed-<seed>.txt`. `--max-seconds` stops the sweep
-/// early (for time-boxed nightly runs). `--batch true` drives episodes
-/// through the parallel `decide_batch` path — episode logs (and thus
-/// divergence results) are byte-identical to the sequential driver's.
-/// `--transport net` replays each episode over a loopback coalition of
-/// `--daemons N` guard daemons speaking the wire protocol, again with
-/// byte-identical logs. `--churn F` injects `F` mid-episode policy flips
-/// per scenario (live two-phase rollouts over the wire under
-/// `--transport net`). `--ledger FILE` journals every policy change and
-/// sampled verdict into one hash-chained audit ledger across the whole
-/// sweep and writes it to `FILE` — under `--transport net` the wire
-/// ledger must also byte-match the in-process reference chain.
+/// early (for time-boxed nightly runs). `--stats true` appends the
+/// decision-path telemetry diff ([`stacl_obs::MetricsSnapshot`] JSON:
+/// verdict counters, cursor hits vs. declines, cache and latency
+/// histograms) to the report. The flags pick one
+/// [`stacl_sim::Transport`]: `--batch true` drives episodes through the
+/// parallel `decide_batch` path, `--transport net` over a loopback
+/// coalition of `--daemons N` (at least one) wire-protocol daemons; the
+/// logs stay byte-identical either way. `--churn F` injects `F`
+/// mid-episode policy flips per scenario (live two-phase rollouts over
+/// the wire under `--transport net`). `--ledger FILE` journals every
+/// policy change and sampled verdict into one hash-chained audit ledger
+/// across the whole sweep and writes it to `FILE` — under `--transport
+/// net` the wire ledger must also byte-match the in-process chain.
 /// `--profile NAME` generates scenarios from a named mobility profile
 /// (commuter, fleet-convoy, flash-crowd, partition-heal, workflow) whose
 /// itineraries carry CIDR/cron attribute policies; the profile name is
@@ -445,8 +414,7 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
 pub fn sim_run(args: &[String]) -> Result<(), String> {
     use stacl::coalition::Ledger;
     use stacl_sim::{
-        repro, repro_profile, run_episode_net, run_episode_opts, OracleBug, Profile, Scenario,
-        SweepReport,
+        repro_scenario, run_episode_with, OracleBug, Profile, Scenario, SweepReport, Transport,
     };
     let opts = Opts::parse(
         args,
@@ -475,23 +443,28 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
     let max_seconds: f64 = opts.get_parsed("max-seconds", 0.0)?;
     let batch: bool = opts.get_parsed("batch", false)?;
     let stats: bool = opts.get_parsed("stats", false)?;
-    let net = match opts.get("transport").unwrap_or("in-process") {
-        "in-process" => false,
-        "net" => true,
+    let daemons: usize = opts.get_parsed("daemons", 4)?;
+    let transport = match opts.get("transport").unwrap_or("in-process") {
+        "in-process" => Transport::InProcess { batched: batch },
+        "net" if batch => {
+            return Err("--transport net replays decisions one frame at a time; \
+                        it cannot be combined with --batch true"
+                .into())
+        }
+        "net" => Transport::Net {
+            daemons,
+            ring: false,
+            compact_after: 0,
+        },
         other => return Err(format!("unknown transport `{other}` (in-process|net)")),
     };
-    let daemons: usize = opts.get_parsed("daemons", 4)?;
+    let net = matches!(transport, Transport::Net { .. });
     let churn: usize = opts.get_parsed("churn", 0)?;
     let ledger_path = opts.get("ledger").map(str::to_string);
     let profile = opts.get("profile").map(Profile::parse).transpose()?;
     if profile.is_some() && churn > 0 {
         return Err("--profile generates its own fixed policy; \
                     it cannot be combined with --churn"
-            .into());
-    }
-    if net && batch {
-        return Err("--transport net replays decisions one frame at a time; \
-                    it cannot be combined with --batch true"
             .into());
     }
     // One chain for the whole sweep; under --transport net a second chain
@@ -518,11 +491,12 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
         } else {
             Scenario::generate(seed)
         };
-        let ep = if net {
-            let ep = run_episode_net(&sc, bug, daemons, ledger.as_mut(), None)?;
+        let ep = run_episode_with(&sc, bug, &transport, ledger.as_mut())?;
+        if net {
             // Wire-level differential validation: the networked replay
             // must reproduce the in-process verdict log byte for byte.
-            let reference = run_episode_opts(&sc, bug, false, ref_ledger.as_mut());
+            let in_process = Transport::InProcess { batched: false };
+            let reference = run_episode_with(&sc, bug, &in_process, ref_ledger.as_mut())?;
             if ep.log != reference.log {
                 if let Some(dir) = &out_dir {
                     let path = format!("{dir}/seed-{seed}-transport.txt");
@@ -537,24 +511,11 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
                     "seed {seed}: net transport log diverged from the in-process driver"
                 ));
             }
-            ep
-        } else {
-            run_episode_opts(&sc, bug, batch, ledger.as_mut())
-        };
-        if ep.divergence.is_some() {
-            if let Some(dir) = &out_dir {
-                let path = format!("{dir}/seed-{seed}.txt");
-                let dump = if let Some(p) = profile {
-                    repro_profile(seed, p, bug)
-                } else if churn == 0 {
-                    repro(seed, bug)
-                } else {
-                    // `repro` regenerates the churn-free scenario; for a
-                    // churn sweep dump the actual episode log instead.
-                    format!("seed {seed} (churn {churn}) diverged:\n{}", ep.log)
-                };
-                fs::write(&path, dump).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            }
+        }
+        if let (Some(_), Some(dir)) = (&ep.divergence, &out_dir) {
+            let path = format!("{dir}/seed-{seed}.txt");
+            fs::write(&path, repro_scenario(&sc, bug))
+                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         }
         report.absorb(seed, &ep);
     }

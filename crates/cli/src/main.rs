@@ -23,12 +23,11 @@
 //!        --modules N --servers K --seed S --tamper NAME|first
 //! stacl sim    run [opts]                          differential simulator sweep
 //!        --seeds N --start-seed S --oracle-bug B --out DIR --max-seconds T
+//!        --batch true|false --stats true|false (append telemetry JSON)
 //!        --transport in-process|net --daemons N
 //!        --churn F (policy flips per episode) --ledger FILE
 //!        --profile commuter|fleet-convoy|flash-crowd|partition-heal|workflow
 //! stacl sim    repro <seed> [--oracle-bug B] [--profile NAME]
-//! stacl metrics [opts]                             decision-path telemetry JSON
-//!        --seeds N --start-seed S --batch true|false --out FILE
 //! ```
 //!
 //! Arguments are parsed by hand — the tool's needs are small and the
@@ -55,7 +54,6 @@ fn main() -> ExitCode {
         "ledger" => commands::ledger(rest),
         "serve" => stacl_cli::netcmd::serve(rest),
         "net-decide" => stacl_cli::netcmd::net_decide(rest),
-        "metrics" => commands::metrics(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -93,7 +91,6 @@ USAGE:
                [--transport in-process|net] [--daemons N] [--churn F]
                [--ledger FILE] [--profile NAME]
   stacl sim    repro <seed> [--oracle-bug B] [--profile NAME]
-  stacl metrics [--seeds N] [--start-seed S] [--batch true|false] [--out FILE]
   stacl serve  --policy <file.policy> --name SERVER [--listen ADDR]
                [--peers n=addr,...] [--custody open|strict] [--skew S]
                [--enroll obj=role+role,...]

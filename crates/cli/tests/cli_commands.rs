@@ -181,6 +181,45 @@ fn sim_churn_ledger_roundtrip_and_verify() {
     assert!(commands::ledger(&args(&["verify", "/no/such/chain.txt"])).is_err());
 }
 
+/// `--transport net` replays over loopback daemons; the run itself
+/// byte-compares the wire ledger against the in-process chain before
+/// writing it.
+#[test]
+fn sim_net_ledger_matches_in_process_and_verifies() {
+    let out = temp_file("chain-net.txt", "");
+    let path = out.to_str().unwrap();
+    let run = [
+        "run",
+        "--seeds",
+        "2",
+        "--transport",
+        "net",
+        "--daemons",
+        "2",
+        "--ledger",
+        path,
+    ];
+    assert_eq!(commands::sim(&args(&run)), Ok(()));
+    assert_eq!(commands::ledger(&args(&["verify", path])), Ok(()));
+}
+
+/// Every flag combination maps to one transport or is refused with an
+/// error (exit 1), never a panic.
+#[test]
+fn sim_run_flags_map_to_one_transport() {
+    let run = |extra: &[&str]| {
+        let mut a = vec!["run", "--seeds", "2"];
+        a.extend_from_slice(extra);
+        commands::sim(&args(&a))
+    };
+    assert_eq!(run(&["--batch", "true", "--stats", "true"]), Ok(()));
+    assert!(run(&["--transport", "net", "--batch", "true"]).is_err());
+    assert!(run(&["--profile", "commuter", "--churn", "1"]).is_err());
+    assert!(run(&["--transport", "bogus"]).is_err());
+    let zero = run(&["--transport", "net", "--daemons", "0"]).unwrap_err();
+    assert!(zero.contains("at least one daemon"), "{zero}");
+}
+
 #[test]
 fn policy_push_flips_a_live_member() {
     use stacl::prelude::*;

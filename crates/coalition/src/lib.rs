@@ -10,7 +10,7 @@
 //! This crate is the substrate the Naplet emulation (and the benches) run
 //! on:
 //!
-//! * [`env`] — the server/resource registry ([`env::CoalitionEnv`]);
+//! * [`env`](mod@env) — the server/resource registry ([`env::CoalitionEnv`]);
 //! * [`clock`] — a shared continuous [`clock::VirtualClock`] (the paper's
 //!   ℝ-time line; virtual so runs are reproducible and fast);
 //! * [`channel`] — named FIFO channels with the `ch?x` / `ch!e` semantics

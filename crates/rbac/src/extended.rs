@@ -36,7 +36,7 @@
 //! view map's read lock; per-object mutable state (validity timelines,
 //! arrival log, spatial approvals, the clean record, incremental
 //! constraint cursors and a cached proof-shard handle) lives in one
-//! [`ObjectGate`] shard per object behind its own lock. The dense
+//! `ObjectGate` shard per object behind its own lock. The dense
 //! permission table is read only when a view is rebuilt. Policy
 //! mutations (`&mut` methods behind the guard's write lock) drop the
 //! views; the [`RbacModel::generation`] stamp invalidates everything

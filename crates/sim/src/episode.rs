@@ -2,11 +2,11 @@
 //! [`CoordinatedGuard`] decision stack while the [`ReferenceOracle`]
 //! shadows every decision, and records the first divergence.
 //!
-//! The driver mirrors [`stacl_naplet::system::NapletSystem`]'s access
-//! pipeline: topology resolution first (a dead or unknown server denies
-//! with `DeniedUnknownTarget` *without* consulting the guard), then the
-//! guard gate, then — on a grant — proof issuance stamped with the local
-//! server clock (base time plus the server's skew).
+//! [`run_episode_with`] is the one event loop. A [`Transport`] picks
+//! where decisions are made: one in-process guard (optionally batched),
+//! or a loopback coalition of `stacl-net` daemons (`crate::net_driver`).
+//! The loop itself is transport-neutral, so the episode log and audit
+//! ledger byte-compare across transports for every seed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,8 +71,7 @@ pub struct Episode {
 }
 
 /// Build the RBAC model for policy revision `rev` of a scenario (0 = the
-/// base policy). Public so the networked driver can render revision
-/// models into policy text for `PolicyPrepare` frames.
+/// base policy).
 ///
 /// Attribute (CIDR/cron) permissions are lowered here, exactly as the
 /// `stacl-abac` front-end lowers policy files: CIDR rules become pure
@@ -156,9 +155,8 @@ pub fn build_model(sc: &Scenario, rev: usize) -> RbacModel {
     model
 }
 
-/// Build the real decision stack for a scenario. Public so transports
-/// other than the in-process driver (the networked coalition of
-/// `stacl-net`) can replicate the policy onto every member.
+/// Build the real decision stack for a scenario. Every coalition member
+/// of [`Transport::Net`] gets its own copy.
 pub fn build_guard(sc: &Scenario) -> CoordinatedGuard {
     let mut rbac = ExtendedRbac::new(build_model(sc, 0));
     for c in &sc.classes {
@@ -177,56 +175,236 @@ pub fn build_guard(sc: &Scenario) -> CoordinatedGuard {
     guard
 }
 
-/// Run one episode, cross-checking every decision against the oracle.
+/// Where an episode's decisions are made. Every transport must produce
+/// a byte-identical [`Episode`] and audit [`Ledger`] for every scenario.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Transport {
+    /// One in-process [`CoordinatedGuard`].
+    InProcess {
+        /// Decide maximal runs of consecutive accesses by distinct objects
+        /// as one [`CoordinatedGuard::decide_batch`]; runs of one when any
+        /// permission is team-scoped (then decisions are order-dependent).
+        batched: bool,
+    },
+    /// A coalition of `daemons` loopback `stacl-net` members, one guard
+    /// shard each, custody enforcement on.
+    Net {
+        /// Number of members; at least one.
+        daemons: usize,
+        /// Route every object to its rendezvous-ring home instead of
+        /// letting custody follow arrivals. With two or more members, one
+        /// leaves at the one-third mark and rejoins at two thirds, each
+        /// change draining the moved keys before the replay continues.
+        ring: bool,
+        /// Per-member proof-compaction trigger
+        /// ([`stacl_net::DaemonConfig::compact_after`]); `0` disables it.
+        compact_after: usize,
+    },
+}
+
+/// Run one episode in process, cross-checking every decision against
+/// the oracle.
 pub fn run_episode(sc: &Scenario, bug: Option<OracleBug>) -> Episode {
-    run_episode_opts(sc, bug, false, None)
+    run_episode_with(sc, bug, &Transport::InProcess { batched: false }, None)
+        .expect("the in-process transport cannot fail")
 }
 
 /// One pending access decision within a run of consecutive `Access`
 /// events over pairwise-distinct objects.
-struct PendingAccess<'a> {
+pub(crate) struct PendingAccess<'a> {
     /// Index of the event in [`Scenario::events`].
-    step: usize,
-    obj: usize,
-    access: &'a Access,
-    time: f64,
-    remaining: &'a [Access],
-    /// The declared remaining program — `None` when topology already
-    /// denied the access (the guard is never consulted then).
-    program: Option<Program>,
+    pub step: usize,
+    pub obj: usize,
+    pub access: &'a Access,
+    pub time: f64,
+    /// The object's declared remaining itinerary, this access included.
+    pub remaining: &'a [Access],
+    /// `false` when topology denies the access (a dead or unknown
+    /// server): no backend is consulted then.
+    pub reachable: bool,
 }
 
-/// How often the episode drivers journal a verdict into the audit
+/// How often the episode driver journals a verdict into the audit
 /// ledger: every `LEDGER_SAMPLE`-th decision (1-indexed), the same on
 /// every transport so ledgers byte-compare across them.
 pub const LEDGER_SAMPLE: usize = 8;
 
-/// Run one episode, optionally fanning independent access decisions
-/// through [`CoordinatedGuard::decide_batch`] and journaling policy
-/// changes and sampled verdicts into an append-only audit [`Ledger`].
+/// What differs between transports. Everything else (topology, the
+/// remaining-itinerary slices, the oracle, logging, sampling, the
+/// divergence stop and proof timestamps) lives in [`run_episode_with`].
+pub(crate) trait Backend {
+    /// Called before replaying the event at index `step` (the first of
+    /// a batched run).
+    fn before_step(&mut self, _step: usize) -> Result<(), String> {
+        Ok(())
+    }
+    /// Whether maximal runs of accesses over distinct objects may be
+    /// decided together.
+    fn batched(&self) -> bool {
+        false
+    }
+    /// A non-dropped arrival of object `obj` at `server`.
+    fn arrive(&mut self, obj: usize, server: &str, time: f64) -> Result<(), String>;
+    /// Prepare and activate policy revision `rev` (epoch = revision).
+    /// `policy` is the canonical rendering of `model`.
+    fn flip(&mut self, rev: usize, model: RbacModel, policy: &str) -> Result<(), String>;
+    /// Decide every reachable item of a run into the matching slot of
+    /// `out`.
+    fn decide(&mut self, run: &[PendingAccess<'_>], out: &mut [Option<Verdict>]);
+    /// Record a grant's proof, stamped with the server's local clock.
+    fn issue(&mut self, obj: usize, access: &Access, stamp: f64) -> Result<(), String>;
+}
+
+/// The in-process backend: one guard, one proof store.
+struct Local<'a> {
+    sc: &'a Scenario,
+    guard: CoordinatedGuard,
+    proofs: ProofStore,
+    table: AccessTable,
+    batched: bool,
+}
+
+impl<'a> Local<'a> {
+    fn new(sc: &'a Scenario, batched: bool) -> Self {
+        let guard = build_guard(sc);
+        let mut table = AccessTable::new();
+        // Pre-saturate the table with the policy's constraint vocabulary
+        // so steady-state cursor checks never grow it mid-decision
+        // (verdicts and logs are table-id independent).
+        guard.with_rbac(|r| r.saturate_alphabet(&mut table));
+        Local {
+            sc,
+            guard,
+            proofs: ProofStore::new(),
+            table,
+            batched: batched && !sc.perms.iter().any(|p| p.team_scope),
+        }
+    }
+}
+
+impl Backend for Local<'_> {
+    fn batched(&self) -> bool {
+        self.batched
+    }
+
+    fn arrive(&mut self, obj: usize, _server: &str, time: f64) -> Result<(), String> {
+        let name = &self.sc.objects[obj].name;
+        self.guard.note_arrival(name, TimePoint::new(time));
+        Ok(())
+    }
+
+    fn flip(&mut self, rev: usize, model: RbacModel, _policy: &str) -> Result<(), String> {
+        // Build the revision off the hot path, then flip atomically.
+        let classes = self
+            .sc
+            .classes
+            .iter()
+            .map(|c| (c.name.clone(), c.dur, c.scheme));
+        let table = &mut self.table;
+        let prepared = self
+            .guard
+            .with_rbac_read(|r| r.prepare_epoch(model, classes, rev as u64, table))
+            .expect("scenario epochs strictly increase");
+        self.guard
+            .with_rbac(|r| r.activate_epoch(prepared))
+            .expect("prepared epoch activates");
+        Ok(())
+    }
+
+    fn decide(&mut self, run: &[PendingAccess<'_>], out: &mut [Option<Verdict>]) {
+        let programs: Vec<Option<Program>> = run
+            .iter()
+            .map(|it| {
+                it.reachable
+                    .then(|| Program::seq_all(it.remaining.iter().cloned().map(Program::Access)))
+            })
+            .collect();
+        let sc = self.sc;
+        let (slots, reqs): (Vec<usize>, Vec<BatchRequest<'_>>) = (run.iter().zip(&programs))
+            .enumerate()
+            .filter_map(|(k, (it, program))| {
+                let req = BatchRequest {
+                    object: &sc.objects[it.obj].name,
+                    access: it.access,
+                    remaining: program.as_ref()?,
+                    time: TimePoint::new(it.time),
+                };
+                Some((k, req))
+            })
+            .unzip();
+        let verdicts = if self.batched {
+            self.guard.decide_batch(&reqs, &self.proofs, false)
+        } else {
+            reqs.iter()
+                .map(|r| {
+                    let req = GuardRequest {
+                        object: r.object,
+                        access: r.access,
+                        remaining: r.remaining,
+                        time: r.time,
+                    };
+                    self.guard.decide(&req, &self.proofs, &mut self.table)
+                })
+                .collect()
+        };
+        for (k, v) in slots.into_iter().zip(verdicts) {
+            out[k] = Some(v);
+        }
+    }
+
+    fn issue(&mut self, obj: usize, access: &Access, stamp: f64) -> Result<(), String> {
+        let name = &self.sc.objects[obj].name;
+        self.proofs
+            .issue(name, access.clone(), TimePoint::new(stamp));
+        Ok(())
+    }
+}
+
+/// Run one episode over `transport`, cross-checking every decision
+/// against the oracle and optionally journaling policy changes and
+/// sampled verdicts into an append-only audit [`Ledger`].
 ///
-/// With `batched`, maximal runs of consecutive `Access` events over
-/// pairwise-distinct objects are decided as one parallel batch; the
-/// oracle cross-check, logging and proof issuance still happen
-/// sequentially in event order afterwards, so the episode log is
-/// **byte-identical** to the sequential driver's for every seed.
-/// Scenarios containing any team-scoped permission degrade to batch
-/// size 1 (companion histories make cross-object decisions order-
-/// dependent).
+/// The driver mirrors [`stacl_naplet::system::NapletSystem`]'s access
+/// pipeline: topology resolution first (a dead or unknown server denies
+/// `DeniedUnknownTarget` without consulting any guard), then the guard,
+/// then, on a grant, a proof stamped with the local server clock (base
+/// time plus the server's skew). Batched runs are cross-checked, logged
+/// and issued in event order after the batch, so the log is the same on
+/// every transport.
 ///
-/// The ledger is transport-independent: the networked driver
-/// ([`crate::net_driver::run_episode_net`]) produces a byte-identical
-/// chain for the same scenario.
-pub fn run_episode_opts(
+/// Returns an error only for a zero-member coalition or a transport
+/// failure (spawn, connect, arrival, rollout or proof replication). A
+/// member that cannot *decide* fails safe to `DeniedCoordination`,
+/// which surfaces as a divergence.
+pub fn run_episode_with(
     sc: &Scenario,
     bug: Option<OracleBug>,
-    batched: bool,
+    transport: &Transport,
+    ledger: Option<&mut Ledger>,
+) -> Result<Episode, String> {
+    match *transport {
+        Transport::InProcess { batched } => replay(sc, bug, Local::new(sc, batched), ledger),
+        Transport::Net {
+            daemons,
+            ring,
+            compact_after,
+        } => {
+            let backend = crate::net_driver::Coalition::spawn(sc, daemons, ring, compact_after)?;
+            replay(sc, bug, backend, ledger)
+        }
+    }
+}
+
+/// The one event loop over [`Scenario::events`].
+fn replay(
+    sc: &Scenario,
+    bug: Option<OracleBug>,
+    mut backend: impl Backend,
     mut ledger: Option<&mut Ledger>,
-) -> Episode {
-    let guard = build_guard(sc);
+) -> Result<Episode, String> {
     if let Some(l) = ledger.as_deref_mut() {
         // Epoch 0 is the boot policy; hash the canonical rendering so
-        // in-process and wire chains agree byte-for-byte.
+        // every transport's chain agrees byte-for-byte.
         l.record_policy_change(0, fnv1a(render_policy(&build_model(sc, 0)).as_bytes()));
     }
     let mut env = CoalitionEnv::new();
@@ -236,31 +414,17 @@ pub fn run_episode_opts(
             env.add_resource(s, res, sc.ops.iter().map(String::as_str));
         }
     }
-    let proofs = ProofStore::new();
-    let mut table = AccessTable::new();
-    // Pre-saturate the table with the policy's constraint vocabulary so
-    // steady-state cursor checks never grow it mid-decision (verdicts
-    // and logs are unaffected — they are table-id independent).
-    guard.with_rbac(|r| r.saturate_alphabet(&mut table));
     let mut oracle = ReferenceOracle::new(bug);
-    // Batching across objects is only sound when no permission reads
-    // companions' histories.
-    let can_batch = batched && !sc.perms.iter().any(|p| p.team_scope);
 
     // Each object's future accesses in schedule order; `cursor[i]` marks
     // how many it has already attempted (granted or not — a denied access
     // is skipped, exactly as `OnDeny::Skip` agents behave).
-    let per_object: Vec<Vec<Access>> = (0..sc.objects.len())
-        .map(|i| {
-            sc.events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::Access { obj, access, .. } if *obj == i => Some(access.clone()),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
+    let mut per_object: Vec<Vec<Access>> = vec![Vec::new(); sc.objects.len()];
+    for e in &sc.events {
+        if let Event::Access { obj, access, .. } = e {
+            per_object[*obj].push(access.clone());
+        }
+    }
     let mut cursor = vec![0usize; sc.objects.len()];
 
     let mut dead: BTreeSet<String> = BTreeSet::new();
@@ -271,13 +435,16 @@ pub fn run_episode_opts(
 
     use std::fmt::Write as _;
     // Profile scenarios announce their workload shape up front, so every
-    // replay (and transport) log is self-describing.
+    // replay log is self-describing.
     if let Some(p) = sc.profile {
         let _ = writeln!(log, "profile {}", p.name());
     }
     let mut step = 0usize;
     'events: while step < sc.events.len() {
-        match &sc.events[step] {
+        backend.before_step(step)?;
+        let event = &sc.events[step];
+        step += 1;
+        match event {
             Event::Arrival {
                 obj,
                 server,
@@ -288,137 +455,71 @@ pub fn run_episode_opts(
                 if *dropped {
                     let _ = writeln!(log, "[{time}] arrive {name} @ {server} DROPPED");
                 } else {
-                    guard.note_arrival(name, TimePoint::new(*time));
+                    backend.arrive(*obj, server, *time)?;
                     oracle.note_arrival(*obj, *time);
                     let _ = writeln!(log, "[{time}] arrive {name} @ {server}");
                 }
-                step += 1;
             }
             Event::ServerDeath { server, time } => {
                 dead.insert(server.clone());
                 oracle.note_death(server);
                 let _ = writeln!(log, "[{time}] server-death {server}");
-                step += 1;
             }
             Event::PolicyFlip { rev, time } => {
-                // The in-process half of the two-phase rollout: build the
-                // revision off the hot path, then flip atomically. Epoch
-                // numbers are revision numbers.
                 let model = build_model(sc, *rev);
+                let policy = render_policy(&model);
                 if let Some(l) = ledger.as_deref_mut() {
-                    l.record_policy_change(*rev as u64, fnv1a(render_policy(&model).as_bytes()));
+                    l.record_policy_change(*rev as u64, fnv1a(policy.as_bytes()));
                 }
-                let classes = sc.classes.iter().map(|c| (c.name.clone(), c.dur, c.scheme));
-                let prepared = guard
-                    .with_rbac_read(|r| r.prepare_epoch(model, classes, *rev as u64, &mut table))
-                    .expect("scenario epochs strictly increase");
-                guard
-                    .with_rbac(|r| r.activate_epoch(prepared))
-                    .expect("prepared epoch activates");
+                backend.flip(*rev, model, &policy)?;
                 oracle.note_flip(*rev);
                 let _ = writeln!(log, "[{time}] policy-flip epoch={rev}");
-                step += 1;
             }
             Event::Access { .. } => {
-                // Collect the maximal run of consecutive Access events
-                // over pairwise-distinct objects (just this event when
-                // not batching).
-                let mut run_end = step + 1;
-                if can_batch {
-                    let mut seen = BTreeSet::new();
-                    if let Event::Access { obj, .. } = &sc.events[step] {
-                        seen.insert(*obj);
-                    }
-                    while run_end < sc.events.len() {
-                        match &sc.events[run_end] {
-                            Event::Access { obj, .. } if seen.insert(*obj) => run_end += 1,
-                            _ => break,
-                        }
-                    }
-                }
-
-                // Materialise the run's items in event order. Topology is
-                // resolved here (it is constant within the run: server
-                // deaths break it).
-                let mut items: Vec<PendingAccess<'_>> = Vec::with_capacity(run_end - step);
-                for i in step..run_end {
-                    let Event::Access { obj, access, time } = &sc.events[i] else {
-                        unreachable!("run contains only Access events");
+                // The maximal run of consecutive Access events over
+                // pairwise-distinct objects (just this event when the
+                // backend does not batch). Topology is resolved here; it
+                // is constant within the run (server deaths break it).
+                let batched = backend.batched();
+                let mut run: Vec<PendingAccess<'_>> = Vec::new();
+                for (i, event) in sc.events.iter().enumerate().skip(step - 1) {
+                    let Event::Access { obj, access, time } = event else {
+                        break;
                     };
+                    if !run.is_empty() && (!batched || run.iter().any(|p| p.obj == *obj)) {
+                        break;
+                    }
                     let remaining = &per_object[*obj][cursor[*obj]..];
                     cursor[*obj] += 1;
-                    let reachable = !dead.contains(&*access.server) && env.resolve(access).is_ok();
-                    let program = reachable
-                        .then(|| Program::seq_all(remaining.iter().cloned().map(Program::Access)));
-                    items.push(PendingAccess {
+                    run.push(PendingAccess {
                         step: i,
                         obj: *obj,
                         access,
                         time: *time,
                         remaining,
-                        program,
+                        reachable: !dead.contains(&*access.server) && env.resolve(access).is_ok(),
                     });
                 }
-
-                // The guard pass: one parallel batch over the run, or the
-                // plain sequential decide. Proofs are issued below, in
-                // event order, exactly as the sequential driver does.
-                let mut guard_vs: Vec<Option<Verdict>> = items.iter().map(|_| None).collect();
-                if can_batch {
-                    let mut reqs = Vec::new();
-                    let mut slots = Vec::new();
-                    for (k, it) in items.iter().enumerate() {
-                        if let Some(program) = &it.program {
-                            reqs.push(BatchRequest {
-                                object: &sc.objects[it.obj].name,
-                                access: it.access,
-                                remaining: program,
-                                time: TimePoint::new(it.time),
-                            });
-                            slots.push(k);
-                        }
-                    }
-                    for (k, v) in slots
-                        .into_iter()
-                        .zip(guard.decide_batch(&reqs, &proofs, false))
-                    {
-                        guard_vs[k] = Some(v);
-                    }
-                } else {
-                    for (k, it) in items.iter().enumerate() {
-                        if let Some(program) = &it.program {
-                            let req = GuardRequest {
-                                object: &sc.objects[it.obj].name,
-                                access: it.access,
-                                remaining: program,
-                                time: TimePoint::new(it.time),
-                            };
-                            guard_vs[k] = Some(guard.decide(&req, &proofs, &mut table));
-                        }
-                    }
-                }
+                step += run.len() - 1;
+                let mut verdicts: Vec<Option<Verdict>> = run.iter().map(|_| None).collect();
+                backend.decide(&run, &mut verdicts);
 
                 // Oracle cross-check, logging and proof issuance, in
                 // event order.
-                for (k, it) in items.iter().enumerate() {
+                for (it, guard_v) in run.iter().zip(verdicts) {
                     let name = &sc.objects[it.obj].name;
-                    let time = it.time;
-                    let access = it.access;
+                    let (time, access) = (it.time, it.access);
                     let oracle_v = oracle.decide(sc, it.obj, access, it.remaining, time);
-                    let system_v: Verdict = match guard_vs[k].take() {
-                        Some(v) => v,
-                        None => {
-                            // Topology denial happens before the guard runs,
-                            // so record the verdict here to keep the
-                            // telemetry invariant (verdict counters sum to
-                            // total decisions) exact.
-                            stacl_obs::count(stacl_obs::Counter::VerdictDeniedUnknownTarget);
-                            Verdict::denied(
-                                DecisionKind::DeniedUnknownTarget,
-                                format!("server {} is unreachable", access.server),
-                            )
-                        }
-                    };
+                    let system_v = guard_v.unwrap_or_else(|| {
+                        // Topology denial happens before any guard runs,
+                        // so count the verdict here to keep the telemetry
+                        // invariant (verdict counters sum to decisions).
+                        stacl_obs::count(stacl_obs::Counter::VerdictDeniedUnknownTarget);
+                        Verdict::denied(
+                            DecisionKind::DeniedUnknownTarget,
+                            format!("server {} is unreachable", access.server),
+                        )
+                    });
 
                     decisions += 1;
                     *histogram.entry(system_v.kind.label()).or_insert(0) += 1;
@@ -456,22 +557,21 @@ pub fn run_episode_opts(
                             .position(|s| **s == *access.server)
                             .map(|i| sc.skews[i])
                             .unwrap_or(0.0);
-                        proofs.issue(name, access.clone(), TimePoint::new(time + skew));
+                        backend.issue(it.obj, access, time + skew)?;
                         oracle.note_grant(it.obj, access.clone());
                     }
                 }
-                step = run_end;
             }
         }
     }
 
-    Episode {
+    Ok(Episode {
         seed: sc.seed,
         log,
         histogram,
         decisions,
         divergence,
-    }
+    })
 }
 
 /// Generate the scenario for `seed` and run it.

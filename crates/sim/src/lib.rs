@@ -15,9 +15,10 @@
 //! | module | role |
 //! |---|---|
 //! | [`scenario`] | seed → scenario generation |
-//! | [`episode`] | drives the real guard, shadowed by the oracle |
+//! | [`episode`] | the one episode driver: drives the real guard over a [`Transport`], shadowed by the oracle |
+//! | `net_driver` | the loopback-coalition backend of [`Transport::Net`] |
 //! | [`oracle`] | the from-scratch string-keyed reference decision procedure |
-//! | [`shrink`] | deterministic divergence minimization |
+//! | [`shrink`](mod@shrink) | deterministic divergence minimization |
 //! | [`report`] | sweep aggregation and `repro` rendering |
 //!
 //! ## Oracle scope
@@ -32,18 +33,17 @@
 #![warn(missing_docs)]
 
 pub mod episode;
-pub mod net_driver;
+mod net_driver;
 pub mod oracle;
 pub mod report;
 pub mod scenario;
 pub mod shrink;
 
 pub use episode::{
-    build_guard, build_model, episode_for_seed, run_episode, run_episode_opts, Divergence, Episode,
-    LEDGER_SAMPLE,
+    build_guard, build_model, episode_for_seed, run_episode, run_episode_with, Divergence, Episode,
+    Transport, LEDGER_SAMPLE,
 };
-pub use net_driver::{run_episode_net, PlacementOpts};
 pub use oracle::{OracleBug, ReferenceOracle};
-pub use report::{repro, repro_profile, SweepReport};
+pub use report::{repro, repro_profile, repro_scenario, SweepReport};
 pub use scenario::{AttrCidrSpec, AttrCronSpec, Event, PolicyRev, Profile, Scenario};
 pub use shrink::shrink;

@@ -73,9 +73,9 @@ pub fn repro_profile(seed: u64, profile: Profile, bug: Option<OracleBug>) -> Str
     repro_scenario(&Scenario::generate_profile(seed, profile), bug)
 }
 
-fn repro_scenario(sc: &Scenario, bug: Option<OracleBug>) -> String {
-    let sc = sc.clone();
-    let ep = run_episode(&sc, bug);
+/// [`repro`] for any scenario (a churn sweep's, say).
+pub fn repro_scenario(sc: &Scenario, bug: Option<OracleBug>) -> String {
+    let ep = run_episode(sc, bug);
     let mut out = String::new();
     let _ = writeln!(out, "{sc}");
     let _ = writeln!(out, "episode log:");
@@ -89,7 +89,7 @@ fn repro_scenario(sc: &Scenario, bug: Option<OracleBug>) -> String {
         }
         Some(d) => {
             let _ = writeln!(out, "DIVERGENCE: {d}");
-            let (small, small_ep) = shrink(&sc, bug);
+            let (small, small_ep) = shrink(sc, bug);
             let _ = writeln!(out, "\nshrunk witness ({} events):", small.events.len());
             let _ = writeln!(out, "{small}");
             let _ = writeln!(out, "shrunk episode log:");

@@ -7,7 +7,7 @@
 //! same hash on both sides and cannot see it.
 
 use stacl_coalition::Ledger;
-use stacl_sim::{run_episode_opts, Scenario};
+use stacl_sim::{run_episode_with, Scenario, Transport};
 
 const RECORDED: &str = include_str!("fixtures/churn2.ledger");
 
@@ -23,7 +23,8 @@ fn rerecorded_ledger_is_byte_identical() {
     let mut chain = Ledger::new();
     for seed in 0..2u64 {
         let sc = Scenario::generate_churn(seed, 2);
-        run_episode_opts(&sc, None, false, Some(&mut chain));
+        let in_process = Transport::InProcess { batched: false };
+        run_episode_with(&sc, None, &in_process, Some(&mut chain)).expect("in-process replay");
     }
     assert_eq!(chain.render(), RECORDED);
 }

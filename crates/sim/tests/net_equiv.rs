@@ -1,58 +1,35 @@
 //! Wire-level differential validation: replaying an episode's event
 //! stream over loopback TCP daemons must produce a verdict log and an
-//! audit ledger **byte-identical** to the in-process driver's, for every
-//! seed.
+//! audit ledger **byte-identical** to the in-process transport's, for
+//! every seed.
 
-use stacl_coalition::Ledger;
-use stacl_sim::{run_episode_net, run_episode_opts, Scenario};
+mod common;
 
-fn assert_identical(seed: u64, daemons: usize) {
-    let sc = Scenario::generate(seed);
-    let mut local_ledger = Ledger::new();
-    let local = run_episode_opts(&sc, None, false, Some(&mut local_ledger));
-    let mut net_ledger = Ledger::new();
-    let net = run_episode_net(&sc, None, daemons, Some(&mut net_ledger), None)
-        .unwrap_or_else(|e| panic!("seed {seed}: net transport failed: {e}"));
-    assert!(
-        net.divergence.is_none(),
-        "seed {seed}: net transport diverged from the oracle: {:?}",
-        net.divergence
-    );
-    assert_eq!(
-        net.log, local.log,
-        "seed {seed}: wire log differs from the in-process log"
-    );
-    assert_eq!(
-        net.histogram, local.histogram,
-        "seed {seed}: histograms differ"
-    );
-    assert_eq!(
-        net.decisions, local.decisions,
-        "seed {seed}: decision counts differ"
-    );
-    assert_eq!(
-        net_ledger.render(),
-        local_ledger.render(),
-        "seed {seed}: audit ledgers differ across transports"
-    );
-    net_ledger.verify().expect("wire ledger verifies");
-}
+use stacl_sim::{Scenario, Transport};
 
-/// Satellite (b): a single daemon hosting the whole coalition — the wire
-/// protocol round-trips every decision without changing a byte.
-#[test]
-fn single_daemon_matches_in_process_seeds_0_16() {
-    for seed in 0..16 {
-        assert_identical(seed, 1);
+fn net(daemons: usize) -> Transport {
+    Transport::Net {
+        daemons,
+        ring: false,
+        compact_after: 0,
     }
 }
 
-/// The tentpole acceptance shape at tier-1 scale: four members, custody
-/// migrating between them via wire handoffs, still byte-identical.
+/// A single daemon hosting the whole coalition: the wire protocol
+/// round-trips every decision without changing a byte.
+#[test]
+fn single_daemon_matches_in_process_seeds_0_16() {
+    for seed in 0..16 {
+        common::assert_matches_in_process(&Scenario::generate(seed), net(1));
+    }
+}
+
+/// Four members, custody migrating between them via wire handoffs,
+/// still byte-identical.
 #[test]
 fn four_daemons_match_in_process_seeds_0_16() {
     for seed in 0..16 {
-        assert_identical(seed, 4);
+        common::assert_matches_in_process(&Scenario::generate(seed), net(4));
     }
 }
 
@@ -63,6 +40,6 @@ fn four_daemons_match_in_process_seeds_0_16() {
 #[ignore = "full acceptance sweep; run with --ignored"]
 fn four_daemons_match_in_process_seeds_0_64() {
     for seed in 0..64 {
-        assert_identical(seed, 4);
+        common::assert_matches_in_process(&Scenario::generate(seed), net(4));
     }
 }

@@ -5,9 +5,10 @@
 //! independent of the abac lowering pass — so a lowering defect in
 //! either constraint kind surfaces as a divergence.
 
+mod common;
+
 use stacl_sim::{
-    repro_profile, run_episode, run_episode_net, run_episode_opts, shrink, OracleBug, Profile,
-    Scenario, SweepReport,
+    repro_profile, run_episode, shrink, OracleBug, Profile, Scenario, SweepReport, Transport,
 };
 
 /// Fast per-profile window for the tier-1 (non-ignored) tier.
@@ -118,38 +119,33 @@ fn episode_logs_are_self_describing_and_names_round_trip() {
     assert!(!ep.log.starts_with("profile "), "unexpected header");
 }
 
-/// The batched parallel driver must not change a byte of any
+/// The batched parallel transport must not change a byte of any
 /// profile-generated episode.
 #[test]
 fn batched_driver_is_byte_identical_on_profiles() {
     for profile in Profile::ALL {
         for seed in FAST_SEEDS {
             let sc = Scenario::generate_profile(seed, profile);
-            let seq = run_episode(&sc, None);
-            let bat = run_episode_opts(&sc, None, true, None);
-            assert_eq!(seq.log, bat.log, "{} seed {seed}", profile.name());
-            assert_eq!(
-                seq.histogram,
-                bat.histogram,
-                "{} seed {seed}",
-                profile.name()
-            );
+            common::assert_matches_in_process(&sc, Transport::InProcess { batched: true });
         }
     }
 }
 
+fn net(daemons: usize) -> Transport {
+    Transport::Net {
+        daemons,
+        ring: false,
+        compact_after: 0,
+    }
+}
+
 /// Wire replay of a profile episode (2 loopback daemons) is
-/// byte-identical to the in-process driver — one seed per profile in the
-/// fast tier.
+/// byte-identical to the in-process transport — one seed per profile in
+/// the fast tier.
 #[test]
 fn net_replay_is_byte_identical_on_profiles_smoke() {
     for profile in Profile::ALL {
-        let sc = Scenario::generate_profile(3, profile);
-        let local = run_episode(&sc, None);
-        let net = run_episode_net(&sc, None, 2, None, None)
-            .unwrap_or_else(|e| panic!("{} seed 3: net failed: {e}", profile.name()));
-        assert_eq!(net.log, local.log, "{} seed 3", profile.name());
-        assert_eq!(net.histogram, local.histogram, "{} seed 3", profile.name());
+        common::assert_matches_in_process(&Scenario::generate_profile(3, profile), net(2));
     }
 }
 
@@ -161,10 +157,7 @@ fn net_replay_is_byte_identical_on_profiles_seeds_0_16() {
     for profile in Profile::ALL {
         for seed in 0..16u64 {
             let sc = Scenario::generate_profile(seed, profile);
-            let local = run_episode(&sc, None);
-            let net = run_episode_net(&sc, None, 4, None, None)
-                .unwrap_or_else(|e| panic!("{} seed {seed}: net failed: {e}", profile.name()));
-            assert_eq!(net.log, local.log, "{} seed {seed}", profile.name());
+            common::assert_matches_in_process(&sc, net(4));
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Tier-1 smoke suite: fixed seeds, deterministic, fast (<5 s).
 
+mod common;
+
 use stacl_sim::{
-    episode_for_seed, repro, run_episode_opts, shrink, Event, OracleBug, Scenario, SweepReport,
+    episode_for_seed, repro, shrink, Event, OracleBug, Scenario, SweepReport, Transport,
 };
 
 /// The fixed seed window the smoke suite sweeps.
@@ -36,18 +38,16 @@ fn same_seed_produces_byte_identical_episode_logs() {
 
 #[test]
 fn batched_driver_is_byte_identical_to_sequential() {
-    // The batched parallel driver must not change a single byte of any
-    // episode log (including histograms and divergence behaviour): same
-    // verdicts, same order, same proof timestamps. The window is wider
-    // than SMOKE_SEEDS: the constraint-cache/table-version interaction
-    // this locks down (one rbac-level cache serving per-worker tables)
-    // first surfaced at seed 76, outside the 0..64 window.
+    // The batched parallel transport must not change a single byte of
+    // any episode log (including histograms and divergence behaviour):
+    // same verdicts, same order, same proof timestamps. The window is
+    // wider than SMOKE_SEEDS: the constraint-cache/table-version
+    // interaction this locks down (one rbac-level cache serving
+    // per-worker tables) first surfaced at seed 76, outside the 0..64
+    // window.
     for seed in 0..256u64 {
-        let seq = episode_for_seed(seed, None);
-        let bat = run_episode_opts(&Scenario::generate(seed), None, true, None);
-        assert_eq!(seq.log, bat.log, "seed {seed}");
-        assert_eq!(seq.histogram, bat.histogram, "seed {seed}");
-        assert_eq!(seq.decisions, bat.decisions, "seed {seed}");
+        let sc = Scenario::generate(seed);
+        common::assert_matches_in_process(&sc, Transport::InProcess { batched: true });
     }
 }
 

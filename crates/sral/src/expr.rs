@@ -3,7 +3,7 @@
 //! SRAL's `if` and `while` constructs branch on boolean conditions over
 //! program variables; channel sends carry the value of an arithmetic
 //! expression (Definition 3.1). This module defines both syntaxes and a
-//! small-step-free big-step evaluator against an [`Env`](crate::env::Env).
+//! small-step-free big-step evaluator against an [`Env`].
 
 use std::fmt;
 

@@ -1,6 +1,6 @@
 //! Nondeterministic finite automata over dense local symbols.
 //!
-//! NFAs are built from [`Regex`](crate::regex::Regex) by Thompson's
+//! NFAs are built from [`Regex`] by Thompson's
 //! construction; the shuffle operator `#` is compiled by a product of the
 //! two operand NFAs in which each input symbol advances *either* component
 //! (interleaving preserves the relative order inside each operand, which is
@@ -8,7 +8,7 @@
 //!
 //! Symbols are *local* alphabet indices (`u32`), mapped to global
 //! [`AccessId`](crate::symbol::AccessId)s by an
-//! [`Alphabet`](crate::symbol::Alphabet).
+//! [`Alphabet`].
 
 use std::collections::{HashMap, VecDeque};
 

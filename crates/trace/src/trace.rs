@@ -2,7 +2,7 @@
 //!
 //! A trace records, in order, the shared-resource accesses a mobile object
 //! performed during one execution (§3.2). Traces here hold interned
-//! [`AccessId`]s; use an [`AccessTable`](crate::symbol::AccessTable) to
+//! [`AccessId`]s; use an [`AccessTable`] to
 //! render them.
 
 use std::fmt;
