@@ -8,7 +8,7 @@
 //! record for this path, with quartiles over repeated rounds, is
 //! `stacl-benchmark`'s `fleet-steady` workload.
 
-use stacl::naplet::guard::BatchRequest;
+use stacl::naplet::guard::GuardRequest;
 use stacl::prelude::*;
 use stacl_bench::criterion::Criterion;
 use stacl_bench::{criterion_group, criterion_main, fleet_guard, fleet_vocab};
@@ -37,7 +37,7 @@ fn run_fleet_batch() -> usize {
     let mut reqs = Vec::with_capacity(OBJECTS * ACCESSES);
     for k in 0..ACCESSES {
         for obj in &names {
-            reqs.push(BatchRequest {
+            reqs.push(GuardRequest {
                 object: obj,
                 access: &vocab[k % vocab.len()],
                 remaining: &programs[k % vocab.len()],

@@ -6,8 +6,8 @@
 //!   must be accepted.
 //! * **Steady state.** A hot set of 512 objects decides over the wire at
 //!   their ring homes for 192 steps, replicating one proof per grant,
-//!   with `compact_after = 64`. Every `decide_batch` verdict must be a
-//!   grant.
+//!   with `compact_after = 64`, pipelining each member's step in one
+//!   window. Every verdict must be a grant.
 //! * **Churn.** The last member leaves and rejoins; only the keys it
 //!   homes drain through handoff pulls, both ways. Fail-safe decides keep
 //!   flowing at the current ring homes, and the drain must finish within
@@ -116,8 +116,8 @@ fn million_object_placement_claims_drains_and_bounds_proof_memory() {
         hot_by_home[home(&ring, name)].push(name);
     }
 
-    // Steady state: one proof replicated per grant, one batched decide
-    // frame per time step per member.
+    // Steady state: one proof replicated per grant, then one pipelined
+    // window of decides per time step per member.
     let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
     let start = Instant::now();
     for k in 0..STEPS {
@@ -129,11 +129,13 @@ fn million_object_placement_claims_drains_and_bounds_proof_memory() {
             for obj in names {
                 clients[d].issue_proof(obj, a, k as f64).expect("proof");
             }
-            let items: Vec<(&str, &Access, &[Access], f64)> = names
-                .iter()
-                .map(|obj| (*obj, a, rem.as_slice(), k as f64))
-                .collect();
-            for v in clients[d].decide_batch(&items).expect("batch decide") {
+            let mut p = clients[d].pipeline(names.len()).expect("pipeline");
+            for obj in names {
+                p.submit(obj, a, rem, k as f64).expect("submit");
+            }
+            let done = p.finish().expect("drain the window");
+            assert_eq!(done.len(), names.len(), "every decide resolves");
+            for (_, v) in done {
                 assert!(v.is_granted(), "placement workload must be all-grant");
             }
         }

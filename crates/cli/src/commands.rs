@@ -411,11 +411,11 @@ pub fn ledger(args: &[String]) -> Result<(), String> {
 /// (commuter, fleet-convoy, flash-crowd, partition-heal, workflow) whose
 /// itineraries carry CIDR/cron attribute policies; the profile name is
 /// recorded in every episode log header so replays are self-describing.
+/// A diverging sweep fails with the `stacl sim repro` command that
+/// replays its first divergent seed under the same scenario flags.
 pub fn sim_run(args: &[String]) -> Result<(), String> {
     use stacl::coalition::Ledger;
-    use stacl_sim::{
-        repro_scenario, run_episode_with, OracleBug, Profile, Scenario, SweepReport, Transport,
-    };
+    use stacl_sim::{repro_scenario, run_episode_with, OracleBug, SweepReport, Transport};
     let opts = Opts::parse(
         args,
         &[
@@ -459,14 +459,8 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown transport `{other}` (in-process|net)")),
     };
     let net = matches!(transport, Transport::Net { .. });
-    let churn: usize = opts.get_parsed("churn", 0)?;
+    let family = ScenarioFamily::parse(&opts)?;
     let ledger_path = opts.get("ledger").map(str::to_string);
-    let profile = opts.get("profile").map(Profile::parse).transpose()?;
-    if profile.is_some() && churn > 0 {
-        return Err("--profile generates its own fixed policy; \
-                    it cannot be combined with --churn"
-            .into());
-    }
     // One chain for the whole sweep; under --transport net a second chain
     // journals the in-process reference episodes so the two can be
     // byte-compared at the end.
@@ -484,13 +478,7 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
             println!("time budget reached after {} episodes", report.episodes);
             break;
         }
-        let sc = if let Some(p) = profile {
-            Scenario::generate_profile(seed, p)
-        } else if churn > 0 {
-            Scenario::generate_churn(seed, churn)
-        } else {
-            Scenario::generate(seed)
-        };
+        let sc = family.generate(seed);
         let ep = run_episode_with(&sc, bug, &transport, ledger.as_mut())?;
         if net {
             // Wire-level differential validation: the networked replay
@@ -538,27 +526,85 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
     if stats {
         print!("{}", stacl_obs::snapshot().diff(&obs_baseline).to_json());
     }
-    if report.divergent_seeds.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} of {} episodes diverged (replay with `stacl sim repro <seed>`)",
+    match report.divergent_seeds.first() {
+        None => Ok(()),
+        Some(first) => Err(format!(
+            "{} of {} episodes diverged (replay with `stacl sim repro {first}{}{}`)",
             report.divergent_seeds.len(),
-            report.episodes
-        ))
+            report.episodes,
+            family.flags(),
+            bug.map(|b| format!(" --oracle-bug {}", b.name()))
+                .unwrap_or_default(),
+        )),
     }
 }
 
-/// `stacl sim repro <seed> [--oracle-bug B] [--profile NAME]`
+/// The generator a sweep or a replay draws its scenarios from, chosen by
+/// the scenario flags `sim run` and `sim repro` share: `--profile NAME`
+/// (a mobility profile), `--churn F` (`F` policy flips per episode, when
+/// `F > 0`), or neither (the default generator). The two cannot be
+/// combined.
+#[derive(Clone, Copy)]
+enum ScenarioFamily {
+    Default,
+    Profile(stacl_sim::Profile),
+    Churn(usize),
+}
+
+impl ScenarioFamily {
+    fn parse(opts: &Opts) -> Result<ScenarioFamily, String> {
+        let churn: usize = opts.get_parsed("churn", 0)?;
+        match opts
+            .get("profile")
+            .map(stacl_sim::Profile::parse)
+            .transpose()?
+        {
+            Some(_) if churn > 0 => Err("--profile generates its own fixed policy; \
+                                         it cannot be combined with --churn"
+                .into()),
+            Some(p) => Ok(ScenarioFamily::Profile(p)),
+            None if churn > 0 => Ok(ScenarioFamily::Churn(churn)),
+            None => Ok(ScenarioFamily::Default),
+        }
+    }
+
+    fn generate(self, seed: u64) -> stacl_sim::Scenario {
+        use stacl_sim::Scenario;
+        match self {
+            ScenarioFamily::Default => Scenario::generate(seed),
+            ScenarioFamily::Profile(p) => Scenario::generate_profile(seed, p),
+            ScenarioFamily::Churn(flips) => Scenario::generate_churn(seed, flips),
+        }
+    }
+
+    /// The flags that select this family, each with a leading space.
+    fn flags(self) -> String {
+        match self {
+            ScenarioFamily::Default => String::new(),
+            ScenarioFamily::Profile(p) => format!(" --profile {}", p.name()),
+            ScenarioFamily::Churn(flips) => format!(" --churn {flips}"),
+        }
+    }
+}
+
+/// `stacl sim repro <seed> [--oracle-bug B] [--profile NAME] [--churn F]`
 ///
-/// Regenerates the scenario for a seed, replays the episode, and — if it
-/// diverges — prints the deterministically shrunk witness. Always exits 0:
-/// this is the diagnostic half of the workflow. `--profile NAME` replays
-/// a mobility-profile scenario (the profile an episode was generated
-/// from is recorded in its log header).
+/// Prints [`sim_repro_report`]. Always exits 0 on a well-formed command:
+/// this is the diagnostic half of the workflow.
 pub fn sim_repro(args: &[String]) -> Result<(), String> {
-    use stacl_sim::{repro, repro_profile, OracleBug, Profile};
-    let opts = Opts::parse(args, &["oracle-bug", "profile"])?;
+    print!("{}", sim_repro_report(args)?);
+    Ok(())
+}
+
+/// The report `stacl sim repro` prints: regenerates the scenario for a
+/// seed with the same scenario flags as `sim run` (`--profile NAME` for
+/// a mobility-profile scenario, `--churn F` for a churn sweep's), replays
+/// the episode, and — if it diverges — appends the deterministically
+/// shrunk witness. A diverging sweep prints this command with its own
+/// flags.
+pub fn sim_repro_report(args: &[String]) -> Result<String, String> {
+    use stacl_sim::{repro_scenario, OracleBug};
+    let opts = Opts::parse(args, &["oracle-bug", "profile", "churn"])?;
     let [seed] = opts.expect_positional(&["<seed>"])? else {
         unreachable!()
     };
@@ -566,9 +612,6 @@ pub fn sim_repro(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("invalid seed `{seed}`: {e}"))?;
     let bug = OracleBug::parse(opts.get("oracle-bug").unwrap_or("none"))?;
-    match opts.get("profile").map(Profile::parse).transpose()? {
-        Some(p) => print!("{}", repro_profile(seed, p, bug)),
-        None => print!("{}", repro(seed, bug)),
-    }
-    Ok(())
+    let family = ScenarioFamily::parse(&opts)?;
+    Ok(repro_scenario(&family.generate(seed), bug))
 }

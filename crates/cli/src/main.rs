@@ -27,7 +27,16 @@
 //!        --transport in-process|net --daemons N
 //!        --churn F (policy flips per episode) --ledger FILE
 //!        --profile commuter|fleet-convoy|flash-crowd|partition-heal|workflow
-//! stacl sim    repro <seed> [--oracle-bug B] [--profile NAME]
+//! stacl sim    repro <seed> [opts]                 replay + shrink one seed
+//!        --oracle-bug B --profile NAME --churn F (as in the sweep)
+//! stacl serve  [opts]                              host one coalition member
+//!        --policy FILE --name SERVER --listen ADDR --peers n=addr,…
+//!        --custody open|strict --skew S --enroll obj=role+role,…
+//! stacl net-decide [opts]                          ask a member over the wire
+//!        --addr host:port --object NAME --access "op res server"
+//!        --remaining "op res s; …" --time T --arrive true|false
+//!        --from PEER --metrics true|false
+//!        --pipeline W (decide the remaining program, W in flight)
 //! ```
 //!
 //! Arguments are parsed by hand — the tool's needs are small and the
@@ -90,10 +99,10 @@ USAGE:
                [--max-seconds T] [--batch true|false] [--stats true|false]
                [--transport in-process|net] [--daemons N] [--churn F]
                [--ledger FILE] [--profile NAME]
-  stacl sim    repro <seed> [--oracle-bug B] [--profile NAME]
+  stacl sim    repro <seed> [--oracle-bug B] [--profile NAME] [--churn F]
   stacl serve  --policy <file.policy> --name SERVER [--listen ADDR]
                [--peers n=addr,...] [--custody open|strict] [--skew S]
                [--enroll obj=role+role,...]
   stacl net-decide --addr host:port --object NAME --access \"op res server\"
                [--remaining \"op res s; ...\"] [--time T] [--arrive true|false]
-               [--from PEER] [--metrics true|false]";
+               [--from PEER] [--metrics true|false] [--pipeline W]";

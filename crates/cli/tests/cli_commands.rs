@@ -220,6 +220,57 @@ fn sim_run_flags_map_to_one_transport() {
     assert!(zero.contains("at least one daemon"), "{zero}");
 }
 
+/// A churn sweep's divergent seed replays under the sweep's own
+/// scenario flags: the failing sweep names the full `sim repro` command,
+/// and that command shows the divergence the churn-free scenario of the
+/// same seed does not have.
+#[test]
+fn sim_churn_divergence_replays_with_the_printed_command() {
+    let err = commands::sim(&args(&[
+        "run",
+        "--churn",
+        "4",
+        "--oracle-bug",
+        "card-max-off-by-one",
+        "--seeds",
+        "20",
+    ]))
+    .expect_err("the planted oracle bug diverges within 20 churn seeds");
+    let cmd = err.split('`').nth(1).expect("the message quotes a command");
+    let repro: Vec<&str> = cmd
+        .strip_prefix("stacl sim repro ")
+        .unwrap_or_else(|| panic!("not a repro command: {cmd}"))
+        .split_whitespace()
+        .collect();
+    assert_eq!(
+        repro[1..],
+        ["--churn", "4", "--oracle-bug", "card-max-off-by-one"],
+        "{cmd}"
+    );
+    let dump = commands::sim_repro_report(&args(&repro)).expect("repro runs");
+    assert!(dump.contains("DIVERGENCE"), "{cmd} must diverge:\n{dump}");
+    let churn_free = [repro[0], "--oracle-bug", "card-max-off-by-one"];
+    let dump = commands::sim_repro_report(&args(&churn_free)).expect("repro runs");
+    assert!(
+        !dump.contains("DIVERGENCE"),
+        "the seed diverges only under churn"
+    );
+    // `sim repro` parses the scenario flags like `sim run`.
+    assert_eq!(
+        commands::sim(&args(&["repro", "1", "--churn", "2"])),
+        Ok(())
+    );
+    assert!(commands::sim(&args(&[
+        "repro",
+        "1",
+        "--profile",
+        "commuter",
+        "--churn",
+        "1"
+    ]))
+    .is_err());
+}
+
 #[test]
 fn policy_push_flips_a_live_member() {
     use stacl::prelude::*;

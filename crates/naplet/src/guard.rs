@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// One interception: everything a guard may consult.
+#[derive(Debug)]
 pub struct GuardRequest<'a> {
     /// The requesting mobile object.
     pub object: &'a str,
@@ -508,7 +509,7 @@ impl CoordinatedGuard {
     /// concurrently and the result vector lines up with `requests`.
     ///
     /// With `issue_proofs`, each grant's execution proof is issued
-    /// (timestamped [`BatchRequest::time`]) before the object's next
+    /// (timestamped [`GuardRequest::time`]) before the object's next
     /// request — required for within-batch spatial correctness when the
     /// caller doesn't interleave issuance itself.
     ///
@@ -520,7 +521,7 @@ impl CoordinatedGuard {
     /// (the sim driver does exactly that).
     pub fn decide_batch(
         &self,
-        requests: &[BatchRequest<'_>],
+        requests: &[GuardRequest<'_>],
         proofs: &ProofStore,
         issue_proofs: bool,
     ) -> Vec<Verdict> {
@@ -566,19 +567,13 @@ impl CoordinatedGuard {
                         let Some(group) = groups.get(g) else { break };
                         for &i in group {
                             let r = &requests[i];
-                            let gr = GuardRequest {
-                                object: r.object,
-                                access: r.access,
-                                remaining: r.remaining,
-                                time: r.time,
-                            };
                             // A panicking decision must not take the whole
                             // batch (and its scoped-thread join) down: the
                             // decision core's locks recover from poisoning,
                             // so catch the panic, count it, and deny this
                             // one request fail-safe.
                             let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                self.decide(&gr, proofs, &mut table)
+                                self.decide(r, proofs, &mut table)
                             }))
                             .unwrap_or_else(|_| {
                                 stacl_obs::count(stacl_obs::Counter::BatchPanicRecovered);
@@ -615,20 +610,9 @@ impl CoordinatedGuard {
     }
 }
 
-/// One element of a [`CoordinatedGuard::decide_batch`] batch — a
-/// [`GuardRequest`] by another shape (no lifetime-juggling borrows of a
-/// loop-local `GuardRequest`).
-#[derive(Debug)]
-pub struct BatchRequest<'a> {
-    /// The requesting mobile object.
-    pub object: &'a str,
-    /// The access being attempted.
-    pub access: &'a Access,
-    /// The object's remaining program, including the attempted access.
-    pub remaining: &'a Program,
-    /// Current virtual time.
-    pub time: TimePoint,
-}
+/// One element of a [`CoordinatedGuard::decide_batch`] batch: the
+/// same request a single [`CoordinatedGuard::decide`] takes.
+pub type BatchRequest<'a> = GuardRequest<'a>;
 
 impl SecurityGuard for CoordinatedGuard {
     fn check(

@@ -168,7 +168,6 @@ fn sharded_concurrent_decisions_match_sequential() {
 
 #[test]
 fn decide_batch_matches_sequential_per_object() {
-    use stacl_naplet::guard::BatchRequest;
     // Sequential reference through the `&mut` adapter.
     let seq = sequential_logs();
 
@@ -193,7 +192,7 @@ fn decide_batch_matches_sequential_per_object() {
     for k in 0..REQUESTS {
         for i in 0..OBJECTS {
             let (a, t) = &streams[i][k];
-            reqs.push(BatchRequest {
+            reqs.push(GuardRequest {
                 object: &names[i],
                 access: a,
                 remaining: &programs[i][k],

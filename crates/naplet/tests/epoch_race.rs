@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use stacl_coalition::ProofStore;
-use stacl_naplet::guard::{BatchRequest, CoordinatedGuard};
+use stacl_naplet::guard::{CoordinatedGuard, GuardRequest};
 use stacl_rbac::policy::parse_policy;
 use stacl_rbac::ExtendedRbac;
 use stacl_sral::builder::access;
@@ -56,8 +56,8 @@ fn epoch_flip_racing_decide_batch_never_mixes_epochs() {
     // Each object appears TWICE per batch: its two requests run
     // sequentially on one worker, so their epochs must be ordered even
     // while the flipper runs.
-    let requests: Vec<BatchRequest<'_>> = (0..2 * OBJECTS)
-        .map(|k| BatchRequest {
+    let requests: Vec<GuardRequest<'_>> = (0..2 * OBJECTS)
+        .map(|k| GuardRequest {
             object: &names[k % OBJECTS],
             access: &a,
             remaining: &prog,
@@ -133,8 +133,8 @@ fn epoch_flip_racing_decide_batch_never_mixes_epochs() {
 
     // Quiescent state: every decision now runs under the final epoch.
     let proofs = ProofStore::new();
-    let requests: Vec<BatchRequest<'_>> = (0..OBJECTS)
-        .map(|k| BatchRequest {
+    let requests: Vec<GuardRequest<'_>> = (0..OBJECTS)
+        .map(|k| GuardRequest {
             object: &names[k],
             access: &a,
             remaining: &prog,

@@ -326,10 +326,11 @@ impl Client {
         self.flush_out()
     }
 
-    fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
+    /// One uncorrelated round trip: send `frame` and return the next
+    /// uncorrelated reply, absorbing completions of pipelined requests on
+    /// the way. An `Err` reply maps to [`NetError::Daemon`].
+    pub(crate) fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
         self.send(frame)?;
-        // Read until an uncorrelated frame arrives, absorbing completions
-        // of pipelined requests along the way.
         loop {
             let frame = self.read_frame()?;
             match self.absorb(frame)? {
@@ -353,7 +354,6 @@ impl Client {
             let own = matches!(
                 &frame,
                 Frame::Verdict2 { id: got, .. }
-                | Frame::VerdictBatch2 { id: got, .. }
                 | Frame::Redirect2 { id: got, .. }
                 | Frame::Err2 { id: got, .. } if *got == id
             );
@@ -507,18 +507,6 @@ impl Client {
         }
     }
 
-    /// Ask this daemon where `object` is homed. Any ring member answers
-    /// from pure arithmetic — no broadcast. Returns the home member name
-    /// and its dial address when the daemon knows one.
-    pub fn locate(&mut self, object: &str) -> Result<(String, Option<String>), NetError> {
-        match self.call(&Frame::Locate {
-            object: object.to_string(),
-        })? {
-            Frame::Redirect { home, addr, .. } => Ok((home, addr)),
-            other => Err(unexpected("Redirect", &other)),
-        }
-    }
-
     /// [`decide`](Client::decide), but any failure — unreachable daemon,
     /// timeout, protocol error — resolves to the fail-safe
     /// `DeniedCoordination` and counts `net.failsafe-denial`.
@@ -538,35 +526,6 @@ impl Client {
                     format!("coalition member unreachable: {e}"),
                 )
             }
-        }
-    }
-
-    /// Ask for a batch of decisions, answered in order.
-    pub fn decide_batch(
-        &mut self,
-        requests: &[(&str, &Access, &[Access], f64)],
-    ) -> Result<Vec<Verdict>, NetError> {
-        let items = requests
-            .iter()
-            .map(|(o, a, r, t)| self.item(o, a, r, *t))
-            .collect::<Result<Vec<_>, _>>()?;
-        let n = items.len();
-        match self.call_correlated(|id| Frame::DecideBatch2 { id, items })? {
-            Frame::VerdictBatch2 { verdicts, .. } if verdicts.len() == n => verdicts
-                .into_iter()
-                .map(|(kind, epoch, reason)| {
-                    Ok(Verdict {
-                        kind: kind_from_u8(kind)?,
-                        epoch,
-                        reason,
-                    })
-                })
-                .collect(),
-            Frame::VerdictBatch2 { verdicts, .. } => Err(NetError::Protocol(format!(
-                "batch of {n} answered with {} verdicts",
-                verdicts.len()
-            ))),
-            other => Err(unexpected("VerdictBatch2", &other)),
         }
     }
 

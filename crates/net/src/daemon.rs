@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use stacl_coalition::{DecisionKind, ProofStore, Verdict};
 use stacl_ids::hash::FnvHashMap;
 use stacl_ids::sync::{Mutex, RwLock};
-use stacl_naplet::guard::{BatchRequest, CoordinatedGuard, Custody, GuardRequest};
+use stacl_naplet::guard::{CoordinatedGuard, Custody, GuardRequest};
 use stacl_obs::Counter;
 use stacl_rbac::policy::parse_policy;
 use stacl_rbac::PreparedEpoch;
@@ -69,6 +69,7 @@ use stacl_sral::Program;
 use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
 
+use crate::client::Client;
 use crate::frames::{
     scheme_from_u8, DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF,
     ERR_NOT_CUSTODIAN, ERR_STATE,
@@ -765,10 +766,6 @@ fn own_request(vocab: &[Name], it: &DecideItem) -> Result<OwnedRequest, Reject> 
     })
 }
 
-fn verdict_frame(v: &Verdict) -> (u8, u64, Option<String>) {
-    (crate::frames::kind_to_u8(v.kind), v.epoch, v.reason.clone())
-}
-
 /// The fail-safe verdict an epoch-desynchronized member answers with:
 /// counted like any other decision outcome and stamped with the stale
 /// epoch this member is stuck on.
@@ -794,23 +791,6 @@ fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> V
         time: req.time,
     };
     shared.guard.decide(&greq, &shared.proofs, table)
-}
-
-/// Decide an owned batch (or fail safe under epoch desync).
-fn decide_many(shared: &Shared, owned: &[OwnedRequest]) -> Vec<Verdict> {
-    if shared.epoch_desync.load(Ordering::SeqCst) {
-        return owned.iter().map(|_| desync_verdict(shared)).collect();
-    }
-    let reqs: Vec<BatchRequest<'_>> = owned
-        .iter()
-        .map(|r| BatchRequest {
-            object: &r.object,
-            access: &r.access,
-            remaining: &r.remaining,
-            time: r.time,
-        })
-        .collect();
-    shared.guard.decide_batch(&reqs, &shared.proofs, false)
 }
 
 /// Handle one decoded frame, queueing replies as slots. Returns `true`
@@ -850,36 +830,14 @@ fn handle_frame(
                 // client at the home custodian instead of deciding. One
                 // extra hop resolves the decision.
                 Ok(req) => redirect_for(shared, id, &req.object).unwrap_or_else(|| {
-                    let (kind, epoch, reason) =
-                        verdict_frame(&decide_one(shared, &req, &mut conn.table));
+                    let v = decide_one(shared, &req, &mut conn.table);
                     Frame::Verdict2 {
                         id,
-                        kind,
-                        epoch,
-                        reason,
+                        kind: crate::frames::kind_to_u8(v.kind),
+                        epoch: v.epoch,
+                        reason: v.reason,
                     }
                 }),
-                Err(e) => Frame::Err2 {
-                    id,
-                    code: e.code,
-                    msg: e.msg,
-                },
-            };
-            push_correlated(conn, reply);
-        }
-        Frame::DecideBatch2 { id, items } => {
-            let reply = match items
-                .iter()
-                .map(|it| own_request(&conn.vocab, it))
-                .collect::<Result<Vec<_>, Reject>>()
-            {
-                Ok(owned) => Frame::VerdictBatch2 {
-                    id,
-                    verdicts: decide_many(shared, &owned)
-                        .iter()
-                        .map(verdict_frame)
-                        .collect(),
-                },
                 Err(e) => Frame::Err2 {
                     id,
                     code: e.code,
@@ -936,22 +894,6 @@ fn handle_frame(
         }
         Frame::PolicyActivate { epoch } => {
             let reply = policy_activate(shared, epoch);
-            push_ordered(conn, reply);
-        }
-        Frame::Locate { object } => {
-            // Any member answers a locate purely from the ring: O(N)
-            // arithmetic, no broadcast, no directory lookup.
-            let reply = match shared.guard.placement_home(&object) {
-                Some(home) => {
-                    let addr = if home == shared.cfg.name {
-                        Some(shared.addr.to_string())
-                    } else {
-                        shared.peers.read().get(&home).map(|a| a.to_string())
-                    };
-                    Frame::Redirect { object, home, addr }
-                }
-                None => err_frame(ERR_STATE, "no placement ring installed"),
-            };
             push_ordered(conn, reply);
         }
         Frame::Rebalance { object, from } => {
@@ -1308,9 +1250,8 @@ fn rebalance_push(shared: &Shared, addr: SocketAddr, object: &str) -> Result<(),
         object: object.to_string(),
         from: shared.cfg.name.clone(),
     };
-    match peer_request(shared, addr, &request)? {
+    match peer_call(shared, addr, &request)? {
         Frame::Ok => Ok(()),
-        Frame::Err { code, msg } => Err(format!("rebalance refused (code {code}): {msg}")),
         other => Err(format!("expected Ok, got {other:?}")),
     }
 }
@@ -1319,53 +1260,17 @@ fn try_pull(shared: &Shared, addr: SocketAddr, object: &str) -> Result<HandoffWi
     let request = Frame::HandoffRequest {
         object: object.to_string(),
     };
-    match peer_request(shared, addr, &request)? {
+    match peer_call(shared, addr, &request)? {
         Frame::HandoffState { object: o, state } if o == object => Ok(state),
-        Frame::Err { code, msg } => Err(format!("peer refused handoff (code {code}): {msg}")),
         other => Err(format!("expected HandoffState, got {other:?}")),
     }
 }
 
-/// Send `request` to the peer at `addr` on a fresh connection, after the
-/// `Hello` handshake, and return its reply. Each frame leaves in one
-/// write and replies are read through one [`FrameAssembler`], so the
-/// peer never wakes on half a frame.
-fn peer_request(shared: &Shared, addr: SocketAddr, request: &Frame) -> Result<Frame, String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, shared.cfg.io_timeout).map_err(|e| e.to_string())?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
-    let mut asm = FrameAssembler::new();
-    let hello = Frame::Hello {
-        proto: PROTOCOL_VERSION as u16,
-        peer: shared.cfg.name.clone(),
-    };
-    match round_trip(&mut stream, &mut asm, &hello).map_err(|e| e.to_string())? {
-        Frame::HelloAck { .. } => {}
-        other => return Err(format!("expected HelloAck, got {other:?}")),
-    }
-    round_trip(&mut stream, &mut asm, request).map_err(|e| e.to_string())
-}
-
-/// Write `frame` in one write and read the reply through `asm`.
-fn round_trip(
-    stream: &mut TcpStream,
-    asm: &mut FrameAssembler,
-    frame: &Frame,
-) -> io::Result<Frame> {
-    let mut out = Vec::new();
-    wire::put_frame_with(&mut out, |b| frame.encode_into(b))?;
-    stream.write_all(&out)?;
-    loop {
-        if let Some(payload) = asm.next_frame()? {
-            return Ok(Frame::decode(payload)?);
-        }
-        if asm.read_from(stream)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed the connection",
-            ));
-        }
-    }
+/// Send `request` to the peer at `addr` on a fresh [`Client`] connection
+/// and return its reply: `Hello`, then the request, each in one write. A
+/// peer's `Err` reply comes back as the error (`daemon error {code}: …`).
+fn peer_call(shared: &Shared, addr: SocketAddr, request: &Frame) -> Result<Frame, String> {
+    Client::connect(addr, &shared.cfg.name, Some(shared.cfg.io_timeout))
+        .and_then(|mut c| c.call(request))
+        .map_err(|e| e.to_string())
 }

@@ -2,10 +2,17 @@
 //!
 //! Every payload is `[version u8][tag u8][body]`. Request tags live in
 //! `0x01..=0x7F`, reply tags in `0x80..=0xFF`, so a trace is readable at a
-//! glance. Steady-state frames (`Decide2`, `DecideBatch2`, `IssueProof`,
-//! `Enroll`, `Arrive`) carry only interned `u32` ids for names: a client
-//! announces names once via `Vocab` and both ends number them positionally
-//! (id = index of first announcement), per connection.
+//! glance. Steady-state frames (`Decide2`, `IssueProof`, `Enroll`,
+//! `Arrive`) carry only interned `u32` ids for names: a client announces
+//! names once via `Vocab` and both ends number them positionally (id =
+//! index of first announcement), per connection.
+//!
+//! Every decision on the wire is one `Decide2`, answered by exactly one
+//! `Verdict2`, `Redirect2` (the object is homed on another member) or
+//! `Err2` carrying its id; a caller wanting throughput pipelines many of
+//! them on one connection. Tags of retired frames (the batch decide pair
+//! `0x11`/`0x91` and the locate pair `0x0D`/`0x89`) are not reused, so
+//! they decode as `BadTag`.
 //!
 //! Handoff payloads are the exception: they travel *between* daemons whose
 //! interning orders differ, so [`HandoffWire`] is keyed entirely by name
@@ -32,7 +39,7 @@ pub struct WireAccess {
     pub server: u32,
 }
 
-/// One entry of a batched decide.
+/// The body of a `Decide2`: one access to decide.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecideItem {
     /// Vocabulary id of the requesting object.
@@ -155,13 +162,6 @@ pub enum Frame {
         /// The object's name (handoffs are name-keyed).
         object: String,
     },
-    /// Where does the placement ring home this object? Replied with
-    /// `Redirect` (or `Err` when the daemon has no ring installed). Any
-    /// member can answer: the ring is deterministic, so no broadcast.
-    Locate {
-        /// The object's name (placement is name-keyed).
-        object: String,
-    },
     /// Daemon→daemon: a membership change re-homed `object` onto the
     /// receiver; pull its custody from `from` (the current custodian)
     /// through the ordinary handoff machinery. Replied with `Ok` once the
@@ -210,14 +210,6 @@ pub enum Frame {
         /// The request.
         item: DecideItem,
     },
-    /// Decide a batch, correlated. Replied with `VerdictBatch2` (or
-    /// `Err2`) echoing `id`.
-    DecideBatch2 {
-        /// Caller-chosen correlation id, echoed by the reply.
-        id: u64,
-        /// The requests, answered in order within the batch.
-        items: Vec<DecideItem>,
-    },
 
     /// Reply to `Hello`: revision + the daemon's server name.
     HelloAck {
@@ -253,16 +245,6 @@ pub enum Frame {
         /// The acknowledged epoch.
         epoch: u64,
     },
-    /// Reply to `Locate`: the object's placement-ring home.
-    Redirect {
-        /// The object's name (echoed).
-        object: String,
-        /// The rendezvous home member's name.
-        home: String,
-        /// The home's listen address, when the answering daemon knows it
-        /// (`host:port`); callers with their own peer table may ignore it.
-        addr: Option<String>,
-    },
     /// Reply to `Decide2`, correlated by `id`.
     Verdict2 {
         /// The request's correlation id, echoed.
@@ -273,13 +255,6 @@ pub enum Frame {
         epoch: u64,
         /// Denial detail, absent on grants.
         reason: Option<String>,
-    },
-    /// Reply to `DecideBatch2`, correlated by `id`.
-    VerdictBatch2 {
-        /// The request's correlation id, echoed.
-        id: u64,
-        /// One `(kind, epoch, reason)` per item, in request order.
-        verdicts: Vec<(u8, u64, Option<String>)>,
     },
     /// Failure reply, correlated by `id` — a malformed or rejected
     /// correlated request must not desynchronize the pipeline.
@@ -329,19 +304,15 @@ const TAG_METRICS_REQUEST: u8 = 0x09;
 const TAG_SHUTDOWN: u8 = 0x0A;
 const TAG_POLICY_PREPARE: u8 = 0x0B;
 const TAG_POLICY_ACTIVATE: u8 = 0x0C;
-const TAG_LOCATE: u8 = 0x0D;
 const TAG_REBALANCE: u8 = 0x0E;
 const TAG_DECIDE2: u8 = 0x10;
-const TAG_DECIDE_BATCH2: u8 = 0x11;
 const TAG_HELLO_ACK: u8 = 0x81;
 const TAG_OK: u8 = 0x82;
 const TAG_ERR: u8 = 0x83;
 const TAG_HANDOFF_STATE: u8 = 0x86;
 const TAG_METRICS_JSON: u8 = 0x87;
 const TAG_EPOCH_ACK: u8 = 0x88;
-const TAG_REDIRECT: u8 = 0x89;
 const TAG_VERDICT2: u8 = 0x90;
-const TAG_VERDICT_BATCH2: u8 = 0x91;
 const TAG_ERR2: u8 = 0x92;
 const TAG_REDIRECT2: u8 = 0x93;
 
@@ -725,10 +696,6 @@ impl Frame {
                 put_u8(b, TAG_HANDOFF_REQUEST);
                 put_str(b, object);
             }
-            Frame::Locate { object } => {
-                put_u8(b, TAG_LOCATE);
-                put_str(b, object);
-            }
             Frame::Rebalance { object, from } => {
                 put_u8(b, TAG_REBALANCE);
                 put_str(b, object);
@@ -760,14 +727,6 @@ impl Frame {
                 put_u64(b, *id);
                 put_item(b, item);
             }
-            Frame::DecideBatch2 { id, items } => {
-                put_u8(b, TAG_DECIDE_BATCH2);
-                put_u64(b, *id);
-                put_u32(b, items.len() as u32);
-                for it in items {
-                    put_item(b, it);
-                }
-            }
             Frame::HelloAck { proto, server } => {
                 put_u8(b, TAG_HELLO_ACK);
                 crate::wire::put_u16(b, *proto);
@@ -792,12 +751,6 @@ impl Frame {
                 put_u8(b, TAG_EPOCH_ACK);
                 put_u64(b, *epoch);
             }
-            Frame::Redirect { object, home, addr } => {
-                put_u8(b, TAG_REDIRECT);
-                put_str(b, object);
-                put_str(b, home);
-                put_opt_str(b, addr.as_deref());
-            }
             Frame::Verdict2 {
                 id,
                 kind,
@@ -809,16 +762,6 @@ impl Frame {
                 put_u8(b, *kind);
                 put_u64(b, *epoch);
                 put_opt_str(b, reason.as_deref());
-            }
-            Frame::VerdictBatch2 { id, verdicts } => {
-                put_u8(b, TAG_VERDICT_BATCH2);
-                put_u64(b, *id);
-                put_u32(b, verdicts.len() as u32);
-                for (kind, epoch, reason) in verdicts {
-                    put_u8(b, *kind);
-                    put_u64(b, *epoch);
-                    put_opt_str(b, reason.as_deref());
-                }
             }
             Frame::Err2 { id, code, msg } => {
                 put_u8(b, TAG_ERR2);
@@ -882,7 +825,6 @@ impl Frame {
                 from: d.opt_str()?,
             },
             TAG_HANDOFF_REQUEST => Frame::HandoffRequest { object: d.str()? },
-            TAG_LOCATE => Frame::Locate { object: d.str()? },
             TAG_REBALANCE => Frame::Rebalance {
                 object: d.str()?,
                 from: d.str()?,
@@ -926,39 +868,16 @@ impl Frame {
             },
             TAG_METRICS_JSON => Frame::MetricsJson { json: d.str()? },
             TAG_EPOCH_ACK => Frame::EpochAck { epoch: d.u64()? },
-            TAG_REDIRECT => Frame::Redirect {
-                object: d.str()?,
-                home: d.str()?,
-                addr: d.opt_str()?,
-            },
             TAG_DECIDE2 => Frame::Decide2 {
                 id: d.u64()?,
                 item: dec_item(&mut d)?,
             },
-            TAG_DECIDE_BATCH2 => {
-                let id = d.u64()?;
-                let n = d.count()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(dec_item(&mut d)?);
-                }
-                Frame::DecideBatch2 { id, items }
-            }
             TAG_VERDICT2 => Frame::Verdict2 {
                 id: d.u64()?,
                 kind: d.u8()?,
                 epoch: d.u64()?,
                 reason: d.opt_str()?,
             },
-            TAG_VERDICT_BATCH2 => {
-                let id = d.u64()?;
-                let n = d.count()?;
-                let mut verdicts = Vec::new();
-                for _ in 0..n {
-                    verdicts.push((d.u8()?, d.u64()?, d.opt_str()?));
-                }
-                Frame::VerdictBatch2 { id, verdicts }
-            }
             TAG_ERR2 => Frame::Err2 {
                 id: d.u64()?,
                 code: d.u8()?,
@@ -1012,10 +931,6 @@ mod tests {
                     }],
                 },
             },
-            Frame::DecideBatch2 {
-                id: 5,
-                items: vec![],
-            },
             Frame::IssueProof {
                 object: 9,
                 access: WireAccess {
@@ -1031,9 +946,6 @@ mod tests {
                 from: Some("s0".into()),
             },
             Frame::HandoffRequest {
-                object: "obj".into(),
-            },
-            Frame::Locate {
                 object: "obj".into(),
             },
             Frame::Rebalance {
@@ -1062,10 +974,6 @@ mod tests {
                 kind: 5,
                 epoch: 2,
                 reason: Some("custody in flight".into()),
-            },
-            Frame::VerdictBatch2 {
-                id: 5,
-                verdicts: vec![(0, 0, None), (3, 7, Some("budget".into()))],
             },
             Frame::Err2 {
                 id: 6,
@@ -1097,16 +1005,6 @@ mod tests {
             },
             Frame::MetricsJson { json: "{}".into() },
             Frame::EpochAck { epoch: 9 },
-            Frame::Redirect {
-                object: "o".into(),
-                home: "s3".into(),
-                addr: Some("127.0.0.1:9000".into()),
-            },
-            Frame::Redirect {
-                object: "o".into(),
-                home: "s3".into(),
-                addr: None,
-            },
             Frame::Redirect2 {
                 id: 7,
                 object: "o".into(),
@@ -1134,10 +1032,14 @@ mod tests {
         assert_eq!(Frame::decode(&[9, TAG_OK]), Err(WireError::BadVersion(9)));
         // The retired sequential protocol's version byte is refused too.
         assert_eq!(Frame::decode(&[1, TAG_OK]), Err(WireError::BadVersion(1)));
-        assert_eq!(
-            Frame::decode(&[PROTOCOL_VERSION, 0x7E]),
-            Err(WireError::BadTag(0x7E))
-        );
+        // 0x7E was never assigned; the rest are the retired batch
+        // decide/verdict pair and the locate/redirect pair.
+        for tag in [0x7E, 0x11, 0x91, 0x0D, 0x89] {
+            assert_eq!(
+                Frame::decode(&[PROTOCOL_VERSION, tag]),
+                Err(WireError::BadTag(tag))
+            );
+        }
         assert!(matches!(
             Frame::decode(&[PROTOCOL_VERSION, TAG_OK, 0xFF]),
             Err(WireError::TrailingBytes(1))

@@ -24,7 +24,8 @@
 //!   and the migration handoff **pull** with bounded retries, doubling
 //!   backoff and fail-safe denial — pulls run on helper threads so one
 //!   slow peer never stalls the loop;
-//! * [`client`] — the synchronous client, including
+//! * [`client`] — the synchronous client, which is also the daemon's
+//!   own link to its peers (handoff pulls, rebalance pushes), including
 //!   [`client::Client::decide_failsafe`]: an unreachable member yields a
 //!   counted `DeniedCoordination`, never an open gate — plus the
 //!   pipelined mode ([`client::Pipeline`]) keeping a window of

@@ -92,7 +92,7 @@ pub fn gen_handoff(r: &mut SplitMix64) -> HandoffWire {
 }
 
 pub fn gen_frame(r: &mut SplitMix64) -> Frame {
-    match r.gen_range(0u32..25) {
+    match r.gen_range(0u32..21) {
         0 => Frame::Hello {
             proto: r.gen_range(0u32..9) as u16,
             peer: gen_string(r),
@@ -161,45 +161,21 @@ pub fn gen_frame(r: &mut SplitMix64) -> Frame {
             id: r.next_u64(),
             item: gen_item(r),
         },
-        17 => Frame::DecideBatch2 {
-            id: r.next_u64(),
-            items: (0..r.gen_range(0usize..4)).map(|_| gen_item(r)).collect(),
-        },
-        18 => Frame::Verdict2 {
+        17 => Frame::Verdict2 {
             id: r.next_u64(),
             kind: r.gen_range(0u32..6) as u8,
             epoch: r.gen_range(0u32..9) as u64,
             reason: r.gen_bool(0.5).then(|| gen_string(r)),
         },
-        19 => Frame::VerdictBatch2 {
-            id: r.next_u64(),
-            verdicts: (0..r.gen_range(0usize..4))
-                .map(|_| {
-                    (
-                        r.gen_range(0u32..6) as u8,
-                        r.gen_range(0u32..9) as u64,
-                        r.gen_bool(0.5).then(|| gen_string(r)),
-                    )
-                })
-                .collect(),
-        },
-        20 => Frame::Err2 {
+        18 => Frame::Err2 {
             id: r.next_u64(),
             code: r.gen_range(0u32..9) as u8,
             msg: gen_string(r),
         },
-        // Placement frames: locate, custody rebalance, redirects.
-        21 => Frame::Locate {
-            object: gen_string(r),
-        },
-        22 => Frame::Rebalance {
+        // Placement frames: custody rebalance, decide redirect.
+        19 => Frame::Rebalance {
             object: gen_string(r),
             from: gen_string(r),
-        },
-        23 => Frame::Redirect {
-            object: gen_string(r),
-            home: gen_string(r),
-            addr: r.gen_bool(0.5).then(|| gen_string(r)),
         },
         _ => Frame::Redirect2 {
             id: r.next_u64(),

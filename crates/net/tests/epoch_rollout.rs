@@ -193,11 +193,20 @@ fn missed_prepare_desyncs_until_the_next_complete_round() {
         "reason names the desync: {:?}",
         v.reason
     );
-    // Batches fail safe the same way.
-    let batch = clients[1]
-        .decide_batch(&[("n0", &access, &program[..], 2.5)])
-        .expect("batch");
-    assert_eq!(batch[0].kind, DecisionKind::DeniedCoordination);
+    // Pipelined decides fail safe the same way.
+    let mut p = clients[1].pipeline(4).expect("pipeline");
+    let id = p.submit("n0", &access, &program, 2.5).expect("submit");
+    let done = p.finish().expect("drain");
+    assert_eq!(done.len(), 1, "one completion for one request");
+    let (got, v) = &done[0];
+    assert_eq!(*got, id);
+    assert_eq!(v.kind, DecisionKind::DeniedCoordination);
+    assert_eq!(v.epoch, 0, "stamped with the stale epoch");
+    assert!(
+        v.reason.as_deref().unwrap_or("").contains("desynchronized"),
+        "reason names the desync: {:?}",
+        v.reason
+    );
 
     // d0 is unaffected and serves epoch 1.
     let v = clients[0]

@@ -1,4 +1,4 @@
-//! Placement-layer integration tests: ring-routed location with at most
+//! Placement-layer integration tests: ring-routed decides with at most
 //! one redirect hop, redirects inside a pipelined window, churn
 //! rebalancing that drains only moved keys, and
 //! the two event-loop custody bugfixes (severed frames must not be
@@ -73,9 +73,9 @@ fn await_until(what: &str, mut pred: impl FnMut() -> bool) {
     panic!("timed out waiting for: {what}");
 }
 
-/// Tentpole acceptance: any member locates any object's custodian with
-/// no broadcast, and a decision sent to the wrong member resolves in at
-/// most one redirect hop.
+/// Any member names any object's custodian with no broadcast: a decide
+/// sent to the wrong member is redirected to the ring home and resolves
+/// in at most one hop.
 #[test]
 fn locate_and_one_redirect_hop_resolve_any_object() {
     stacl_obs::set_telemetry(true);
@@ -116,17 +116,27 @@ fn locate_and_one_redirect_hop_resolve_any_object() {
     let mut at_home = Client::connect(handles[home_idx].addr(), "t", timeout).expect("connect");
     at_home.arrive("o0", 1.0, None).expect("home arrival");
 
-    // Locate from *every* member answers the same home, pure arithmetic.
-    for h in &handles {
+    // A decide at *every* non-home member is redirected to the same
+    // home, with its address: each member computes the ring itself.
+    for h in handles.iter().filter(|h| h.name() != home) {
         let mut c = Client::connect(h.addr(), "t", timeout).expect("connect");
-        let (located, addr) = c.locate("o0").expect("locate");
-        assert_eq!(located, home, "every member computes the same home");
-        assert_eq!(
-            addr.expect("home address known")
-                .parse::<SocketAddr>()
-                .unwrap(),
-            handles[home_idx].addr(),
-        );
+        match c.decide("o0", &access, &program, 1.5) {
+            Err(NetError::Redirected {
+                object,
+                home: to,
+                addr,
+            }) => {
+                assert_eq!(object, "o0");
+                assert_eq!(to, home, "every member computes the same home");
+                assert_eq!(
+                    addr.expect("home address known")
+                        .parse::<SocketAddr>()
+                        .unwrap(),
+                    handles[home_idx].addr(),
+                );
+            }
+            other => panic!("a non-home member must redirect, got {other:?}"),
+        }
     }
 
     // A decision routed to the wrong member resolves in exactly one

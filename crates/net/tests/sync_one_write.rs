@@ -1,8 +1,8 @@
 //! Every synchronous frame reaches the socket in one write. A client
 //! round trip (`decide`, `issue_proof`, the handshake and vocabulary
-//! sync) and a daemon's handoff pull each send their request whole, so
-//! the receiving side takes each frame in exactly one read and never
-//! wakes on a lone length header.
+//! sync), a daemon's handoff pull and its rebalance push each send their
+//! request whole, so the receiving side takes each frame in exactly one
+//! read and never wakes on a lone length header.
 //!
 //! Both fake servers below count their own reads through a
 //! [`FrameAssembler`]: a read that leaves part of a frame buffered means
@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use stacl_coalition::{DecisionKind, ProofStore};
+use stacl_coalition::{DecisionKind, Placement, ProofStore};
 use stacl_naplet::guard::{CoordinatedGuard, Custody};
 use stacl_net::frames::{kind_to_u8, Frame, HandoffWire};
 use stacl_net::wire;
@@ -71,6 +71,7 @@ fn tag(frame: &Frame) -> &'static str {
         Frame::Decide2 { .. } => "Decide2",
         Frame::IssueProof { .. } => "IssueProof",
         Frame::HandoffRequest { .. } => "HandoffRequest",
+        Frame::Rebalance { .. } => "Rebalance",
         _ => "other",
     }
 }
@@ -180,6 +181,44 @@ fn handoff_pull_sends_each_frame_whole() {
     assert_eq!(
         reads.0,
         vec![(vec!["Hello"], false), (vec!["HandoffRequest"], false)],
+        "each peer-link frame arrives whole, in one read"
+    );
+}
+
+#[test]
+fn rebalance_push_sends_each_frame_whole() {
+    let peer_name = "fake-peer";
+    let (peer_addr, peer) = spawn_fake(peer_name, |frame| match frame {
+        Frame::Rebalance { .. } => Frame::Ok,
+        other => panic!("fake peer got unexpected {other:?}"),
+    });
+    let guard = CoordinatedGuard::new(ExtendedRbac::new(RbacModel::new()));
+    guard.set_custody_enforcement(true);
+    let mut daemon =
+        stacl_net::spawn(guard, ProofStore::new(), DaemonConfig::new("pusher")).expect("bind");
+    let members = [
+        ("pusher".to_string(), daemon.addr()),
+        (peer_name.to_string(), peer_addr),
+    ];
+    // One resident key that the two-member ring homes on the peer: the
+    // ring change drains exactly it.
+    let ring = Placement::new(members.iter().map(|(n, _)| n.clone()));
+    let object = (0..)
+        .map(|i| format!("o{i}"))
+        .find(|o| ring.home_of(o) == Some(peer_name))
+        .expect("the peer homes some key");
+    daemon
+        .guard()
+        .take_custody(&object)
+        .expect("claim before the ring");
+    assert_eq!(daemon.set_members(&members), 1, "one key to drain");
+
+    // The push closes its connection once the peer answers.
+    let reads = peer.join().expect("fake peer");
+    daemon.shutdown();
+    assert_eq!(
+        reads.0,
+        vec![(vec!["Hello"], false), (vec!["Rebalance"], false)],
         "each peer-link frame arrives whole, in one read"
     );
 }

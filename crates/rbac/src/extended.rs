@@ -49,7 +49,7 @@
 //!
 //! ## The incremental fast path
 //!
-//! Spatial checks keep a per-(object, permission) [`ConstraintCursor`]:
+//! Spatial checks keep a per-(object, permission) constraint cursor:
 //! the constraint automaton's state after the object's proven history.
 //! Per object the cursors live in a structure-of-arrays [`CursorBank`],
 //! so folding in one newly proven access advances *every* in-lockstep
@@ -73,7 +73,7 @@ use stacl_ids::sync::{Mutex, RwLock};
 use stacl_ids::{ClassId, IdKind, IdSet, Interner, ObjectId, PermId};
 use stacl_obs::Counter;
 use stacl_srac::check::{check_residual_cached, ConstraintCache, Semantics};
-use stacl_srac::{Constraint, ConstraintCursor, CursorBank};
+use stacl_srac::{Constraint, CursorBank};
 use stacl_sral::ast::Name;
 use stacl_sral::{Access, Program};
 use stacl_temporal::{BaseTimeScheme, PermissionTimeline, TimePoint};
@@ -483,7 +483,7 @@ impl ExtendedRbac {
     /// constraint, so the steady-state check path never has to grow the
     /// table mid-decision: after saturation (and once the workload's own
     /// access vocabulary is interned) the cursor fast path runs against
-    /// `&AccessTable` — `compile` and [`ConstraintCursor::check_one`]
+    /// `&AccessTable` — `compile` and [`CursorBank::check_one`]
     /// need only read access — and cursors stop being invalidated by
     /// late vocabulary growth. Call at policy-load time with each table
     /// the guard will decide against.
@@ -949,12 +949,8 @@ impl ExtendedRbac {
             &mut self.cache.lock(),
         )
         .holds;
-        let mut cursor = ConstraintCursor::new(c, table, &mut self.cache.lock());
-        if cursor.advance_trace(&history) {
-            gate.bank.insert(key, cursor, generation);
-        } else {
-            gate.bank.remove(key);
-        }
+        gate.bank
+            .rebuild(key, c, &history, table, &mut self.cache.lock(), generation);
         holds
     }
 
@@ -1169,13 +1165,14 @@ impl ExtendedRbac {
         };
         let generation = self.model.generation();
         let history = proofs.history_of(object, table);
-        let mut cursor = ConstraintCursor::new(c, table, &mut self.cache.lock());
-        if !cursor.advance_trace(&history) {
-            return false;
-        }
-        let gate = self.gate_of(oid);
-        gate.lock().bank.insert(pid.index(), cursor, generation);
-        true
+        self.gate_of(oid).lock().bank.rebuild(
+            pid.index(),
+            c,
+            &history,
+            table,
+            &mut self.cache.lock(),
+            generation,
+        )
     }
 
     /// The active policy epoch (0 until the first
@@ -1270,7 +1267,7 @@ impl ExtendedRbac {
             let mut cache = self.cache.lock();
             for p in model.permissions() {
                 if let Some(c) = &p.spatial {
-                    let _ = ConstraintCursor::new(c, table, &mut cache);
+                    stacl_srac::cursor::precompile(c, table, &mut cache);
                 }
             }
         }

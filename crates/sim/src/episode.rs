@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use stacl_coalition::ledger::{fnv1a, Ledger};
 use stacl_coalition::{CoalitionEnv, DecisionKind, ProofStore, Verdict};
-use stacl_naplet::guard::{BatchRequest, CoordinatedGuard, GuardRequest};
+use stacl_naplet::guard::{CoordinatedGuard, GuardRequest};
 use stacl_rbac::policy::render_policy;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::{Access, Program};
@@ -320,10 +320,10 @@ impl Backend for Local<'_> {
             })
             .collect();
         let sc = self.sc;
-        let (slots, reqs): (Vec<usize>, Vec<BatchRequest<'_>>) = (run.iter().zip(&programs))
+        let (slots, reqs): (Vec<usize>, Vec<GuardRequest<'_>>) = (run.iter().zip(&programs))
             .enumerate()
             .filter_map(|(k, (it, program))| {
-                let req = BatchRequest {
+                let req = GuardRequest {
                     object: &sc.objects[it.obj].name,
                     access: it.access,
                     remaining: program.as_ref()?,
@@ -336,15 +336,7 @@ impl Backend for Local<'_> {
             self.guard.decide_batch(&reqs, &self.proofs, false)
         } else {
             reqs.iter()
-                .map(|r| {
-                    let req = GuardRequest {
-                        object: r.object,
-                        access: r.access,
-                        remaining: r.remaining,
-                        time: r.time,
-                    };
-                    self.guard.decide(&req, &self.proofs, &mut self.table)
-                })
+                .map(|r| self.guard.decide(r, &self.proofs, &mut self.table))
                 .collect()
         };
         for (k, v) in slots.into_iter().zip(verdicts) {

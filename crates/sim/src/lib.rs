@@ -44,6 +44,6 @@ pub use episode::{
     Transport, LEDGER_SAMPLE,
 };
 pub use oracle::{OracleBug, ReferenceOracle};
-pub use report::{repro, repro_profile, repro_scenario, SweepReport};
+pub use report::{repro_scenario, SweepReport};
 pub use scenario::{AttrCidrSpec, AttrCronSpec, Event, PolicyRev, Profile, Scenario};
 pub use shrink::shrink;

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use crate::episode::{run_episode, Episode};
 use crate::oracle::OracleBug;
-use crate::scenario::{Profile, Scenario};
+use crate::scenario::Scenario;
 use crate::shrink::shrink;
 
 /// Aggregated results of a multi-seed sweep.
@@ -60,20 +60,9 @@ impl SweepReport {
     }
 }
 
-/// The full replay report for one seed: the generated scenario, the
-/// episode log, and — when the episode diverges — the deterministic
-/// shrunk witness with its own log.
-pub fn repro(seed: u64, bug: Option<OracleBug>) -> String {
-    repro_scenario(&Scenario::generate(seed), bug)
-}
-
-/// [`repro`] for a profile-generated scenario: same report, driven by
-/// [`Scenario::generate_profile`].
-pub fn repro_profile(seed: u64, profile: Profile, bug: Option<OracleBug>) -> String {
-    repro_scenario(&Scenario::generate_profile(seed, profile), bug)
-}
-
-/// [`repro`] for any scenario (a churn sweep's, say).
+/// The full replay report for one scenario: the scenario, the episode
+/// log, and — when the episode diverges — the deterministic shrunk
+/// witness with its own log.
 pub fn repro_scenario(sc: &Scenario, bug: Option<OracleBug>) -> String {
     let ep = run_episode(sc, bug);
     let mut out = String::new();

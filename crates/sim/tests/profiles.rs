@@ -8,7 +8,7 @@
 mod common;
 
 use stacl_sim::{
-    repro_profile, run_episode, shrink, OracleBug, Profile, Scenario, SweepReport, Transport,
+    repro_scenario, run_episode, shrink, OracleBug, Profile, Scenario, SweepReport, Transport,
 };
 
 /// Fast per-profile window for the tier-1 (non-ignored) tier.
@@ -26,7 +26,7 @@ fn sweep(profile: Profile, seeds: std::ops::Range<u64>) -> SweepReport {
             "{} seed {seed} diverged:\n{}\nrepro:\n{}",
             profile.name(),
             ep.log,
-            repro_profile(seed, profile, None)
+            repro_scenario(&Scenario::generate_profile(seed, profile), None)
         );
         report.absorb(seed, &ep);
     }
@@ -201,7 +201,7 @@ fn injected_cidr_lowering_bug_is_caught_shrunk_and_replayable() {
     assert_eq!(small.to_string(), small2.to_string());
 
     // Replayable from (seed, profile) alone.
-    let dump = repro_profile(seed, profile, bug);
+    let dump = repro_scenario(&Scenario::generate_profile(seed, profile), bug);
     assert!(dump.contains("DIVERGENCE"));
     assert!(dump.contains("shrunk witness"));
 }

@@ -3,7 +3,7 @@
 mod common;
 
 use stacl_sim::{
-    episode_for_seed, repro, shrink, Event, OracleBug, Scenario, SweepReport, Transport,
+    episode_for_seed, repro_scenario, shrink, Event, OracleBug, Scenario, SweepReport, Transport,
 };
 
 /// The fixed seed window the smoke suite sweeps.
@@ -18,7 +18,7 @@ fn guard_and_oracle_agree_on_smoke_seeds() {
             ep.divergence.is_none(),
             "seed {seed} diverged:\n{}\nrepro:\n{}",
             ep.log,
-            repro(seed, None)
+            repro_scenario(&Scenario::generate(seed), None)
         );
         report.absorb(seed, &ep);
     }
@@ -122,7 +122,7 @@ fn injected_oracle_bug_is_caught_shrunk_and_replayable() {
         assert_eq!(small.to_string(), small2.to_string(), "{bug:?}");
 
         // Replayable from nothing but the seed.
-        let dump = repro(seed, Some(bug));
+        let dump = repro_scenario(&Scenario::generate(seed), Some(bug));
         assert!(dump.contains("DIVERGENCE"), "{bug:?}");
         assert!(dump.contains("shrunk witness"), "{bug:?}");
     }

@@ -3,21 +3,20 @@
 //!
 //! [`check_residual`](crate::check::check_residual) re-walks the object's
 //! *entire* proven history on every decision, so a session of `k`
-//! accesses costs `O(k²)` automaton steps. A [`ConstraintCursor`]
-//! instead remembers where the constraint automaton landed after the
-//! history seen so far and is advanced by exactly the proofs issued
-//! since — one DFA transition per newly proven access. The residual
-//! check `history · P ⊨ C` (∀-semantics) then runs from the stored
-//! state:
+//! accesses costs `O(k²)` automaton steps. A constraint cursor instead
+//! remembers where the constraint automaton landed after the history
+//! seen so far and is advanced by exactly the proofs issued since — one
+//! DFA transition per newly proven access. The residual check
+//! `history · P ⊨ C` (∀-semantics) then runs from the stored state:
 //!
 //! * for the reactive single-access program `P = a`, the check is a
 //!   single transition + acceptance lookup per conjunct — `O(1)`, zero
-//!   allocations;
+//!   allocations ([`CursorBank::check_one`]);
 //! * for a general program, `L(A_P) ⊆ L(A_C)`-from-state is decided as
 //!   emptiness of the lazily explored
 //!   [`Dfa::product_shortest_mapped`], skipping the history walk, the
 //!   `advance` clone *and* the product materialisation of the slow
-//!   path.
+//!   path ([`CursorBank::check_residual_program`]).
 //!
 //! Leaf automata are compiled over their constraint's **compressed
 //! class alphabet** (see [`crate::classes`]): a handful of symbols
@@ -26,7 +25,7 @@
 //!
 //! ## Exactness
 //!
-//! The cursor replicates `check_residual_cached` bit for bit: same NNF
+//! A cursor replicates `check_residual_cached` bit for bit: same NNF
 //! `And`-decomposition in the same left-to-right order, leaf automata
 //! from the same [`ConstraintCache`] keyed by the same table version,
 //! and the mapped `Diff` product from the leaf state is the same
@@ -39,7 +38,7 @@
 //! compiled, so a cursor is only meaningful against a table with the
 //! *identical* id ↔ access mapping. [`AccessTable::version`] stamps
 //! make that checkable in `O(1)`: callers must verify
-//! [`ConstraintCursor::in_sync_with`] (and rebuild via the slow path
+//! [`CursorBank::in_sync_with`] (and rebuild via the slow path
 //! otherwise). Ids interned after the build fall outside the class-map
 //! domain and make the cursor decline (`cursor.out-of-class`). Other
 //! invalidation rules — proof watermark regressions, unknown symbols,
@@ -61,148 +60,34 @@ use std::sync::Arc;
 use stacl_sral::{Access, Program};
 use stacl_trace::abstraction::{traces, AbstractionConfig};
 use stacl_trace::dfa::ProductMode;
-use stacl_trace::{AccessId, AccessTable, Dfa, Trace};
+use stacl_trace::{AccessTable, Dfa, Trace};
 
 use crate::ast::Constraint;
-use crate::check::ConstraintCache;
+use crate::check::{CompiledLeaf, ConstraintCache};
 use crate::classes::SymbolClasses;
 
-/// One ∀-conjunct of the constraint in NNF: a shared compiled automaton
-/// over the conjunct's class alphabet, the class map bridging global
-/// ids to it, and the state reached after the consumed history.
-#[derive(Clone, Debug)]
-struct CursorLeaf {
-    dfa: Arc<Dfa>,
-    classes: Arc<SymbolClasses>,
-    state: u32,
+/// Intern every access `c` mentions and compile (or cache-hit) one leaf
+/// automaton per ∀-conjunct of its NNF, over the conjunct's compressed
+/// class alphabet — the same cache entries `check_residual_cached` uses,
+/// so verdicts line up exactly.
+fn compile_leaves(
+    c: &Constraint,
+    table: &mut AccessTable,
+    cache: &mut ConstraintCache,
+) -> Vec<CompiledLeaf> {
+    for a in c.mentioned_accesses() {
+        table.intern(a);
+    }
+    let mut leaves = Vec::new();
+    collect_forall_leaves(&c.to_nnf(), table, cache, &mut leaves);
+    leaves
 }
 
-/// The per-(object, permission) incremental state of one constraint's
-/// residual check. See the module docs.
-#[derive(Clone, Debug)]
-pub struct ConstraintCursor {
-    /// NNF `And`-leaves in `forall_cached`'s left-to-right order.
-    leaves: Vec<CursorLeaf>,
-    /// Length of the interning table when the leaves were compiled —
-    /// the shared domain of every leaf's class map. Ids at or beyond
-    /// it are out of class: the cursor declines.
-    table_len: usize,
-    /// The version stamp of the table the class maps were built from.
-    table_version: u64,
-    /// How many history accesses have been folded into the leaf states.
-    consumed: usize,
-}
-
-impl ConstraintCursor {
-    /// Build a cursor for `c` at the empty history, compiling (or
-    /// cache-hitting) one leaf automaton per NNF ∀-conjunct over its
-    /// compressed class alphabet — the same cache entries
-    /// `check_residual_cached` uses, so verdicts line up exactly.
-    pub fn new(c: &Constraint, table: &mut AccessTable, cache: &mut ConstraintCache) -> Self {
-        for a in c.mentioned_accesses() {
-            table.intern(a);
-        }
-        let mut leaves = Vec::new();
-        collect_forall_leaves(&c.to_nnf(), table, cache, &mut leaves);
-        ConstraintCursor {
-            leaves,
-            table_len: table.len(),
-            table_version: table.version(),
-            consumed: 0,
-        }
-    }
-
-    /// Number of history accesses folded into the cursor so far.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Whether the cursor's stored class maps are valid against
-    /// `table`: equal [`AccessTable::version`] stamps guarantee the
-    /// identical id mapping the leaves were compiled over.
-    pub fn in_sync_with(&self, table: &AccessTable) -> bool {
-        self.table_version == table.version()
-    }
-
-    /// Step every leaf by one proven access. Returns `false` — leaving
-    /// the cursor invalid (partially advanced) — when the id is outside
-    /// the class-map domain; the caller must then rebuild via the slow
-    /// path.
-    pub fn advance(&mut self, id: AccessId) -> bool {
-        if id.index() >= self.table_len {
-            stacl_obs::count(stacl_obs::Counter::CursorOutOfClass);
-            return false;
-        }
-        for leaf in &mut self.leaves {
-            let sym = leaf.classes.map()[id.index()];
-            leaf.state = leaf.dfa.next(leaf.state, sym);
-        }
-        self.consumed += 1;
-        true
-    }
-
-    /// [`ConstraintCursor::advance`] from an un-interned access. `false`
-    /// when the access is unknown to `table` or out of class.
-    pub fn advance_access(&mut self, access: &Access, table: &AccessTable) -> bool {
-        match table.id_of(access) {
-            Some(id) => self.advance(id),
-            None => false,
-        }
-    }
-
-    /// Fold a whole history trace into the cursor. `false` (cursor
-    /// invalid) if any symbol falls out of class.
-    pub fn advance_trace(&mut self, history: &Trace) -> bool {
-        history.0.iter().all(|&id| self.advance(id))
-    }
-
-    /// The `O(1)` reactive fast path: `history · a ⊨ C` (∀) for the
-    /// single-access program `a`, from the cursor's state, with zero
-    /// allocations. `None` when `a` is unknown or out of class (take
-    /// the slow path). A straight-line single-access program has
-    /// exactly one trace, so ∀-satisfaction per conjunct is one
-    /// transition + acceptance lookup.
-    pub fn check_one(&self, access: &Access, table: &AccessTable) -> Option<bool> {
-        let id = table.id_of(access)?;
-        if id.index() >= self.table_len {
-            stacl_obs::count(stacl_obs::Counter::CursorOutOfClass);
-            return None;
-        }
-        Some(self.leaves.iter().all(|l| {
-            let sym = l.classes.map()[id.index()];
-            l.dfa.is_accepting(l.dfa.next(l.state, sym))
-        }))
-    }
-
-    /// The general-program fast path: `history · P ⊨ C` (∀) from the
-    /// cursor's state. Builds the program automaton over just the
-    /// program's own trace alphabet and checks emptiness of the mapped
-    /// `Diff` product per leaf, without materialising it — neither side
-    /// scales with table width. `None` when building the program's
-    /// trace model interned accesses the cursor's class maps don't
-    /// cover (take the slow path).
-    pub fn check_residual_program(&self, p: &Program, table: &mut AccessTable) -> Option<bool> {
-        if let Program::Access(a) = p {
-            return self.check_one(a, table);
-        }
-        let re = traces(p, table, AbstractionConfig::default());
-        if !self.in_sync_with(table) {
-            // The program mentioned accesses the leaves were not
-            // compiled over.
-            return None;
-        }
-        let prog = Dfa::from_regex_with(&re, re.alphabet());
-        for l in &self.leaves {
-            let map = l.classes.map_alphabet(&prog.alphabet)?;
-            if prog
-                .product_shortest_mapped(prog.start, &l.dfa, l.state, ProductMode::Diff, &map)
-                .is_some()
-            {
-                return Some(false);
-            }
-        }
-        Some(true)
-    }
+/// Warm `cache` with the leaf automata a cursor for `c` would use at
+/// `table`'s version, without building one (policy preparation compiles
+/// ahead of the epoch flip).
+pub fn precompile(c: &Constraint, table: &mut AccessTable, cache: &mut ConstraintCache) {
+    compile_leaves(c, table, cache);
 }
 
 /// Decompose the NNF constraint along `And` — exactly the recursion of
@@ -214,24 +99,21 @@ fn collect_forall_leaves(
     c: &Constraint,
     table: &AccessTable,
     cache: &mut ConstraintCache,
-    out: &mut Vec<CursorLeaf>,
+    out: &mut Vec<CompiledLeaf>,
 ) {
     if let Constraint::And(a, b) = c {
         collect_forall_leaves(a, table, cache, out);
         collect_forall_leaves(b, table, cache, out);
         return;
     }
-    let leaf = cache.get_or_compile(c, table);
-    let state = leaf.dfa.start;
-    out.push(CursorLeaf {
-        dfa: leaf.dfa,
-        classes: leaf.classes,
-        state,
-    });
+    out.push(cache.get_or_compile(c, table));
 }
 
 /// Bookkeeping for one cursor stored in a [`CursorBank`]: which leaf
-/// range it owns and the validity stamps of [`ConstraintCursor`].
+/// range it owns, how much history it has folded in, and its validity
+/// stamps — the version and length of the table its class maps were
+/// built from (ids at or beyond that length are out of class) and the
+/// security-model generation.
 #[derive(Clone, Debug)]
 struct BankEntry {
     key: u32,
@@ -299,40 +181,56 @@ impl CursorBank {
     }
 
     /// Whether the cursor under `key` was built against `table`'s
-    /// current id mapping (version-stamp equality, as
-    /// [`ConstraintCursor::in_sync_with`]).
+    /// current id mapping: equal [`AccessTable::version`] stamps
+    /// guarantee the identical id mapping its leaves were compiled over.
     pub fn in_sync_with(&self, key: u32, table: &AccessTable) -> bool {
         self.pos(key)
             .is_some_and(|p| self.entries[p].table_version == table.version())
     }
 
-    /// Store `cursor` under `key` with a model-generation stamp,
-    /// replacing any previous cursor for that key.
-    pub fn insert(&mut self, key: u32, cursor: ConstraintCursor, generation: u64) {
+    /// Build the cursor for `c` at `history` and store it under `key`
+    /// with a model-generation stamp, replacing any previous cursor for
+    /// that key. Returns `false` and leaves `key` without a cursor when
+    /// a history id falls outside the class-map domain (counted
+    /// `cursor.out-of-class`); the slow path then answers alone.
+    pub fn rebuild(
+        &mut self,
+        key: u32,
+        c: &Constraint,
+        history: &Trace,
+        table: &mut AccessTable,
+        cache: &mut ConstraintCache,
+        generation: u64,
+    ) -> bool {
         self.remove(key);
+        let leaves = compile_leaves(c, table, cache);
+        let table_len = table.len();
+        if history.0.iter().any(|id| id.index() >= table_len) {
+            stacl_obs::count(stacl_obs::Counter::CursorOutOfClass);
+            return false;
+        }
         let leaf_start = self.states.len();
-        let ConstraintCursor {
-            leaves,
-            table_len,
-            table_version,
-            consumed,
-        } = cursor;
         let leaf_len = leaves.len();
-        for leaf in leaves {
-            self.states.push(leaf.state);
-            self.strides.push(leaf.dfa.alphabet_len() as u32);
-            self.dfas.push(leaf.dfa);
-            self.maps.push(leaf.classes);
+        for CompiledLeaf { dfa, classes } in leaves {
+            let state = history
+                .0
+                .iter()
+                .fold(dfa.start, |st, id| dfa.next(st, classes.map()[id.index()]));
+            self.states.push(state);
+            self.strides.push(dfa.alphabet_len() as u32);
+            self.dfas.push(dfa);
+            self.maps.push(classes);
         }
         self.entries.push(BankEntry {
             key,
             leaf_start,
             leaf_len,
-            consumed,
-            table_version,
+            consumed: history.len(),
+            table_version: table.version(),
             table_len,
             generation,
         });
+        true
     }
 
     /// Drop the cursor under `key` (no-op when absent), compacting the
@@ -424,8 +322,12 @@ impl CursorBank {
         true
     }
 
-    /// [`ConstraintCursor::check_one`] for the cursor under `key`:
-    /// `history · a ⊨ C` with zero allocations, or `None` to decline.
+    /// The `O(1)` reactive fast path for the cursor under `key`:
+    /// `history · a ⊨ C` (∀) for the single-access program `a`, with
+    /// zero allocations. A straight-line single-access program has
+    /// exactly one trace, so ∀-satisfaction per conjunct is one
+    /// transition + acceptance lookup. `None` to decline: `a` unknown or
+    /// out of class, or the cursor missing or out of sync.
     pub fn check_one(&self, key: u32, access: &Access, table: &AccessTable) -> Option<bool> {
         let p = self.pos(key)?;
         let id = table.id_of(access)?;
@@ -443,9 +345,13 @@ impl CursorBank {
         }))
     }
 
-    /// [`ConstraintCursor::check_residual_program`] for the cursor under
-    /// `key`: the general-program residual check from the stored
-    /// states, or `None` to decline.
+    /// The general-program fast path for the cursor under `key`:
+    /// `history · P ⊨ C` (∀) from the stored states. Builds the program
+    /// automaton over just the program's own trace alphabet and checks
+    /// emptiness of the mapped `Diff` product per leaf, without
+    /// materialising it — neither side scales with table width. `None`
+    /// to decline, e.g. when building the program's trace model interned
+    /// accesses the cursor's class maps don't cover.
     pub fn check_residual_program(
         &self,
         key: u32,
@@ -487,9 +393,22 @@ mod tests {
     use crate::check::{check_residual_cached, Semantics};
     use crate::parser::parse_constraint;
     use stacl_sral::builder::{access, seq};
+    use stacl_trace::AccessId;
 
     fn acc(op: &str, r: &str, s: &str) -> Access {
         Access::new(op, r, s)
+    }
+
+    /// A bank holding one cursor for `c` at `history`, under key 0.
+    fn bank_of(
+        c: &Constraint,
+        history: &Trace,
+        table: &mut AccessTable,
+        cache: &mut ConstraintCache,
+    ) -> CursorBank {
+        let mut bank = CursorBank::new();
+        assert!(bank.rebuild(0, c, history, table, cache, 0));
+        bank
     }
 
     #[test]
@@ -500,10 +419,10 @@ mod tests {
         let a = acc("exec", "rsw", "s1");
         let prog = Program::Access(a.clone());
 
-        let mut cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
+        let mut bank = bank_of(&c, &Trace::empty(), &mut table, &mut cache);
         // The constraint mentions no concrete accesses, so `a` is
         // unknown until somebody interns it: the cursor must decline.
-        assert_eq!(cursor.check_one(&a, &table), None);
+        assert_eq!(bank.check_one(0, &a, &table), None);
 
         // Drive three grants; after each, fast path ≡ slow path.
         let mut history = Vec::new();
@@ -517,17 +436,16 @@ mod tests {
                 &mut cache,
             );
             // (Re)build after the slow path interned the program access.
-            if !cursor.in_sync_with(&table) {
-                cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
+            if !bank.in_sync_with(0, &table) {
                 let h = Trace::from_ids(history.iter().map(|x: &Access| table.id_of(x).unwrap()));
-                assert!(cursor.advance_trace(&h));
+                assert!(bank.rebuild(0, &c, &h, &mut table, &mut cache, 0));
             }
-            let fast = cursor.check_one(&a, &table).expect("in sync now");
+            let fast = bank.check_one(0, &a, &table).expect("in sync now");
             assert_eq!(fast, slow.holds, "step {step}");
             // First two grants fit the cap, the third does not.
             assert_eq!(slow.holds, step < 2);
             history.push(a.clone());
-            assert!(cursor.advance_access(&a, &table));
+            assert!(bank.advance_synced(0, &a, &table));
         }
     }
 
@@ -558,9 +476,9 @@ mod tests {
                 Semantics::ForAll,
                 &mut cache,
             );
-            let cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
-            let fast = cursor
-                .check_residual_program(prog, &mut table)
+            let bank = bank_of(&c, &Trace::empty(), &mut table, &mut cache);
+            let fast = bank
+                .check_residual_program(0, prog, &mut table)
                 .expect("alphabet saturated");
             assert_eq!(fast, slow.holds);
         }
@@ -571,16 +489,21 @@ mod tests {
         let c = parse_constraint("count(0, 5, op=exec)").unwrap();
         let mut table = AccessTable::new();
         let mut cache = ConstraintCache::new();
-        let cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
-        assert!(cursor.in_sync_with(&table));
+        let mut bank = bank_of(&c, &Trace::empty(), &mut table, &mut cache);
+        assert!(bank.in_sync_with(0, &table));
         // A clone is in sync until it diverges.
         let mut other = table.clone();
-        assert!(cursor.in_sync_with(&other));
-        other.intern(&acc("exec", "rsw", "s9"));
-        assert!(!cursor.in_sync_with(&other));
-        // Advancing on an out-of-class id is refused.
-        let mut cursor2 = cursor.clone();
-        assert!(!cursor2.advance(AccessId(999)));
+        assert!(bank.in_sync_with(0, &other));
+        let late = acc("exec", "rsw", "s9");
+        other.intern(&late);
+        assert!(!bank.in_sync_with(0, &other));
+        // Advancing against the diverged table is refused, untouched.
+        assert!(!bank.advance_synced(0, &late, &other));
+        assert_eq!(bank.consumed(0), Some(0));
+        // A history with an out-of-class id builds no cursor at all.
+        let bad = Trace::from_ids([AccessId(999)]);
+        assert!(!bank.rebuild(0, &c, &bad, &mut table, &mut cache, 0));
+        assert!(!bank.contains(0));
     }
 
     #[test]
@@ -590,11 +513,11 @@ mod tests {
         let a = acc("exec", "rsw", "s1");
         table.intern(&a);
         let mut cache = ConstraintCache::new();
-        let mut cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
-        assert_eq!(cursor.consumed(), 0);
+        let mut bank = bank_of(&c, &Trace::empty(), &mut table, &mut cache);
+        assert_eq!(bank.consumed(0), Some(0));
         let h = Trace::from_ids([table.id_of(&a).unwrap(); 3]);
-        assert!(cursor.advance_trace(&h));
-        assert_eq!(cursor.consumed(), 3);
+        assert!(bank.rebuild(0, &c, &h, &mut table, &mut cache, 0));
+        assert_eq!(bank.consumed(0), Some(3));
     }
 
     /// Out-of-class accesses (interned after the cursor was built) make
@@ -606,15 +529,18 @@ mod tests {
         let mut table = AccessTable::new();
         let mut cache = ConstraintCache::new();
         table.intern(&acc("exec", "rsw", "s1"));
-        let mut cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
+        let mut bank = bank_of(&c, &Trace::empty(), &mut table, &mut cache);
 
         // A fresh access interned after the build: unknown to the class
         // map even though the table can resolve it.
         let late = acc("read", "late", "s9");
-        let late_id = table.intern(&late);
-        assert!(!cursor.in_sync_with(&table));
-        assert_eq!(cursor.check_one(&late, &table), None, "must decline");
-        assert!(!cursor.advance(late_id), "must refuse to advance");
+        table.intern(&late);
+        assert!(!bank.in_sync_with(0, &table));
+        assert_eq!(bank.check_one(0, &late, &table), None, "must decline");
+        assert!(
+            !bank.advance_synced(0, &late, &table),
+            "must refuse to advance"
+        );
 
         // The slow path still answers, and a rebuilt cursor agrees.
         let slow = check_residual_cached(
@@ -625,8 +551,8 @@ mod tests {
             Semantics::ForAll,
             &mut cache,
         );
-        let rebuilt = ConstraintCursor::new(&c, &mut table, &mut cache);
-        assert_eq!(rebuilt.check_one(&late, &table), Some(slow.holds));
+        let rebuilt = bank_of(&c, &Trace::empty(), &mut table, &mut cache);
+        assert_eq!(rebuilt.check_one(0, &late, &table), Some(slow.holds));
     }
 
     #[test]
@@ -637,10 +563,11 @@ mod tests {
         let mut cache = ConstraintCache::new();
         let a = acc("exec", "rsw", "s1");
         table.intern(&a);
+        let empty = Trace::empty();
 
         let mut bank = CursorBank::new();
-        bank.insert(7, ConstraintCursor::new(&c1, &mut table, &mut cache), 1);
-        bank.insert(9, ConstraintCursor::new(&c2, &mut table, &mut cache), 1);
+        assert!(bank.rebuild(7, &c1, &empty, &mut table, &mut cache, 1));
+        assert!(bank.rebuild(9, &c2, &empty, &mut table, &mut cache, 1));
         assert_eq!(bank.len(), 2);
 
         // Driving key 7 advances key 9 too: both are in lockstep.
@@ -648,16 +575,16 @@ mod tests {
         assert_eq!(bank.consumed(7), Some(1));
         assert_eq!(bank.consumed(9), Some(1));
 
-        // Independent reference cursors advanced one by one agree with
-        // the bank's batched answers at every step.
-        let mut r1 = ConstraintCursor::new(&c1, &mut table, &mut cache);
-        let mut r2 = ConstraintCursor::new(&c2, &mut table, &mut cache);
-        assert!(r1.advance_access(&a, &table) && r2.advance_access(&a, &table));
+        // Independent one-cursor reference banks advanced one by one
+        // agree with the shared bank's batched answers at every step.
+        let mut r1 = bank_of(&c1, &empty, &mut table, &mut cache);
+        let mut r2 = bank_of(&c2, &empty, &mut table, &mut cache);
+        assert!(r1.advance_synced(0, &a, &table) && r2.advance_synced(0, &a, &table));
         for _ in 0..4 {
-            assert_eq!(bank.check_one(7, &a, &table), r1.check_one(&a, &table));
-            assert_eq!(bank.check_one(9, &a, &table), r2.check_one(&a, &table));
+            assert_eq!(bank.check_one(7, &a, &table), r1.check_one(0, &a, &table));
+            assert_eq!(bank.check_one(9, &a, &table), r2.check_one(0, &a, &table));
             assert!(bank.advance_synced(9, &a, &table));
-            assert!(r1.advance_access(&a, &table) && r2.advance_access(&a, &table));
+            assert!(r1.advance_synced(0, &a, &table) && r2.advance_synced(0, &a, &table));
         }
     }
 
@@ -669,11 +596,12 @@ mod tests {
         let mut cache = ConstraintCache::new();
         let a = acc("exec", "rsw", "s1");
         table.intern(&a);
+        let empty = Trace::empty();
 
         let mut bank = CursorBank::new();
-        bank.insert(1, ConstraintCursor::new(&c1, &mut table, &mut cache), 0);
-        bank.insert(2, ConstraintCursor::new(&c2, &mut table, &mut cache), 0);
-        bank.insert(3, ConstraintCursor::new(&c2, &mut table, &mut cache), 0);
+        assert!(bank.rebuild(1, &c1, &empty, &mut table, &mut cache, 0));
+        assert!(bank.rebuild(2, &c2, &empty, &mut table, &mut cache, 0));
+        assert!(bank.rebuild(3, &c2, &empty, &mut table, &mut cache, 0));
         bank.remove(1);
         assert!(!bank.contains(1));
         assert_eq!(bank.len(), 2);

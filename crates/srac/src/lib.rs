@@ -58,6 +58,6 @@ pub mod trace_sat;
 pub use ast::Constraint;
 pub use check::{check_program, Semantics, Verdict};
 pub use classes::SymbolClasses;
-pub use cursor::{ConstraintCursor, CursorBank};
+pub use cursor::CursorBank;
 pub use selector::Selector;
 pub use simplify::simplify;

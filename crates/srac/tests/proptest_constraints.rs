@@ -10,7 +10,7 @@ use stacl_srac::check::{check_residual, check_residual_cached, ConstraintCache, 
 use stacl_srac::compile::compile;
 use stacl_srac::parser::parse_constraint;
 use stacl_srac::trace_sat::{trace_satisfies, ProofOracle};
-use stacl_srac::{Constraint, ConstraintCursor, Selector};
+use stacl_srac::{Constraint, CursorBank, Selector};
 use stacl_sral::Access;
 use stacl_trace::{AccessId, AccessTable, Alphabet, Trace};
 
@@ -261,17 +261,16 @@ fn cursor_verdict_equals_from_scratch_residual() {
 
             // Cursor: fold the prefix at build time, the suffix one
             // access at a time (as watermark subscription would).
-            let mut cursor = ConstraintCursor::new(&c, &mut table, &mut cache);
-            assert!(cursor.in_sync_with(&table), "vocab table is saturated");
-            for a in &full[..split] {
-                assert!(cursor.advance_access(a, &table));
-            }
+            let prefix = Trace::from_ids(full[..split].iter().map(|a| table.id_of(a).unwrap()));
+            let mut bank = CursorBank::new();
+            assert!(bank.rebuild(0, &c, &prefix, &mut table, &mut cache, 0));
+            assert!(bank.in_sync_with(0, &table), "vocab table is saturated");
             for a in &full[split..] {
-                assert!(cursor.advance_access(a, &table));
+                assert!(bank.advance_synced(0, a, &table));
             }
-            assert_eq!(cursor.consumed(), full.len());
-            let fast = cursor
-                .check_residual_program(&prog, &mut table)
+            assert_eq!(bank.consumed(0), Some(full.len()));
+            let fast = bank
+                .check_residual_program(0, &prog, &mut table)
                 .expect("vocabulary fully interned");
             assert_eq!(fast, slow.holds, "constraint {c}, split {split}");
 
@@ -285,8 +284,8 @@ fn cursor_verdict_equals_from_scratch_residual() {
                 Semantics::ForAll,
                 &mut cache,
             );
-            let fast1 = cursor
-                .check_one(&future[0], &table)
+            let fast1 = bank
+                .check_one(0, &future[0], &table)
                 .expect("vocabulary fully interned");
             assert_eq!(fast1, slow1.holds, "constraint {c} (single)");
         },
