@@ -11,17 +11,21 @@
 //! becomes a counted `DeniedCoordination` verdict instead of an error —
 //! an unreachable guard never fails open.
 //!
+//! Every request carries an id from one per-connection counter, and its
+//! reply is matched by that id, never by position. A synchronous call
+//! (the handshake, `Vocab`, `enroll`, `arrive`, [`Client::decide`], …)
+//! sends one request and reads until the reply with its id arrives.
+//!
 //! ## Pipelining
 //!
-//! Every decide is a request-id-correlated `Decide2` frame.
-//! [`Client::decide`] sends one and waits for its own reply;
-//! [`Client::pipeline`] keeps a window of up to N in flight at once,
-//! written coalesced (one syscall flushes many requests) and matched to
-//! their `Verdict2` replies by id, not arrival order. A full window
-//! applies **backpressure** — submit blocks until a reply frees a slot;
-//! nothing is ever dropped. [`Client::decide_stream_failsafe`] is the
-//! pipelined fail-safe driver: any transport failure resolves *every*
-//! unresolved request to a counted `DeniedCoordination`.
+//! [`Client::pipeline`] keeps a window of up to N `Decide2` requests in
+//! flight at once, written coalesced (one syscall flushes many requests)
+//! and matched to their `Verdict2` replies by id, not arrival order. A
+//! full window applies **backpressure** — submit blocks until a reply
+//! frees a slot; nothing is ever dropped.
+//! [`Client::decide_stream_failsafe`] is the pipelined fail-safe driver:
+//! any transport failure resolves *every* unresolved request to a counted
+//! `DeniedCoordination`.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -35,7 +39,7 @@ use stacl_obs::Counter;
 use stacl_sral::ast::Access;
 
 use crate::frames::{kind_from_u8, DecideItem, Frame, WireAccess};
-use crate::wire::{self, FrameAssembler, WireError, PROTOCOL_VERSION};
+use crate::wire::{self, FrameAssembler, WireError};
 
 /// A client-side protocol failure.
 #[derive(Debug)]
@@ -44,7 +48,7 @@ pub enum NetError {
     Io(io::Error),
     /// A reply failed to decode.
     Wire(WireError),
-    /// The daemon answered with an `Err` frame.
+    /// The daemon answered the request with an `Err2` frame.
     Daemon {
         /// The machine-readable code (`ERR_*`).
         code: u8,
@@ -96,8 +100,7 @@ impl From<WireError> for NetError {
 }
 
 /// A connected client. Not thread-safe by design — one request stream
-/// per connection; uncorrelated replies arrive strictly in order, decide
-/// replies are correlated by request id.
+/// per connection, every reply matched to its request by id.
 pub struct Client {
     stream: TcpStream,
     vocab: FnvHashMap<String, u32>,
@@ -110,11 +113,11 @@ pub struct Client {
     out2: Vec<u8>,
     /// Issued request ids and which of them are still in flight.
     pend2: InFlight,
-    /// Correlated replies received but not yet claimed by the pipeline.
+    /// Decide replies received but not yet claimed by the pipeline.
     done2: Vec<(u64, Verdict)>,
 }
 
-/// The decide request ids of one connection. Ids are issued in increasing
+/// The request ids of one connection. Ids are issued in increasing
 /// order, so one flag per id from the oldest unanswered one onwards
 /// correlates a reply in O(1); answered ids leave from the front.
 #[derive(Default)]
@@ -184,8 +187,8 @@ impl Client {
             pend2: InFlight::default(),
             done2: Vec::new(),
         };
-        match c.call(&Frame::Hello {
-            proto: PROTOCOL_VERSION as u16,
+        match c.call(|id| Frame::Hello {
+            id,
             peer: name.to_string(),
         })? {
             Frame::HelloAck { server, .. } => {
@@ -217,7 +220,7 @@ impl Client {
         Ok(())
     }
 
-    /// Record a correlated completion, enforcing id discipline: a reply
+    /// Record a decide completion, enforcing id discipline: a reply
     /// must match exactly one in-flight request.
     fn complete(&mut self, id: u64, v: Verdict) -> Result<(), NetError> {
         if !self.pend2.resolve(id) {
@@ -253,9 +256,9 @@ impl Client {
         }
     }
 
-    /// A correlated reply is absorbed into the pipeline's completion set
-    /// and reported as `None`; anything else comes back as
-    /// `Some(frame)`. A redirect resolves its request to a counted
+    /// A reply to a pipelined decide is absorbed into the pipeline's
+    /// completion set and reported as `None`; anything else comes back
+    /// as `Some(frame)`. A redirect resolves its request to a counted
     /// fail-safe `DeniedCoordination` naming the home: a window carries
     /// on rather than following the hop.
     fn absorb(&mut self, frame: Frame) -> Result<Option<Frame>, NetError> {
@@ -326,38 +329,17 @@ impl Client {
         self.flush_out()
     }
 
-    /// One uncorrelated round trip: send `frame` and return the next
-    /// uncorrelated reply, absorbing completions of pipelined requests on
-    /// the way. An `Err` reply maps to [`NetError::Daemon`].
-    pub(crate) fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        self.send(frame)?;
-        loop {
-            let frame = self.read_frame()?;
-            match self.absorb(frame)? {
-                Some(Frame::Err { code, msg }) => return Err(NetError::Daemon { code, msg }),
-                Some(f) => return Ok(f),
-                None => {}
-            }
-        }
-    }
-
-    /// One correlated round trip: send the request `frame` builds for a
-    /// fresh id and read until the reply carrying that id arrives.
-    /// Replies to other in-flight ids (a dropped [`Pipeline`]'s) are kept
-    /// as completions on the way. `Err2` maps to [`NetError::Daemon`].
-    fn call_correlated(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<Frame, NetError> {
+    /// One round trip: send the request `frame` builds for a fresh id
+    /// and read until the reply carrying that id arrives. Replies to
+    /// other in-flight ids (pipelined decides) are kept as completions on
+    /// the way. `Err2` maps to [`NetError::Daemon`].
+    pub(crate) fn call(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<Frame, NetError> {
         let id = self.pend2.next_id();
         self.send(&frame(id))?;
         self.pend2.issue();
         loop {
             let frame = self.read_frame()?;
-            let own = matches!(
-                &frame,
-                Frame::Verdict2 { id: got, .. }
-                | Frame::Redirect2 { id: got, .. }
-                | Frame::Err2 { id: got, .. } if *got == id
-            );
-            if own {
+            if frame.id() == id {
                 self.pend2.resolve(id);
                 return match frame {
                     Frame::Err2 { code, msg, .. } => Err(NetError::Daemon { code, msg }),
@@ -365,14 +347,14 @@ impl Client {
                 };
             }
             if let Some(other) = self.absorb(frame)? {
-                return Err(unexpected("a correlated reply", &other));
+                return Err(unexpected(&format!("the reply to request {id}"), &other));
             }
         }
     }
 
-    fn expect_ok(&mut self, frame: &Frame) -> Result<(), NetError> {
+    fn expect_ok(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<(), NetError> {
         match self.call(frame)? {
-            Frame::Ok => Ok(()),
+            Frame::Ok { .. } => Ok(()),
             other => Err(unexpected("Ok", &other)),
         }
     }
@@ -391,7 +373,8 @@ impl Client {
         if fresh.is_empty() {
             return Ok(());
         }
-        self.expect_ok(&Frame::Vocab {
+        self.expect_ok(|id| Frame::Vocab {
+            id,
             names: fresh.clone(),
         })?;
         for n in fresh {
@@ -405,7 +388,8 @@ impl Client {
         if let Some(&id) = self.vocab.get(name) {
             return Ok(id);
         }
-        self.expect_ok(&Frame::Vocab {
+        self.expect_ok(|id| Frame::Vocab {
+            id,
             names: vec![name.to_string()],
         })?;
         let id = self.vocab.len() as u32;
@@ -449,14 +433,15 @@ impl Client {
             .iter()
             .map(|r| self.id(r))
             .collect::<Result<Vec<_>, _>>()?;
-        self.expect_ok(&Frame::Enroll { object, roles })
+        self.expect_ok(|id| Frame::Enroll { id, object, roles })
     }
 
     /// Announce an arrival; `from` names the previous custodian when
     /// custody must move (triggering the daemon-to-daemon handoff pull).
     pub fn arrive(&mut self, object: &str, time: f64, from: Option<&str>) -> Result<(), NetError> {
         let object = self.id(object)?;
-        self.expect_ok(&Frame::Arrive {
+        self.expect_ok(|id| Frame::Arrive {
+            id,
             object,
             time,
             from: from.map(str::to_string),
@@ -472,7 +457,8 @@ impl Client {
     ) -> Result<(), NetError> {
         let object = self.id(object)?;
         let access = self.wire_access(access)?;
-        self.expect_ok(&Frame::IssueProof {
+        self.expect_ok(|id| Frame::IssueProof {
+            id,
             object,
             access,
             time,
@@ -489,7 +475,7 @@ impl Client {
         time: f64,
     ) -> Result<Verdict, NetError> {
         let item = self.item(object, access, remaining, time)?;
-        match self.call_correlated(|id| Frame::Decide2 { id, item })? {
+        match self.call(|id| Frame::Decide2 { id, item })? {
             Frame::Verdict2 {
                 kind,
                 epoch,
@@ -540,12 +526,13 @@ impl Client {
         policy: &str,
         classes: &[(String, f64, u8)],
     ) -> Result<u64, NetError> {
-        match self.call(&Frame::PolicyPrepare {
+        match self.call(|id| Frame::PolicyPrepare {
+            id,
             epoch,
             policy: policy.to_string(),
             classes: classes.to_vec(),
         })? {
-            Frame::EpochAck { epoch } => Ok(epoch),
+            Frame::EpochAck { epoch, .. } => Ok(epoch),
             other => Err(unexpected("EpochAck", &other)),
         }
     }
@@ -555,23 +542,23 @@ impl Client {
     /// daemon error and fail-safes its decisions until a full rollout
     /// round reaches it.
     pub fn policy_activate(&mut self, epoch: u64) -> Result<u64, NetError> {
-        match self.call(&Frame::PolicyActivate { epoch })? {
-            Frame::EpochAck { epoch } => Ok(epoch),
+        match self.call(|id| Frame::PolicyActivate { id, epoch })? {
+            Frame::EpochAck { epoch, .. } => Ok(epoch),
             other => Err(unexpected("EpochAck", &other)),
         }
     }
 
     /// Fetch the daemon's metrics snapshot as JSON.
     pub fn metrics(&mut self) -> Result<String, NetError> {
-        match self.call(&Frame::MetricsRequest)? {
-            Frame::MetricsJson { json } => Ok(json),
+        match self.call(|id| Frame::MetricsRequest { id })? {
+            Frame::MetricsJson { json, .. } => Ok(json),
             other => Err(unexpected("MetricsJson", &other)),
         }
     }
 
     /// Ask the daemon to shut down.
     pub fn shutdown_daemon(&mut self) -> Result<(), NetError> {
-        self.expect_ok(&Frame::Shutdown)
+        self.expect_ok(|id| Frame::Shutdown { id })
     }
 
     /// Open a pipelined view over this connection with a window of up to
@@ -594,32 +581,31 @@ impl Client {
         requests: &[(&str, &Access, &[Access], f64)],
         window: usize,
     ) -> Vec<Verdict> {
-        let mut out: Vec<Option<Verdict>> = Vec::new();
-        out.resize_with(requests.len(), || None);
-        // Request ids are issued consecutively, so request `i` is id
-        // `first + i`. A completion left over from an earlier pipeline on
-        // this connection falls outside that range and is dropped.
-        let first = self.pend2.next_id();
-        let drive = (|| -> Result<(), NetError> {
-            let mut place = |done: Vec<(u64, Verdict)>| {
-                for (id, v) in done {
-                    let slot = id
-                        .checked_sub(first)
-                        .and_then(|i| out.get_mut(usize::try_from(i).ok()?));
-                    if let Some(slot) = slot {
-                        *slot = Some(v);
-                    }
-                }
-            };
+        // Each verdict is placed by the id its submit returned: a submit
+        // that announces a new name spends ids on `Vocab` calls too, so
+        // request ids need not be consecutive. Ids only grow, so `ids` is
+        // sorted; a completion left over from an earlier pipeline on this
+        // connection matches none of them and is dropped.
+        let mut ids = Vec::with_capacity(requests.len());
+        let mut done = Vec::new();
+        let failure = (|| -> Result<(), NetError> {
             let mut p = self.pipeline(window)?;
             for (object, access, remaining, time) in requests {
-                p.submit(object, access, remaining, *time)?;
-                place(p.take());
+                ids.push(p.submit(object, access, remaining, *time)?);
             }
-            place(p.finish()?);
+            done = p.finish()?;
             Ok(())
-        })();
-        let failure = drive.err();
+        })()
+        .err();
+        // Completions that arrived before a failure are still verdicts.
+        done.append(&mut self.done2);
+        let mut out: Vec<Option<Verdict>> = Vec::new();
+        out.resize_with(requests.len(), || None);
+        for (id, v) in done {
+            if let Ok(i) = ids.binary_search(&id) {
+                out[i] = Some(v);
+            }
+        }
         out.into_iter()
             .map(|v| match v {
                 Some(v) => v,
@@ -674,7 +660,8 @@ impl Pipeline<'_> {
             self.client.pump()?;
         }
         // Vocabulary sync may issue synchronous calls; `call` flushes the
-        // queued request bytes first, so wire order stays positional.
+        // queued request bytes first, so every name is announced before
+        // the requests that use it.
         let item = self.client.item(object, access, remaining, time)?;
         let id = self.client.pend2.next_id();
         let frame = Frame::Decide2 { id, item };

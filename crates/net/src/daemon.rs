@@ -5,23 +5,21 @@
 //! **readiness-driven event loop** (hand-rolled [`crate::sys::poll`],
 //! nonblocking sockets) multiplexes every connection: per-connection
 //! read reassembly via [`FrameAssembler`], per-connection coalesced
-//! write buffers flushed in one syscall, and many in-flight correlated
-//! decide frames per connection. Each connection keeps its own positional
-//! vocabulary (names interned by [`Frame::Vocab`] announcements) and its
-//! own [`AccessTable`] (verdicts are table-independent, so
-//! per-connection interning is sound).
+//! write buffers flushed in one syscall, and many in-flight requests per
+//! connection. Each connection keeps its own positional vocabulary (names
+//! interned by [`Frame::Vocab`] announcements) and its own
+//! [`AccessTable`] (verdicts are table-independent, so per-connection
+//! interning is sound).
 //!
-//! ## Reply ordering
+//! ## Replies
 //!
-//! Replies queue per connection as **slots**. Ordered replies (to every
-//! uncorrelated request: `Hello`, `Vocab`, `Arrive`, …) flush strictly in
-//! request order, which preserves a synchronous caller's call/reply
-//! pairing exactly. The only slow operation (the custody handoff pull,
-//! which dials a peer with retries and backoff) runs on a helper thread
-//! and leaves a *pending* slot in the queue; later ordered replies wait
-//! behind it, while correlated replies — matched by request id, not
-//! position — may overtake it. The event loop itself never blocks on a
-//! peer.
+//! One connection's requests are applied in arrival order, and every
+//! reply echoes its request's id, so a reply is encoded onto the
+//! connection's out-buffer as soon as it exists. The only slow operation
+//! (the custody handoff pull of an `Arrive` or `Rebalance`, which dials a
+//! peer with retries and backoff) runs on a helper thread, and its reply
+//! follows when the pull lands; replies to later requests overtake it.
+//! The event loop itself never blocks on a peer.
 //!
 //! ## Custody and the handoff pull
 //!
@@ -48,7 +46,6 @@
 //! connections keep flowing. Past [`DaemonConfig::partial_deadline`] the
 //! loop evicts the stalled connection and counts `net.partial-eviction`.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -71,11 +68,11 @@ use stacl_trace::AccessTable;
 
 use crate::client::Client;
 use crate::frames::{
-    scheme_from_u8, DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF,
-    ERR_NOT_CUSTODIAN, ERR_STATE,
+    header_id, scheme_from_u8, DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST,
+    ERR_HANDOFF, ERR_NOT_CUSTODIAN, ERR_STATE,
 };
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
-use crate::wire::{self, FrameAssembler, PROTOCOL_VERSION};
+use crate::wire::{self, FrameAssembler};
 
 /// Daemon configuration. `listen` defaults to an ephemeral loopback port
 /// so tests and the sim driver can spawn coalitions without port math.
@@ -329,15 +326,6 @@ fn wake(shared: &Shared) {
     let _ = (&shared.wake_tx).write_all(&[1]);
 }
 
-/// One queued reply. Ordered slots flush strictly in order; a pending
-/// slot (helper-thread handoff pull in flight) blocks later ordered slots
-/// but not correlated ones, whose request id frees them from positional
-/// ordering.
-enum Slot {
-    Ready { correlated: bool, frame: Frame },
-    Pending { token: u64 },
-}
-
 /// Per-connection event-loop state.
 struct Conn {
     serial: u64,
@@ -346,22 +334,19 @@ struct Conn {
     /// Coalesced outbound bytes; one `write` flushes many frames.
     out: Vec<u8>,
     out_pos: usize,
-    slots: VecDeque<Slot>,
     /// Names interned by `Vocab` announcements, by position; requests
     /// clone the `Arc`s rather than copy the strings.
     vocab: Vec<Name>,
     table: AccessTable,
     /// When the connection first stalled mid-frame (slow-loris clock).
     partial_since: Option<Instant>,
-    next_token: u64,
     dead: bool,
 }
 
-/// A helper thread finished a handoff pull for slot `token` of
-/// connection `serial`.
+/// A helper thread finished the handoff pull a request of connection
+/// `serial` asked for; `reply` carries that request's id.
 struct Completion {
     serial: u64,
-    token: u64,
     reply: Frame,
     /// Set when the pull imported custody successfully: the object name
     /// plus the arrival time to note (`None` for a verdict-neutral
@@ -410,27 +395,18 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: TcpStream) {
             drain_wake(&wake_rx);
         }
 
-        // Helper-thread pull completions: resolve the pending slot and
-        // flush whatever it unblocks. Custody side effects apply first,
-        // unconditionally — a completion whose connection died mid-pull
-        // must still land its imported object (counted
-        // `net.orphaned-completion`), or custody would silently vanish
-        // from the coalition.
+        // Helper-thread pull completions: send the reply. Custody side
+        // effects apply first, unconditionally — a completion whose
+        // connection died mid-pull must still land its imported object
+        // (counted `net.orphaned-completion`), or custody would silently
+        // vanish from the coalition.
         while let Ok(c) = crx.try_recv() {
             if let Some((object, Some(t))) = &c.imported {
                 shared.guard.note_arrival(object, *t);
             }
             if let Some(conn) = conns.iter_mut().find(|k| k.serial == c.serial) {
-                for slot in conn.slots.iter_mut() {
-                    if matches!(slot, Slot::Pending { token } if *token == c.token) {
-                        *slot = Slot::Ready {
-                            correlated: false,
-                            frame: c.reply,
-                        };
-                        break;
-                    }
-                }
-                flush_conn(conn);
+                put_out(conn, &c.reply);
+                write_out(conn);
             } else {
                 // The requester is gone; the import above already
                 // re-parked the object as resident here, so only the
@@ -561,11 +537,9 @@ fn accept_ready(
                     asm: FrameAssembler::new(),
                     out: Vec::new(),
                     out_pos: 0,
-                    slots: VecDeque::new(),
                     vocab: Vec::new(),
                     table,
                     partial_since: None,
-                    next_token: 0,
                     dead: false,
                 });
             }
@@ -590,12 +564,15 @@ fn read_conn(conn: &mut Conn) -> bool {
 }
 
 /// Decode and handle every complete frame the assembler holds, then
-/// flush the replies. Returns `true` when a `Shutdown` frame arrived.
+/// write the replies. A payload that fails to decode is answered with an
+/// `Err2` carrying the id from its header; one too short to hold an id
+/// has no request to answer, so it closes the connection. Returns `true`
+/// when a `Shutdown` frame arrived.
 fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &mut Conn) -> bool {
     let mut shutdown = false;
     while !shutdown && !conn.dead {
         let decoded = match conn.asm.next_frame() {
-            Ok(Some(payload)) => Frame::decode(payload),
+            Ok(Some(payload)) => Frame::decode(payload).map_err(|e| (e, header_id(payload))),
             Ok(None) => break,
             Err(_) => {
                 conn.dead = true;
@@ -603,39 +580,16 @@ fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &m
             }
         };
         match decoded {
-            Ok(frame) => shutdown = handle_frame(shared, ctx, conn, frame),
-            Err(e) => push_ordered(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
-        }
-    }
-    flush_conn(conn);
-    shutdown
-}
-
-/// Move eligible reply slots into the coalesced out-buffer, then write.
-fn flush_conn(conn: &mut Conn) {
-    let mut blocked = false;
-    let mut i = 0;
-    while i < conn.slots.len() {
-        let eligible = match &conn.slots[i] {
-            Slot::Pending { .. } => {
-                blocked = true;
-                false
+            Ok(frame) => {
+                shutdown = matches!(frame, Frame::Shutdown { .. });
+                handle_frame(shared, ctx, conn, frame);
             }
-            Slot::Ready { correlated, .. } => *correlated || !blocked,
-        };
-        if !eligible {
-            i += 1;
-            continue;
-        }
-        let Some(Slot::Ready { frame, .. }) = conn.slots.remove(i) else {
-            unreachable!("slot {i} examined above");
-        };
-        put_out(conn, &frame);
-        if conn.dead {
-            return;
+            Err((e, Some(id))) => put_out(conn, &Reject::bad(e.to_string()).into_frame(id)),
+            Err((_, None)) => conn.dead = true,
         }
     }
     write_out(conn);
+    shutdown
 }
 
 /// Encode `frame` straight onto the out-buffer. A reply too large to
@@ -677,34 +631,8 @@ fn write_out(conn: &mut Conn) {
     }
 }
 
-fn push_ordered(conn: &mut Conn, frame: Frame) {
-    push(conn, false, frame);
-}
-
-fn push_correlated(conn: &mut Conn, frame: Frame) {
-    push(conn, true, frame);
-}
-
-/// Queue one reply. With no slot queued ahead of it, nothing can precede
-/// it on the wire, so it is encoded onto the out-buffer at once;
-/// otherwise it waits as a slot for [`flush_conn`] and the ordering rule.
-fn push(conn: &mut Conn, correlated: bool, frame: Frame) {
-    if conn.slots.is_empty() {
-        put_out(conn, &frame);
-    } else {
-        conn.slots.push_back(Slot::Ready { correlated, frame });
-    }
-}
-
-fn err_frame(code: u8, msg: impl Into<String>) -> Frame {
-    Frame::Err {
-        code,
-        msg: msg.into(),
-    }
-}
-
 /// A request rejection, kept small so `Result` stays cheap on the hot
-/// path; converted into an `Err` frame at the reply boundary.
+/// path; converted into an `Err2` frame at the reply boundary.
 struct Reject {
     code: u8,
     msg: String,
@@ -718,8 +646,16 @@ impl Reject {
         }
     }
 
-    fn into_frame(self) -> Frame {
-        err_frame(self.code, self.msg)
+    fn into_frame(self, id: u64) -> Frame {
+        err_frame(id, self.code, self.msg)
+    }
+}
+
+fn err_frame(id: u64, code: u8, msg: impl Into<String>) -> Frame {
+    Frame::Err2 {
+        id,
+        code,
+        msg: msg.into(),
     }
 }
 
@@ -793,65 +729,49 @@ fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> V
     shared.guard.decide(&greq, &shared.proofs, table)
 }
 
-/// Handle one decoded frame, queueing replies as slots. Returns `true`
-/// when the frame was `Shutdown`.
+/// Handle one decoded frame and encode its reply onto the out-buffer —
+/// unless a helper-thread handoff pull will send the reply when it lands.
 fn handle_frame(
     shared: &Arc<Shared>,
     ctx: &mpsc::Sender<Completion>,
     conn: &mut Conn,
     frame: Frame,
-) -> bool {
-    match frame {
-        Frame::Hello { proto, peer: _ } => {
-            let reply = if proto == PROTOCOL_VERSION as u16 {
-                Frame::HelloAck {
-                    proto,
-                    server: shared.cfg.name.clone(),
-                }
-            } else {
-                err_frame(ERR_BAD_REQUEST, format!("unsupported protocol {proto}"))
-            };
-            push_ordered(conn, reply);
-        }
-        Frame::Vocab { names } => {
+) {
+    let reply = match frame {
+        Frame::Hello { id, peer: _ } => Frame::HelloAck {
+            id,
+            server: shared.cfg.name.clone(),
+        },
+        Frame::Vocab { id, names } => {
             conn.vocab.extend(names.into_iter().map(Name::from));
-            push_ordered(conn, Frame::Ok);
+            Frame::Ok { id }
         }
-        Frame::Enroll { object, roles } => {
-            let reply = match enroll(shared, &conn.vocab, object, &roles) {
-                Ok(()) => Frame::Ok,
-                Err(e) => e.into_frame(),
-            };
-            push_ordered(conn, reply);
-        }
-        Frame::Decide2 { id, item } => {
-            let reply = match own_request(&conn.vocab, &item) {
-                // Wrong daemon, and the ring knows who is right: point the
-                // client at the home custodian instead of deciding. One
-                // extra hop resolves the decision.
-                Ok(req) => redirect_for(shared, id, &req.object).unwrap_or_else(|| {
-                    let v = decide_one(shared, &req, &mut conn.table);
-                    Frame::Verdict2 {
-                        id,
-                        kind: crate::frames::kind_to_u8(v.kind),
-                        epoch: v.epoch,
-                        reason: v.reason,
-                    }
-                }),
-                Err(e) => Frame::Err2 {
+        Frame::Enroll { id, object, roles } => match enroll(shared, &conn.vocab, object, &roles) {
+            Ok(()) => Frame::Ok { id },
+            Err(e) => e.into_frame(id),
+        },
+        Frame::Decide2 { id, item } => match own_request(&conn.vocab, &item) {
+            // Wrong daemon, and the ring knows who is right: point the
+            // client at the home custodian instead of deciding. One extra
+            // hop resolves the decision.
+            Ok(req) => redirect_for(shared, id, &req.object).unwrap_or_else(|| {
+                let v = decide_one(shared, &req, &mut conn.table);
+                Frame::Verdict2 {
                     id,
-                    code: e.code,
-                    msg: e.msg,
-                },
-            };
-            push_correlated(conn, reply);
-        }
+                    kind: crate::frames::kind_to_u8(v.kind),
+                    epoch: v.epoch,
+                    reason: v.reason,
+                }
+            }),
+            Err(e) => e.into_frame(id),
+        },
         Frame::IssueProof {
+            id,
             object,
             access,
             time,
         } => {
-            let reply = match (|| {
+            match (|| {
                 let object = name_of(&conn.vocab, object)?;
                 let access = mk_access(&conn.vocab, &access)?;
                 let time = finite_time(time)?;
@@ -859,66 +779,59 @@ fn handle_frame(
                 maybe_compact(shared, object);
                 Ok::<(), Reject>(())
             })() {
-                Ok(()) => Frame::Ok,
-                Err(e) => e.into_frame(),
-            };
-            push_ordered(conn, reply);
+                Ok(()) => Frame::Ok { id },
+                Err(e) => e.into_frame(id),
+            }
         }
-        Frame::Arrive { object, time, from } => {
+        Frame::Arrive {
+            id,
+            object,
+            time,
+            from,
+        } => {
             match (|| {
                 let object = name_of(&conn.vocab, object)?.to_string();
                 let tp = finite_time(time)?;
                 Ok::<(String, TimePoint), Reject>((object, tp))
             })() {
-                Ok((object, tp)) => arrive(shared, ctx, conn, object, tp, from.as_deref()),
-                Err(e) => push_ordered(conn, e.into_frame()),
+                Ok((object, tp)) => match arrive(shared, ctx, conn.serial, id, object, tp, from) {
+                    Some(reply) => reply,
+                    None => return,
+                },
+                Err(e) => e.into_frame(id),
             }
         }
-        Frame::HandoffRequest { object } => {
-            let reply = handoff_out(shared, &object);
-            push_ordered(conn, reply);
-        }
-        Frame::MetricsRequest => push_ordered(
-            conn,
-            Frame::MetricsJson {
-                json: stacl_obs::snapshot().to_json(),
-            },
-        ),
+        Frame::HandoffRequest { id, object } => handoff_out(shared, id, &object),
+        Frame::MetricsRequest { id } => Frame::MetricsJson {
+            id,
+            json: stacl_obs::snapshot().to_json(),
+        },
         Frame::PolicyPrepare {
+            id,
             epoch,
             policy,
             classes,
-        } => {
-            let reply = policy_prepare(shared, &mut conn.table, epoch, &policy, &classes);
-            push_ordered(conn, reply);
-        }
-        Frame::PolicyActivate { epoch } => {
-            let reply = policy_activate(shared, epoch);
-            push_ordered(conn, reply);
-        }
-        Frame::Rebalance { object, from } => {
+        } => policy_prepare(shared, &mut conn.table, id, epoch, &policy, &classes),
+        Frame::PolicyActivate { id, epoch } => policy_activate(shared, id, epoch),
+        Frame::Rebalance { id, object, from } => {
             // A peer whose ring home for `object` moved here is draining
             // it to us: pull its custody state exactly like an Arrive
             // handoff, but verdict-neutrally (no arrival is noted — the
             // object did not move in the modelled world, only its
             // custodian did).
             shared.guard.begin_handoff(&object);
-            let token = conn.next_token;
-            conn.next_token += 1;
-            conn.slots.push_back(Slot::Pending { token });
-            spawn_pull(shared, ctx, conn.serial, token, from, object, None);
+            spawn_pull(shared, ctx, conn.serial, id, from, object, None);
+            return;
         }
-        Frame::Shutdown => {
-            push_ordered(conn, Frame::Ok);
-            return true;
-        }
+        Frame::Shutdown { id } => Frame::Ok { id },
         // Reply frames arriving as requests are protocol violations.
-        other => push_ordered(
-            conn,
-            err_frame(ERR_BAD_REQUEST, format!("frame {other:?} is not a request")),
+        other => err_frame(
+            other.id(),
+            ERR_BAD_REQUEST,
+            format!("frame {other:?} is not a request"),
         ),
-    }
-    false
+    };
+    put_out(conn, &reply);
 }
 
 /// Phase 1 of the two-phase rollout: parse and build the replacement
@@ -928,13 +841,14 @@ fn handle_frame(
 fn policy_prepare(
     shared: &Arc<Shared>,
     table: &mut AccessTable,
+    id: u64,
     epoch: u64,
     policy: &str,
     classes: &[(String, f64, u8)],
 ) -> Frame {
     let model = match parse_policy(policy) {
         Ok(m) => m,
-        Err(e) => return err_frame(ERR_BAD_REQUEST, format!("policy parse error: {e}")),
+        Err(e) => return err_frame(id, ERR_BAD_REQUEST, format!("policy parse error: {e}")),
     };
     let classes = match classes
         .iter()
@@ -942,7 +856,7 @@ fn policy_prepare(
         .collect::<Result<Vec<_>, crate::wire::WireError>>()
     {
         Ok(c) => c,
-        Err(e) => return err_frame(ERR_BAD_REQUEST, e.to_string()),
+        Err(e) => return err_frame(id, ERR_BAD_REQUEST, e.to_string()),
     };
     match shared
         .guard
@@ -950,9 +864,9 @@ fn policy_prepare(
     {
         Ok(prepared) => {
             *shared.pending_epoch.lock() = Some(prepared);
-            Frame::EpochAck { epoch }
+            Frame::EpochAck { id, epoch }
         }
-        Err(e) => err_frame(ERR_STATE, e.to_string()),
+        Err(e) => err_frame(id, ERR_STATE, e.to_string()),
     }
 }
 
@@ -960,19 +874,19 @@ fn policy_prepare(
 /// missing or different missed phase 1 of this rollout — it marks itself
 /// desynchronized (counted) and fail-safes decisions rather than
 /// answering under a policy the coalition has moved past.
-fn policy_activate(shared: &Arc<Shared>, epoch: u64) -> Frame {
+fn policy_activate(shared: &Arc<Shared>, id: u64, epoch: u64) -> Frame {
     let pending = shared.pending_epoch.lock().take();
     match pending {
         Some(prepared) if prepared.epoch() == epoch => {
             match shared.guard.with_rbac(|r| r.activate_epoch(prepared)) {
                 Ok(active) => {
                     shared.epoch_desync.store(false, Ordering::SeqCst);
-                    Frame::EpochAck { epoch: active }
+                    Frame::EpochAck { id, epoch: active }
                 }
                 Err(e) => {
                     stacl_obs::count(Counter::EpochDesync);
                     shared.epoch_desync.store(true, Ordering::SeqCst);
-                    err_frame(ERR_STATE, e.to_string())
+                    err_frame(id, ERR_STATE, e.to_string())
                 }
             }
         }
@@ -981,6 +895,7 @@ fn policy_activate(shared: &Arc<Shared>, epoch: u64) -> Frame {
             stacl_obs::count(Counter::EpochDesync);
             shared.epoch_desync.store(true, Ordering::SeqCst);
             err_frame(
+                id,
                 ERR_STATE,
                 match had {
                     Some(p) => {
@@ -1003,49 +918,38 @@ fn enroll(shared: &Arc<Shared>, vocab: &[Name], object: u32, roles: &[u32]) -> R
     Ok(())
 }
 
-/// Admit an arrival. When custody enforcement is on and `from` names a
-/// different member, the handoff pull runs on a helper thread: a pending
-/// slot holds the reply position while the object stays in-flight
-/// (fail-safe denials) until the pull lands.
+/// Admit an arrival and return the reply to request `id`. When custody
+/// enforcement is on and `from` names a different member, the handoff
+/// pull runs on a helper thread, which sends the reply once the pull
+/// lands; until then the object stays in-flight (fail-safe denials).
 fn arrive(
     shared: &Arc<Shared>,
     ctx: &mpsc::Sender<Completion>,
-    conn: &mut Conn,
+    serial: u64,
+    id: u64,
     object: String,
     time: TimePoint,
-    from: Option<&str>,
-) {
+    from: Option<String>,
+) -> Option<Frame> {
     if shared.guard.custody_enforced() {
         match from {
             Some(peer) if peer != shared.cfg.name => {
                 shared.guard.begin_handoff(&object);
-                let token = conn.next_token;
-                conn.next_token += 1;
-                conn.slots.push_back(Slot::Pending { token });
-                spawn_pull(
-                    shared,
-                    ctx,
-                    conn.serial,
-                    token,
-                    peer.to_string(),
-                    object,
-                    Some(time),
-                );
-                return;
+                spawn_pull(shared, ctx, serial, id, peer, object, Some(time));
+                return None;
             }
             _ => {
                 // A first arrival claims custody — but under a placement
                 // ring the claim must land on the object's ring home, or
                 // two members could both believe themselves custodian.
                 if let Err(e) = shared.guard.take_custody(&object) {
-                    push_ordered(conn, err_frame(ERR_NOT_CUSTODIAN, e));
-                    return;
+                    return Some(err_frame(id, ERR_NOT_CUSTODIAN, e));
                 }
             }
         }
     }
     shared.guard.note_arrival(&object, time);
-    push_ordered(conn, Frame::Ok);
+    Some(Frame::Ok { id })
 }
 
 /// The redirect `Decide2` request `id` for `object` gets instead of a
@@ -1091,9 +995,10 @@ fn maybe_compact(shared: &Shared, object: &str) {
     shared.proofs.compact_prefix(object, upto);
 }
 
-/// Run a handoff pull off the event loop. `arrival` is `None` for a
-/// verdict-neutral rebalance pull (custody moves; no arrival is noted).
-/// The completion lands via the channel and a wake byte; the event loop
+/// Run a handoff pull off the event loop for request `id` of connection
+/// `serial`. `arrival` is `None` for a verdict-neutral rebalance pull
+/// (custody moves; no arrival is noted). The completion lands via the
+/// channel and a wake byte; the event loop
 /// applies the arrival side effect at drain time so a completion for a
 /// since-closed connection still lands its custody (counted
 /// `net.orphaned-completion`) instead of being silently dropped.
@@ -1101,7 +1006,7 @@ fn spawn_pull(
     shared: &Arc<Shared>,
     ctx: &mpsc::Sender<Completion>,
     serial: u64,
-    token: u64,
+    id: u64,
     peer: String,
     object: String,
     arrival: Option<TimePoint>,
@@ -1112,12 +1017,11 @@ fn spawn_pull(
         .name("stacl-net-pull".to_string())
         .spawn(move || {
             let (reply, imported) = match pull_handoff(&shared, &peer, &object, arrival) {
-                Ok(()) => (Frame::Ok, Some((object, arrival))),
-                Err(msg) => (err_frame(ERR_HANDOFF, msg), None),
+                Ok(()) => (Frame::Ok { id }, Some((object, arrival))),
+                Err(msg) => (err_frame(id, ERR_HANDOFF, msg), None),
             };
             let _ = ctx.send(Completion {
                 serial,
-                token,
                 reply,
                 imported,
             });
@@ -1125,10 +1029,11 @@ fn spawn_pull(
         });
 }
 
-/// Serve a custody handoff to a pulling peer.
-fn handoff_out(shared: &Arc<Shared>, object: &str) -> Frame {
+/// Serve a custody handoff to a pulling peer's request `id`.
+fn handoff_out(shared: &Arc<Shared>, id: u64, object: &str) -> Frame {
     if shared.guard.custody_enforced() && shared.guard.custody_of(object) != Custody::Resident {
         return err_frame(
+            id,
             ERR_NOT_CUSTODIAN,
             format!(
                 "{object} custody is {} on {}",
@@ -1144,6 +1049,7 @@ fn handoff_out(shared: &Arc<Shared>, object: &str) -> Frame {
     let base = shared.proofs.compaction_base(object) as u64;
     let sender_clock = h.gate.arrivals.last().map(|t| t.seconds()).unwrap_or(0.0) + shared.cfg.skew;
     Frame::HandoffState {
+        id,
         object: object.to_string(),
         state: HandoffWire::from_handoff(&h, watermark, base, sender_clock, shared.cfg.skew),
     }
@@ -1246,30 +1152,38 @@ fn apply_handoff(
 /// reply (`Ok` once its pull lands, or an error) closes the drain for
 /// this key.
 fn rebalance_push(shared: &Shared, addr: SocketAddr, object: &str) -> Result<(), String> {
-    let request = Frame::Rebalance {
+    let request = |id| Frame::Rebalance {
+        id,
         object: object.to_string(),
         from: shared.cfg.name.clone(),
     };
-    match peer_call(shared, addr, &request)? {
-        Frame::Ok => Ok(()),
+    match peer_call(shared, addr, request)? {
+        Frame::Ok { .. } => Ok(()),
         other => Err(format!("expected Ok, got {other:?}")),
     }
 }
 
 fn try_pull(shared: &Shared, addr: SocketAddr, object: &str) -> Result<HandoffWire, String> {
-    let request = Frame::HandoffRequest {
+    let request = |id| Frame::HandoffRequest {
+        id,
         object: object.to_string(),
     };
-    match peer_call(shared, addr, &request)? {
-        Frame::HandoffState { object: o, state } if o == object => Ok(state),
+    match peer_call(shared, addr, request)? {
+        Frame::HandoffState {
+            object: o, state, ..
+        } if o == object => Ok(state),
         other => Err(format!("expected HandoffState, got {other:?}")),
     }
 }
 
 /// Send `request` to the peer at `addr` on a fresh [`Client`] connection
 /// and return its reply: `Hello`, then the request, each in one write. A
-/// peer's `Err` reply comes back as the error (`daemon error {code}: …`).
-fn peer_call(shared: &Shared, addr: SocketAddr, request: &Frame) -> Result<Frame, String> {
+/// peer's `Err2` reply comes back as the error (`daemon error {code}: …`).
+fn peer_call(
+    shared: &Shared,
+    addr: SocketAddr,
+    request: impl FnOnce(u64) -> Frame,
+) -> Result<Frame, String> {
     Client::connect(addr, &shared.cfg.name, Some(shared.cfg.io_timeout))
         .and_then(|mut c| c.call(request))
         .map_err(|e| e.to_string())

@@ -1,18 +1,20 @@
 //! The frame vocabulary of the coalition protocol.
 //!
-//! Every payload is `[version u8][tag u8][body]`. Request tags live in
-//! `0x01..=0x7F`, reply tags in `0x80..=0xFF`, so a trace is readable at a
-//! glance. Steady-state frames (`Decide2`, `IssueProof`, `Enroll`,
-//! `Arrive`) carry only interned `u32` ids for names: a client announces
-//! names once via `Vocab` and both ends number them positionally (id =
-//! index of first announcement), per connection.
+//! Every payload is `[version u8][tag u8][id u64][body]`. Request tags
+//! live in `0x01..=0x7F`, reply tags in `0x80..=0xFF`, so a trace is
+//! readable at a glance. Steady-state frames (`Decide2`, `IssueProof`,
+//! `Enroll`, `Arrive`) carry only interned `u32` ids for names: a client
+//! announces names once via `Vocab` and both ends number them
+//! positionally (id = index of first announcement), per connection.
 //!
-//! Every decision on the wire is one `Decide2`, answered by exactly one
-//! `Verdict2`, `Redirect2` (the object is homed on another member) or
-//! `Err2` carrying its id; a caller wanting throughput pipelines many of
-//! them on one connection. Tags of retired frames (the batch decide pair
-//! `0x11`/`0x91` and the locate pair `0x0D`/`0x89`) are not reused, so
-//! they decode as `BadTag`.
+//! Every request carries a caller-chosen `id`, and its one reply echoes
+//! it, so replies are matched by id rather than by position and may
+//! overtake one another. A failure of any request is an `Err2` carrying
+//! its id; a decision is answered by a `Verdict2`, a `Redirect2` (the
+//! object is homed on another member) or an `Err2`. Tags of retired
+//! frames (the id-less error `0x83`, the batch decide pair `0x11`/`0x91`
+//! and the locate pair `0x0D`/`0x89`) are not reused, so they decode as
+//! `BadTag`.
 //!
 //! Handoff payloads are the exception: they travel *between* daemons whose
 //! interning orders differ, so [`HandoffWire`] is keyed entirely by name
@@ -111,24 +113,32 @@ pub struct HandoffWire {
 }
 
 /// A protocol frame. Requests flow client→daemon (or daemon→daemon for
-/// the handoff pull); replies flow back on the same connection.
+/// the handoff pull and the rebalance push); replies flow back on the
+/// same connection. Every variant's `id` is the request id: chosen by
+/// the caller on a request, echoed by the daemon on its reply. Any
+/// request may instead be answered by `Err2`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Opens a connection: protocol revision + the caller's name.
+    /// Opens a connection with the caller's name. Replied with
+    /// `HelloAck`.
     Hello {
-        /// Protocol revision the caller speaks.
-        proto: u16,
+        /// Request id.
+        id: u64,
         /// The caller's name (a peer daemon's server name, or a client label).
         peer: String,
     },
     /// Announce names; both ends assign ids positionally in announcement
     /// order. Replied with `Ok`.
     Vocab {
+        /// Request id.
+        id: u64,
         /// Names to intern, in id order.
         names: Vec<String>,
     },
     /// Enroll an object with activated roles. Replied with `Ok`.
     Enroll {
+        /// Request id.
+        id: u64,
         /// Vocabulary id of the object.
         object: u32,
         /// Vocabulary ids of the activated roles.
@@ -137,6 +147,8 @@ pub enum Frame {
     /// Record an execution proof (replicated after a grant anywhere in
     /// the coalition). Replied with `Ok`.
     IssueProof {
+        /// Request id.
+        id: u64,
         /// Vocabulary id of the proving object.
         object: u32,
         /// The proven access.
@@ -146,9 +158,12 @@ pub enum Frame {
     },
     /// The object arrived at this member. If `from` names another member,
     /// the daemon pulls a custody handoff from it before admitting the
-    /// arrival. Replied with `Ok`, or `Err` if the handoff failed (the
-    /// object then stays in-flight and decisions fail safe).
+    /// arrival, and replies when the pull lands: `Ok`, or `Err2` if the
+    /// handoff failed (the object then stays in-flight and decisions
+    /// fail safe). Replies to later requests may overtake it.
     Arrive {
+        /// Request id.
+        id: u64,
         /// Vocabulary id of the arriving object.
         object: u32,
         /// Arrival instant (seconds).
@@ -157,30 +172,42 @@ pub enum Frame {
         from: Option<String>,
     },
     /// Daemon→daemon: request the custody handoff for an object. Replied
-    /// with `HandoffState` or `Err`.
+    /// with `HandoffState`.
     HandoffRequest {
+        /// Request id.
+        id: u64,
         /// The object's name (handoffs are name-keyed).
         object: String,
     },
     /// Daemon→daemon: a membership change re-homed `object` onto the
     /// receiver; pull its custody from `from` (the current custodian)
     /// through the ordinary handoff machinery. Replied with `Ok` once the
-    /// pull is queued, or `Err`. Unlike `Arrive` this performs no
-    /// arrival — rebalancing is verdict-neutral.
+    /// pull lands, or `Err2` if it failed. Unlike `Arrive` this performs
+    /// no arrival — rebalancing is verdict-neutral.
     Rebalance {
+        /// Request id.
+        id: u64,
         /// The object's name.
         object: String,
         /// The member currently holding custody.
         from: String,
     },
     /// Ask for the daemon's metrics snapshot. Replied with `MetricsJson`.
-    MetricsRequest,
+    MetricsRequest {
+        /// Request id.
+        id: u64,
+    },
     /// Ask the daemon to stop accepting and close. Replied with `Ok`.
-    Shutdown,
+    Shutdown {
+        /// Request id.
+        id: u64,
+    },
     /// Phase 1 of a coalition-wide policy rollout: ship the replacement
     /// policy and have the daemon build (but not install) the epoch.
-    /// Replied with `EpochAck` on success, `Err` otherwise.
+    /// Replied with `EpochAck`.
     PolicyPrepare {
+        /// Request id.
+        id: u64,
         /// The epoch the rollout targets (strictly greater than the
         /// daemon's active epoch).
         epoch: u64,
@@ -194,41 +221,40 @@ pub enum Frame {
     },
     /// Phase 2: flip to the epoch prepared by the matching
     /// `PolicyPrepare`. Replied with `EpochAck`; a daemon with no (or a
-    /// different) prepared epoch replies `Err` and fail-safes subsequent
+    /// different) prepared epoch replies `Err2` and fail-safes subsequent
     /// decisions until a rollout completes (never mixing epochs).
     PolicyActivate {
+        /// Request id.
+        id: u64,
         /// The epoch to flip to.
         epoch: u64,
     },
-    /// Decide one access, correlated. Replied with a `Verdict2`,
-    /// `Redirect2` or `Err2` echoing `id`; replies to distinct ids may
-    /// arrive in any order, so many `Decide2` frames can be in flight on
-    /// one connection (the pipelined mode).
+    /// Decide one access. Replied with a `Verdict2` or `Redirect2`; many
+    /// `Decide2` frames can be in flight on one connection (the
+    /// pipelined mode).
     Decide2 {
-        /// Caller-chosen correlation id, echoed by the reply.
+        /// Request id.
         id: u64,
         /// The request.
         item: DecideItem,
     },
 
-    /// Reply to `Hello`: revision + the daemon's server name.
+    /// Reply to `Hello`: the daemon's server name.
     HelloAck {
-        /// Protocol revision the daemon speaks.
-        proto: u16,
+        /// The request's id, echoed.
+        id: u64,
         /// The daemon's coalition server name.
         server: String,
     },
     /// Generic success reply.
-    Ok,
-    /// Generic failure reply.
-    Err {
-        /// Machine-readable code (see `ERR_*` constants).
-        code: u8,
-        /// Human-readable detail.
-        msg: String,
+    Ok {
+        /// The request's id, echoed.
+        id: u64,
     },
     /// Reply to `HandoffRequest`.
     HandoffState {
+        /// The request's id, echoed.
+        id: u64,
         /// The object's name (echoed).
         object: String,
         /// The custody payload.
@@ -236,18 +262,22 @@ pub enum Frame {
     },
     /// Reply to `MetricsRequest`: a `MetricsSnapshot` rendered as JSON.
     MetricsJson {
+        /// The request's id, echoed.
+        id: u64,
         /// The JSON document.
         json: String,
     },
     /// Reply to `PolicyPrepare` / `PolicyActivate`: the epoch now
     /// prepared (respectively active) on the daemon.
     EpochAck {
+        /// The request's id, echoed.
+        id: u64,
         /// The acknowledged epoch.
         epoch: u64,
     },
-    /// Reply to `Decide2`, correlated by `id`.
+    /// Reply to `Decide2`.
     Verdict2 {
-        /// The request's correlation id, echoed.
+        /// The request's id, echoed.
         id: u64,
         /// Encoded [`DecisionKind`] (see [`kind_to_u8`]).
         kind: u8,
@@ -256,10 +286,10 @@ pub enum Frame {
         /// Denial detail, absent on grants.
         reason: Option<String>,
     },
-    /// Failure reply, correlated by `id` — a malformed or rejected
-    /// correlated request must not desynchronize the pipeline.
+    /// Failure reply to any request — a malformed or rejected request
+    /// must not desynchronize the others in flight.
     Err2 {
-        /// The request's correlation id, echoed.
+        /// The request's id, echoed.
         id: u64,
         /// Machine-readable code (see `ERR_*` constants).
         code: u8,
@@ -267,11 +297,10 @@ pub enum Frame {
         msg: String,
     },
     /// Reply to a `Decide2` aimed at a member that the placement ring
-    /// says is not the object's home, correlated by `id`: the caller
-    /// re-aims at `home` and resolves in one extra hop instead of a
-    /// broadcast.
+    /// says is not the object's home: the caller re-aims at `home` and
+    /// resolves in one extra hop instead of a broadcast.
     Redirect2 {
-        /// The request's correlation id, echoed.
+        /// The request's id, echoed.
         id: u64,
         /// The object's name.
         object: String,
@@ -283,15 +312,15 @@ pub enum Frame {
     },
 }
 
-/// `Err` code: the frame could not be decoded or referenced an unknown
+/// `Err2` code: the frame could not be decoded or referenced an unknown
 /// vocabulary id.
 pub const ERR_BAD_REQUEST: u8 = 1;
-/// `Err` code: a custody handoff failed (peer unknown, unreachable after
+/// `Err2` code: a custody handoff failed (peer unknown, unreachable after
 /// retries, or its payload malformed).
 pub const ERR_HANDOFF: u8 = 2;
-/// `Err` code: this member is not the object's resident custodian.
+/// `Err2` code: this member is not the object's resident custodian.
 pub const ERR_NOT_CUSTODIAN: u8 = 3;
-/// `Err` code: the request is not valid in the daemon's current state.
+/// `Err2` code: the request is not valid in the daemon's current state.
 pub const ERR_STATE: u8 = 4;
 
 const TAG_HELLO: u8 = 0x01;
@@ -308,13 +337,24 @@ const TAG_REBALANCE: u8 = 0x0E;
 const TAG_DECIDE2: u8 = 0x10;
 const TAG_HELLO_ACK: u8 = 0x81;
 const TAG_OK: u8 = 0x82;
-const TAG_ERR: u8 = 0x83;
 const TAG_HANDOFF_STATE: u8 = 0x86;
 const TAG_METRICS_JSON: u8 = 0x87;
 const TAG_EPOCH_ACK: u8 = 0x88;
 const TAG_VERDICT2: u8 = 0x90;
 const TAG_ERR2: u8 = 0x92;
 const TAG_REDIRECT2: u8 = 0x93;
+
+/// Byte length of the header every payload starts with:
+/// `[version u8][tag u8][id u64]`.
+const HEADER_LEN: usize = 10;
+
+/// The request id in a payload's header, read without decoding the
+/// body — `None` when the payload is too short to hold one. A daemon
+/// answers a request it cannot decode with an `Err2` carrying this id.
+pub(crate) fn header_id(payload: &[u8]) -> Option<u64> {
+    let id = payload.get(2..HEADER_LEN)?;
+    Some(u64::from_le_bytes(id.try_into().ok()?))
+}
 
 /// Map a [`DecisionKind`] to its stable wire value.
 pub fn kind_to_u8(kind: DecisionKind) -> u8 {
@@ -644,6 +684,33 @@ impl HandoffWire {
 }
 
 impl Frame {
+    /// The request id: chosen by the caller on a request, echoed by the
+    /// reply.
+    pub fn id(&self) -> u64 {
+        match self {
+            Frame::Hello { id, .. }
+            | Frame::Vocab { id, .. }
+            | Frame::Enroll { id, .. }
+            | Frame::IssueProof { id, .. }
+            | Frame::Arrive { id, .. }
+            | Frame::HandoffRequest { id, .. }
+            | Frame::Rebalance { id, .. }
+            | Frame::MetricsRequest { id }
+            | Frame::Shutdown { id }
+            | Frame::PolicyPrepare { id, .. }
+            | Frame::PolicyActivate { id, .. }
+            | Frame::Decide2 { id, .. }
+            | Frame::HelloAck { id, .. }
+            | Frame::Ok { id }
+            | Frame::HandoffState { id, .. }
+            | Frame::MetricsJson { id, .. }
+            | Frame::EpochAck { id, .. }
+            | Frame::Verdict2 { id, .. }
+            | Frame::Err2 { id, .. }
+            | Frame::Redirect2 { id, .. } => *id,
+        }
+    }
+
     /// Encode into a versioned payload ready for [`crate::wire::put_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
@@ -655,60 +722,66 @@ impl Frame {
     /// buffer of its own, for [`crate::wire::put_frame_with`].
     pub fn encode_into(&self, b: &mut Vec<u8>) {
         put_u8(b, PROTOCOL_VERSION);
-        match self {
-            Frame::Hello { proto, peer } => {
-                put_u8(b, TAG_HELLO);
-                crate::wire::put_u16(b, *proto);
+        // The tag byte is written once the body's arm names it.
+        let tag_at = b.len();
+        put_u8(b, 0);
+        put_u64(b, self.id());
+        b[tag_at] = match self {
+            Frame::Hello { peer, .. } => {
                 put_str(b, peer);
+                TAG_HELLO
             }
-            Frame::Vocab { names } => {
-                put_u8(b, TAG_VOCAB);
+            Frame::Vocab { names, .. } => {
                 put_u32(b, names.len() as u32);
                 for n in names {
                     put_str(b, n);
                 }
+                TAG_VOCAB
             }
-            Frame::Enroll { object, roles } => {
-                put_u8(b, TAG_ENROLL);
+            Frame::Enroll { object, roles, .. } => {
                 put_u32(b, *object);
                 put_u32(b, roles.len() as u32);
                 for r in roles {
                     put_u32(b, *r);
                 }
+                TAG_ENROLL
             }
             Frame::IssueProof {
                 object,
                 access,
                 time,
+                ..
             } => {
-                put_u8(b, TAG_ISSUE_PROOF);
                 put_u32(b, *object);
                 put_access(b, access);
                 put_f64(b, *time);
+                TAG_ISSUE_PROOF
             }
-            Frame::Arrive { object, time, from } => {
-                put_u8(b, TAG_ARRIVE);
+            Frame::Arrive {
+                object, time, from, ..
+            } => {
                 put_u32(b, *object);
                 put_f64(b, *time);
                 put_opt_str(b, from.as_deref());
+                TAG_ARRIVE
             }
-            Frame::HandoffRequest { object } => {
-                put_u8(b, TAG_HANDOFF_REQUEST);
+            Frame::HandoffRequest { object, .. } => {
                 put_str(b, object);
+                TAG_HANDOFF_REQUEST
             }
-            Frame::Rebalance { object, from } => {
-                put_u8(b, TAG_REBALANCE);
+            Frame::Rebalance { object, from, .. } => {
                 put_str(b, object);
                 put_str(b, from);
+                TAG_REBALANCE
             }
-            Frame::MetricsRequest => put_u8(b, TAG_METRICS_REQUEST),
-            Frame::Shutdown => put_u8(b, TAG_SHUTDOWN),
+            Frame::MetricsRequest { .. } => TAG_METRICS_REQUEST,
+            Frame::Shutdown { .. } => TAG_SHUTDOWN,
             Frame::PolicyPrepare {
                 epoch,
                 policy,
                 classes,
+                ..
             } => {
-                put_u8(b, TAG_POLICY_PREPARE);
                 put_u64(b, *epoch);
                 put_str(b, policy);
                 put_u32(b, classes.len() as u32);
@@ -717,71 +790,59 @@ impl Frame {
                     put_f64(b, *dur);
                     put_u8(b, *scheme);
                 }
+                TAG_POLICY_PREPARE
             }
-            Frame::PolicyActivate { epoch } => {
-                put_u8(b, TAG_POLICY_ACTIVATE);
+            Frame::PolicyActivate { epoch, .. } => {
                 put_u64(b, *epoch);
+                TAG_POLICY_ACTIVATE
             }
-            Frame::Decide2 { id, item } => {
-                put_u8(b, TAG_DECIDE2);
-                put_u64(b, *id);
+            Frame::Decide2 { item, .. } => {
                 put_item(b, item);
+                TAG_DECIDE2
             }
-            Frame::HelloAck { proto, server } => {
-                put_u8(b, TAG_HELLO_ACK);
-                crate::wire::put_u16(b, *proto);
+            Frame::HelloAck { server, .. } => {
                 put_str(b, server);
+                TAG_HELLO_ACK
             }
-            Frame::Ok => put_u8(b, TAG_OK),
-            Frame::Err { code, msg } => {
-                put_u8(b, TAG_ERR);
-                put_u8(b, *code);
-                put_str(b, msg);
-            }
-            Frame::HandoffState { object, state } => {
-                put_u8(b, TAG_HANDOFF_STATE);
+            Frame::Ok { .. } => TAG_OK,
+            Frame::HandoffState { object, state, .. } => {
                 put_str(b, object);
                 put_handoff(b, state);
+                TAG_HANDOFF_STATE
             }
-            Frame::MetricsJson { json } => {
-                put_u8(b, TAG_METRICS_JSON);
+            Frame::MetricsJson { json, .. } => {
                 put_str(b, json);
+                TAG_METRICS_JSON
             }
-            Frame::EpochAck { epoch } => {
-                put_u8(b, TAG_EPOCH_ACK);
+            Frame::EpochAck { epoch, .. } => {
                 put_u64(b, *epoch);
+                TAG_EPOCH_ACK
             }
             Frame::Verdict2 {
-                id,
                 kind,
                 epoch,
                 reason,
+                ..
             } => {
-                put_u8(b, TAG_VERDICT2);
-                put_u64(b, *id);
                 put_u8(b, *kind);
                 put_u64(b, *epoch);
                 put_opt_str(b, reason.as_deref());
+                TAG_VERDICT2
             }
-            Frame::Err2 { id, code, msg } => {
-                put_u8(b, TAG_ERR2);
-                put_u64(b, *id);
+            Frame::Err2 { code, msg, .. } => {
                 put_u8(b, *code);
                 put_str(b, msg);
+                TAG_ERR2
             }
             Frame::Redirect2 {
-                id,
-                object,
-                home,
-                addr,
+                object, home, addr, ..
             } => {
-                put_u8(b, TAG_REDIRECT2);
-                put_u64(b, *id);
                 put_str(b, object);
                 put_str(b, home);
                 put_opt_str(b, addr.as_deref());
+                TAG_REDIRECT2
             }
-        }
+        };
     }
 
     /// Decode a versioned payload. Rejects — never panics on — any
@@ -792,18 +853,17 @@ impl Frame {
         if version != PROTOCOL_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let frame = match d.u8()? {
-            TAG_HELLO => Frame::Hello {
-                proto: d.u16()?,
-                peer: d.str()?,
-            },
+        let tag = d.u8()?;
+        let id = d.u64()?;
+        let frame = match tag {
+            TAG_HELLO => Frame::Hello { id, peer: d.str()? },
             TAG_VOCAB => {
                 let n = d.count()?;
                 let mut names = Vec::new();
                 for _ in 0..n {
                     names.push(d.str()?);
                 }
-                Frame::Vocab { names }
+                Frame::Vocab { id, names }
             }
             TAG_ENROLL => {
                 let object = d.u32()?;
@@ -812,25 +872,31 @@ impl Frame {
                 for _ in 0..n {
                     roles.push(d.u32()?);
                 }
-                Frame::Enroll { object, roles }
+                Frame::Enroll { id, object, roles }
             }
             TAG_ISSUE_PROOF => Frame::IssueProof {
+                id,
                 object: d.u32()?,
                 access: dec_access(&mut d)?,
                 time: d.f64()?,
             },
             TAG_ARRIVE => Frame::Arrive {
+                id,
                 object: d.u32()?,
                 time: d.f64()?,
                 from: d.opt_str()?,
             },
-            TAG_HANDOFF_REQUEST => Frame::HandoffRequest { object: d.str()? },
+            TAG_HANDOFF_REQUEST => Frame::HandoffRequest {
+                id,
+                object: d.str()?,
+            },
             TAG_REBALANCE => Frame::Rebalance {
+                id,
                 object: d.str()?,
                 from: d.str()?,
             },
-            TAG_METRICS_REQUEST => Frame::MetricsRequest,
-            TAG_SHUTDOWN => Frame::Shutdown,
+            TAG_METRICS_REQUEST => Frame::MetricsRequest { id },
+            TAG_SHUTDOWN => Frame::Shutdown { id },
             TAG_POLICY_PREPARE => {
                 let epoch = d.u64()?;
                 let policy = d.str()?;
@@ -847,44 +913,48 @@ impl Frame {
                     classes.push((name, dur, scheme));
                 }
                 Frame::PolicyPrepare {
+                    id,
                     epoch,
                     policy,
                     classes,
                 }
             }
-            TAG_POLICY_ACTIVATE => Frame::PolicyActivate { epoch: d.u64()? },
+            TAG_POLICY_ACTIVATE => Frame::PolicyActivate {
+                id,
+                epoch: d.u64()?,
+            },
+            TAG_DECIDE2 => Frame::Decide2 {
+                id,
+                item: dec_item(&mut d)?,
+            },
             TAG_HELLO_ACK => Frame::HelloAck {
-                proto: d.u16()?,
+                id,
                 server: d.str()?,
             },
-            TAG_OK => Frame::Ok,
-            TAG_ERR => Frame::Err {
-                code: d.u8()?,
-                msg: d.str()?,
-            },
+            TAG_OK => Frame::Ok { id },
             TAG_HANDOFF_STATE => Frame::HandoffState {
+                id,
                 object: d.str()?,
                 state: dec_handoff(&mut d)?,
             },
-            TAG_METRICS_JSON => Frame::MetricsJson { json: d.str()? },
-            TAG_EPOCH_ACK => Frame::EpochAck { epoch: d.u64()? },
-            TAG_DECIDE2 => Frame::Decide2 {
-                id: d.u64()?,
-                item: dec_item(&mut d)?,
+            TAG_METRICS_JSON => Frame::MetricsJson { id, json: d.str()? },
+            TAG_EPOCH_ACK => Frame::EpochAck {
+                id,
+                epoch: d.u64()?,
             },
             TAG_VERDICT2 => Frame::Verdict2 {
-                id: d.u64()?,
+                id,
                 kind: d.u8()?,
                 epoch: d.u64()?,
                 reason: d.opt_str()?,
             },
             TAG_ERR2 => Frame::Err2 {
-                id: d.u64()?,
+                id,
                 code: d.u8()?,
                 msg: d.str()?,
             },
             TAG_REDIRECT2 => Frame::Redirect2 {
-                id: d.u64()?,
+                id,
                 object: d.str()?,
                 home: d.str()?,
                 addr: d.opt_str()?,
@@ -904,13 +974,15 @@ mod tests {
     fn every_variant_round_trips() {
         let frames = vec![
             Frame::Hello {
-                proto: PROTOCOL_VERSION as u16,
+                id: 0,
                 peer: "s1".into(),
             },
             Frame::Vocab {
+                id: 1,
                 names: vec!["a".into(), "b".into()],
             },
             Frame::Enroll {
+                id: 2,
                 object: 3,
                 roles: vec![0, 7],
             },
@@ -932,6 +1004,7 @@ mod tests {
                 },
             },
             Frame::IssueProof {
+                id: 5,
                 object: 9,
                 access: WireAccess {
                     op: 5,
@@ -941,34 +1014,34 @@ mod tests {
                 time: -1.25,
             },
             Frame::Arrive {
+                id: 6,
                 object: 2,
                 time: 0.0,
                 from: Some("s0".into()),
             },
             Frame::HandoffRequest {
+                id: 7,
                 object: "obj".into(),
             },
             Frame::Rebalance {
+                id: 8,
                 object: "obj".into(),
                 from: "s1".into(),
             },
-            Frame::MetricsRequest,
-            Frame::Shutdown,
+            Frame::MetricsRequest { id: 9 },
+            Frame::Shutdown { id: u64::MAX },
             Frame::PolicyPrepare {
+                id: 10,
                 epoch: 3,
                 policy: "user n0\nrole worker\n".into(),
                 classes: vec![("night".into(), 4.5, 1)],
             },
-            Frame::PolicyActivate { epoch: 3 },
+            Frame::PolicyActivate { id: 11, epoch: 3 },
             Frame::HelloAck {
-                proto: PROTOCOL_VERSION as u16,
+                id: 0,
                 server: "s2".into(),
             },
-            Frame::Ok,
-            Frame::Err {
-                code: ERR_HANDOFF,
-                msg: "nope".into(),
-            },
+            Frame::Ok { id: 1 },
             Frame::Verdict2 {
                 id: 4,
                 kind: 5,
@@ -981,6 +1054,7 @@ mod tests {
                 msg: "unknown vocabulary id 9".into(),
             },
             Frame::HandoffState {
+                id: 7,
                 object: "o".into(),
                 state: HandoffWire {
                     watermark: 42,
@@ -1003,8 +1077,11 @@ mod tests {
                     cursor_seeds: vec![("p1".into(), 2)],
                 },
             },
-            Frame::MetricsJson { json: "{}".into() },
-            Frame::EpochAck { epoch: 9 },
+            Frame::MetricsJson {
+                id: 9,
+                json: "{}".into(),
+            },
+            Frame::EpochAck { id: 11, epoch: 9 },
             Frame::Redirect2 {
                 id: 7,
                 object: "o".into(),
@@ -1020,6 +1097,8 @@ mod tests {
         ];
         for f in frames {
             let bytes = f.encode();
+            // Every payload leads with the header, id included.
+            assert_eq!(header_id(&bytes), Some(f.id()));
             let back = Frame::decode(&bytes).unwrap();
             assert_eq!(back, f);
             // Canonical: re-encoding the decoded frame reproduces the bytes.
@@ -1029,26 +1108,57 @@ mod tests {
 
     #[test]
     fn bad_version_and_tag_are_rejected() {
-        assert_eq!(Frame::decode(&[9, TAG_OK]), Err(WireError::BadVersion(9)));
-        // The retired sequential protocol's version byte is refused too.
-        assert_eq!(Frame::decode(&[1, TAG_OK]), Err(WireError::BadVersion(1)));
-        // 0x7E was never assigned; the rest are the retired batch
-        // decide/verdict pair and the locate/redirect pair.
-        for tag in [0x7E, 0x11, 0x91, 0x0D, 0x89] {
+        let header = |version: u8, tag: u8| {
+            let mut b = vec![version, tag];
+            b.extend_from_slice(&77u64.to_le_bytes());
+            b
+        };
+        assert_eq!(
+            Frame::decode(&header(9, TAG_OK)),
+            Err(WireError::BadVersion(9))
+        );
+        // The retired sequential and id-less protocols' version bytes are
+        // refused too.
+        for old in [1, 2] {
             assert_eq!(
-                Frame::decode(&[PROTOCOL_VERSION, tag]),
+                Frame::decode(&header(old, TAG_OK)),
+                Err(WireError::BadVersion(old))
+            );
+        }
+        // 0x7E was never assigned; the rest are the retired id-less
+        // error, the batch decide/verdict pair and the locate/redirect
+        // pair.
+        for tag in [0x7E, 0x83, 0x11, 0x91, 0x0D, 0x89] {
+            assert_eq!(
+                Frame::decode(&header(PROTOCOL_VERSION, tag)),
                 Err(WireError::BadTag(tag))
             );
         }
+        assert_eq!(
+            Frame::decode(&header(PROTOCOL_VERSION, TAG_OK)),
+            Ok(Frame::Ok { id: 77 })
+        );
+        let mut trailing = header(PROTOCOL_VERSION, TAG_OK);
+        trailing.push(0xFF);
         assert!(matches!(
-            Frame::decode(&[PROTOCOL_VERSION, TAG_OK, 0xFF]),
+            Frame::decode(&trailing),
             Err(WireError::TrailingBytes(1))
         ));
+        // A header cut short of its id holds no request to answer.
+        assert!(matches!(
+            Frame::decode(&header(PROTOCOL_VERSION, TAG_OK)[..HEADER_LEN - 1]),
+            Err(WireError::Truncated { .. })
+        ));
+        assert_eq!(
+            header_id(&header(PROTOCOL_VERSION, TAG_OK)[..HEADER_LEN - 1]),
+            None
+        );
     }
 
     #[test]
     fn handoff_decode_rejects_base_above_watermark() {
         let good = Frame::HandoffState {
+            id: 0,
             object: "o".into(),
             state: HandoffWire {
                 watermark: 3,
@@ -1064,6 +1174,7 @@ mod tests {
         };
         assert_eq!(Frame::decode(&good.encode()).unwrap(), good);
         let bad = Frame::HandoffState {
+            id: 0,
             object: "o".into(),
             state: HandoffWire {
                 compaction_base: 4,

@@ -29,7 +29,9 @@
 //!   [`client::Client::decide_failsafe`]: an unreachable member yields a
 //!   counted `DeniedCoordination`, never an open gate — plus the
 //!   pipelined mode ([`client::Pipeline`]) keeping a window of
-//!   request-id-correlated decisions in flight per connection.
+//!   decisions in flight per connection. Every request carries an id
+//!   that its reply echoes, so replies are matched by id, never by
+//!   position.
 //!
 //! Telemetry rides on `stacl-obs`: `net.frame-tx/rx`, `net.bytes-tx/rx`,
 //! `net.retry`, `net.handoff-applied/failed`, `net.failsafe-denial`,

@@ -1,8 +1,8 @@
 //! Length-prefixed binary framing and primitive codec.
 //!
 //! Every frame on the wire is `[len: u32 LE][payload: len bytes]` where the
-//! payload begins with `[version: u8][tag: u8]` followed by a tag-specific
-//! body (see [`crate::frames`]). The codec is hand-rolled — no serde — and
+//! payload begins with `[version: u8][tag: u8][id: u64]` followed by a
+//! tag-specific body (see [`crate::frames`]). The codec is hand-rolled — no serde — and
 //! decoding untrusted bytes must *never* panic: every primitive reader
 //! returns a [`WireError`] on malformed input.
 //!
@@ -22,12 +22,12 @@ use std::io::{self, Read};
 
 use stacl_obs::Counter;
 
-/// The protocol version stamped on every frame. Decide requests carry a
-/// `u64` request id echoed by their replies, so many requests can be in
+/// The protocol version stamped on every frame. Every request carries a
+/// `u64` request id echoed by its reply, so many requests can be in
 /// flight per connection and replies may arrive out of order. A payload
 /// stamped with any other version is rejected with
 /// [`WireError::BadVersion`].
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard upper bound on a single frame's payload (16 MiB). A peer
 /// announcing a larger frame is malfunctioning or hostile; the connection

@@ -3,13 +3,16 @@
 //! *counted* fail-safe `DeniedCoordination` — no hang, no panic — while
 //! the surviving members keep granting.
 
-use std::net::SocketAddr;
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
+
+mod common;
 
 use stacl_coalition::{DecisionKind, ProofStore};
 use stacl_naplet::guard::CoordinatedGuard;
-use stacl_net::frames::ERR_HANDOFF;
-use stacl_net::{Client, DaemonConfig, NetError};
+use stacl_net::frames::{DecideItem, Frame, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF};
+use stacl_net::{wire, Client, DaemonConfig, FrameAssembler, NetError, PROTOCOL_VERSION};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
@@ -209,9 +212,6 @@ fn killed_member_fails_whole_pipeline_window_safe() {
 /// loris must observe its connection closed.
 #[test]
 fn slow_loris_partial_is_evicted_on_deadline() {
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-
     stacl_obs::set_telemetry(true);
     let baseline = stacl_obs::snapshot();
 
@@ -262,5 +262,155 @@ fn slow_loris_partial_is_evicted_on_deadline() {
     // Service continues after the eviction.
     let v = client.decide_failsafe("o0", &access, &program, 2.0);
     assert_eq!(v.kind, DecisionKind::Granted, "post-eviction service");
+    h.shutdown();
+}
+
+/// Append `frame`, length-prefixed, to `out`.
+fn put(out: &mut Vec<u8>, frame: &Frame) {
+    wire::put_frame(out, &frame.encode()).expect("frame under the cap");
+}
+
+/// A raw connection to `addr` whose reads give up after five seconds.
+fn raw(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).expect("connect");
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s
+}
+
+/// A custody pull from a peer that never answers holds back only its own
+/// reply. On one connection, an `Arrive` that must pull from the silent
+/// peer is followed by a `MetricsRequest`: the metrics reply, carrying
+/// its own id, comes at once, and the `Arrive`'s `Err2` follows when the
+/// pull times out.
+#[test]
+fn reply_overtakes_a_stalled_handoff_pull() {
+    // Connections to the silent peer complete in the listen backlog, but
+    // nothing ever reads from or answers them.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind the silent peer");
+    let io_timeout = Duration::from_millis(600);
+    let mut cfg = DaemonConfig::new("overtake-d0");
+    cfg.io_timeout = io_timeout;
+    cfg.handoff_retries = 0;
+    let mut h = stacl_net::spawn(make_guard(), ProofStore::new(), cfg).expect("bind loopback");
+    h.add_peer("silent", silent.local_addr().unwrap());
+
+    let mut s = raw(h.addr());
+    let mut bytes = Vec::new();
+    put(
+        &mut bytes,
+        &Frame::Vocab {
+            id: 1,
+            names: vec!["o1".to_string()],
+        },
+    );
+    put(
+        &mut bytes,
+        &Frame::Arrive {
+            id: 2,
+            object: 0,
+            time: 1.0,
+            from: Some("silent".to_string()),
+        },
+    );
+    put(&mut bytes, &Frame::MetricsRequest { id: 3 });
+    let t0 = Instant::now();
+    s.write_all(&bytes).unwrap();
+
+    let mut asm = FrameAssembler::new();
+    let got = common::recv_frame(&mut asm, &mut s);
+    assert_eq!(got, Frame::Ok { id: 1 });
+    match common::recv_frame(&mut asm, &mut s) {
+        Frame::MetricsJson { id: 3, .. } => {}
+        other => panic!("expected the metrics reply before the stalled pull's, got {other:?}"),
+    }
+    let waited = t0.elapsed();
+    assert!(
+        waited < io_timeout / 3,
+        "the metrics reply waited {waited:?} behind the pull"
+    );
+    match common::recv_frame(&mut asm, &mut s) {
+        Frame::Err2 { id: 2, code, .. } => assert_eq!(code, ERR_HANDOFF),
+        other => panic!("expected the Arrive's handoff error, got {other:?}"),
+    }
+    assert!(
+        t0.elapsed() >= io_timeout,
+        "the pull failed before its peer I/O timeout"
+    );
+    h.shutdown();
+}
+
+/// A request that fails to decode is answered by an `Err2` echoing the
+/// id in its header, and its connection keeps being served. A payload
+/// too short to hold an id has no request to answer: it closes its own
+/// connection and no other.
+#[test]
+fn undecodable_request_is_answered_by_its_id() {
+    let mut h = stacl_net::spawn(
+        make_guard(),
+        ProofStore::new(),
+        DaemonConfig::new("bad-frame-d0"),
+    )
+    .expect("bind loopback");
+    let access = Access::new("read", "db", "s0");
+    let program = [access.clone()];
+    let mut bystander =
+        Client::connect(h.addr(), "bystander", Some(Duration::from_secs(5))).expect("connect");
+    bystander.arrive("o0", 0.0, None).expect("arrival");
+
+    // A Decide2 with one trailing byte, then a well-formed request.
+    let wa = WireAccess {
+        op: 0,
+        resource: 0,
+        server: 0,
+    };
+    let mut payload = Frame::Decide2 {
+        id: 77,
+        item: DecideItem {
+            object: 0,
+            time: 1.0,
+            access: wa.clone(),
+            remaining: vec![wa],
+        },
+    }
+    .encode();
+    payload.push(0);
+    let mut bytes = Vec::new();
+    wire::put_frame(&mut bytes, &payload).unwrap();
+    put(&mut bytes, &Frame::MetricsRequest { id: 78 });
+    let mut s = raw(h.addr());
+    s.write_all(&bytes).unwrap();
+    let mut asm = FrameAssembler::new();
+    match common::recv_frame(&mut asm, &mut s) {
+        Frame::Err2 { id: 77, code, .. } => assert_eq!(code, ERR_BAD_REQUEST),
+        other => panic!("expected an Err2 echoing id 77, got {other:?}"),
+    }
+    assert!(matches!(
+        common::recv_frame(&mut asm, &mut s),
+        Frame::MetricsJson { id: 78, .. }
+    ));
+
+    // Five bytes: a version, a `Decide2` tag and three bytes of an id.
+    let mut short = raw(h.addr());
+    let mut bytes = Vec::new();
+    wire::put_frame(&mut bytes, &[PROTOCOL_VERSION, 0x10, 0, 0, 0]).unwrap();
+    short.write_all(&bytes).unwrap();
+    let mut byte = [0u8; 1];
+    match short.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("expected the short payload's connection closed, got {other:?}"),
+    }
+
+    // The other connections are still served.
+    let v = bystander.decide_failsafe("o0", &access, &program, 2.0);
+    assert_eq!(v.kind, DecisionKind::Granted, "bystander served");
+    let mut bytes = Vec::new();
+    put(&mut bytes, &Frame::MetricsRequest { id: 79 });
+    s.write_all(&bytes).unwrap();
+    assert!(matches!(
+        common::recv_frame(&mut asm, &mut s),
+        Frame::MetricsJson { id: 79, .. }
+    ));
     h.shutdown();
 }

@@ -69,6 +69,7 @@ fn corrupted_frames_never_panic() {
 fn hostile_vec_counts_do_not_allocate() {
     // A Vocab frame claiming u32::MAX names must fail on bounds, fast.
     let mut payload = vec![PROTOCOL_VERSION, 0x02];
+    payload.extend_from_slice(&7u64.to_le_bytes());
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     match Frame::decode(&payload) {
         Err(WireError::TooLarge(_)) | Err(WireError::Truncated { .. }) => {}

@@ -91,50 +91,55 @@ pub fn gen_handoff(r: &mut SplitMix64) -> HandoffWire {
     }
 }
 
+/// A frame of any variant, every one carrying a drawn request id.
 pub fn gen_frame(r: &mut SplitMix64) -> Frame {
-    match r.gen_range(0u32..21) {
+    let id = r.next_u64();
+    match r.gen_range(0u32..20) {
         0 => Frame::Hello {
-            proto: r.gen_range(0u32..9) as u16,
+            id,
             peer: gen_string(r),
         },
         1 => Frame::Vocab {
+            id,
             names: (0..r.gen_range(0usize..5)).map(|_| gen_string(r)).collect(),
         },
         2 => Frame::Enroll {
+            id,
             object: r.gen_range(0u32..9),
             roles: (0..r.gen_range(0usize..4))
                 .map(|_| r.gen_range(0u32..9))
                 .collect(),
         },
         3 => Frame::IssueProof {
+            id,
             object: r.gen_range(0u32..9),
             access: gen_access(r),
             time: r.gen_range(0i64..1000) as f64,
         },
         4 => Frame::Arrive {
+            id,
             object: r.gen_range(0u32..9),
             time: r.gen_range(0i64..1000) as f64,
             from: r.gen_bool(0.5).then(|| gen_string(r)),
         },
         5 => Frame::HandoffRequest {
+            id,
             object: gen_string(r),
         },
-        6 => Frame::MetricsRequest,
-        7 => Frame::Shutdown,
+        6 => Frame::MetricsRequest { id },
+        7 => Frame::Shutdown { id },
         8 => Frame::HelloAck {
-            proto: r.gen_range(0u32..9) as u16,
+            id,
             server: gen_string(r),
         },
-        9 => Frame::Ok,
-        10 => Frame::Err {
-            code: r.gen_range(0u32..9) as u8,
-            msg: gen_string(r),
-        },
-        11 => Frame::HandoffState {
+        9 => Frame::Ok { id },
+        10 => Frame::HandoffState {
+            id,
             object: gen_string(r),
             state: gen_handoff(r),
         },
-        12 => Frame::PolicyPrepare {
+        11 => Frame::PolicyPrepare {
+            id,
             epoch: r.gen_range(0u32..9) as u64,
             policy: gen_string(r),
             classes: (0..r.gen_range(0usize..3))
@@ -147,38 +152,41 @@ pub fn gen_frame(r: &mut SplitMix64) -> Frame {
                 })
                 .collect(),
         },
-        13 => Frame::PolicyActivate {
+        12 => Frame::PolicyActivate {
+            id,
             epoch: r.gen_range(0u32..9) as u64,
         },
-        14 => Frame::EpochAck {
+        13 => Frame::EpochAck {
+            id,
             epoch: r.gen_range(0u32..9) as u64,
         },
-        15 => Frame::MetricsJson {
+        14 => Frame::MetricsJson {
+            id,
             json: gen_string(r),
         },
-        // Correlated frames: every one carries a request id first.
-        16 => Frame::Decide2 {
-            id: r.next_u64(),
+        15 => Frame::Decide2 {
+            id,
             item: gen_item(r),
         },
-        17 => Frame::Verdict2 {
-            id: r.next_u64(),
+        16 => Frame::Verdict2 {
+            id,
             kind: r.gen_range(0u32..6) as u8,
             epoch: r.gen_range(0u32..9) as u64,
             reason: r.gen_bool(0.5).then(|| gen_string(r)),
         },
-        18 => Frame::Err2 {
-            id: r.next_u64(),
+        17 => Frame::Err2 {
+            id,
             code: r.gen_range(0u32..9) as u8,
             msg: gen_string(r),
         },
         // Placement frames: custody rebalance, decide redirect.
-        19 => Frame::Rebalance {
+        18 => Frame::Rebalance {
+            id,
             object: gen_string(r),
             from: gen_string(r),
         },
         _ => Frame::Redirect2 {
-            id: r.next_u64(),
+            id,
             object: gen_string(r),
             home: gen_string(r),
             addr: r.gen_bool(0.5).then(|| gen_string(r)),

@@ -57,22 +57,22 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
             while let Some(payload) = asm.next_frame().expect("client frames reassemble") {
                 let frame = Frame::decode(payload).expect("client frames decode");
                 match frame {
-                    Frame::Hello { proto, .. } => {
+                    Frame::Hello { id, .. } => {
                         let ack = Frame::HelloAck {
-                            proto: proto.min(2),
+                            id,
                             server: "shuffler".to_string(),
                         };
                         wire::put_frame(&mut out, &ack.encode()).unwrap();
                     }
-                    Frame::Vocab { .. }
-                    | Frame::Arrive { .. }
-                    | Frame::Enroll { .. }
-                    | Frame::IssueProof { .. } => {
-                        wire::put_frame(&mut out, &Frame::Ok.encode()).unwrap();
+                    Frame::Vocab { id, .. }
+                    | Frame::Arrive { id, .. }
+                    | Frame::Enroll { id, .. }
+                    | Frame::IssueProof { id, .. } => {
+                        wire::put_frame(&mut out, &Frame::Ok { id }.encode()).unwrap();
                     }
                     Frame::Decide2 { id, item } => pending.push((id, item.time)),
-                    Frame::Shutdown => {
-                        wire::put_frame(&mut out, &Frame::Ok.encode()).unwrap();
+                    Frame::Shutdown { id } => {
+                        wire::put_frame(&mut out, &Frame::Ok { id }.encode()).unwrap();
                         let _ = stream.write_all(&out);
                         break 'conn;
                     }
@@ -165,7 +165,9 @@ fn shuffled_replies_correlate_by_request_id() {
 }
 
 /// `decide_stream_failsafe` returns verdicts in *request order* even
-/// though the wire delivered them scrambled.
+/// though the wire delivered them scrambled — also when some requests
+/// name objects not announced yet, so `Vocab` calls take request ids in
+/// the middle of the window and the decides' ids are not consecutive.
 #[test]
 fn stream_failsafe_restores_request_order_under_shuffle() {
     forall("pipeline-order", 0x51AC, 16, |r| {
@@ -175,8 +177,20 @@ fn stream_failsafe_restores_request_order_under_shuffle() {
         let mut client = connect(addr);
         let access = Access::new(ACCESS_PARTS.0, ACCESS_PARTS.1, ACCESS_PARTS.2);
         let remaining = [access.clone()];
-        let requests: Vec<(&str, &Access, &[Access], f64)> = (0..n)
-            .map(|i| ("obj", &access, &remaining[..], i as f64))
+        // The middle request always names a fresh object; others may.
+        let objects: Vec<String> = (0..n)
+            .map(|i| {
+                if i == n / 2 || r.gen_bool(0.25) {
+                    format!("fresh-{i}")
+                } else {
+                    "obj".to_string()
+                }
+            })
+            .collect();
+        let requests: Vec<(&str, &Access, &[Access], f64)> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.as_str(), &access, &remaining[..], i as f64))
             .collect();
         let verdicts = client.decide_stream_failsafe(&requests, window);
         assert_eq!(verdicts.len(), n);

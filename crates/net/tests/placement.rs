@@ -14,9 +14,7 @@ mod common;
 use stacl_coalition::{DecisionKind, Placement, ProofStore};
 use stacl_naplet::guard::{CoordinatedGuard, Custody};
 use stacl_net::frames::{DecideItem, Frame, WireAccess, ERR_NOT_CUSTODIAN};
-use stacl_net::{
-    wire, Client, DaemonConfig, DaemonHandle, FrameAssembler, NetError, Router, PROTOCOL_VERSION,
-};
+use stacl_net::{wire, Client, DaemonConfig, DaemonHandle, FrameAssembler, NetError, Router};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
@@ -356,7 +354,7 @@ fn stall_loop(
     wire::put_frame(
         &mut hello,
         &Frame::Hello {
-            proto: PROTOCOL_VERSION as u16,
+            id: 0,
             peer: "staller".to_string(),
         }
         .encode(),
@@ -370,7 +368,7 @@ fn stall_loop(
     ));
     let names: Vec<String> = (0..names_per_frame).map(|i| format!("stall-{i}")).collect();
     let mut vocab = Vec::new();
-    wire::put_frame(&mut vocab, &Frame::Vocab { names }.encode()).unwrap();
+    wire::put_frame(&mut vocab, &Frame::Vocab { id: 1, names }.encode()).unwrap();
     std::thread::spawn(move || {
         for _ in 0..frames {
             s.write_all(&vocab).unwrap();
@@ -386,7 +384,10 @@ fn drain_stall(writer: JoinHandle<(TcpStream, FrameAssembler)>, frames: usize) {
     let (mut s, mut asm) = writer.join().expect("staller writer");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     for _ in 0..frames {
-        assert!(matches!(common::recv_frame(&mut asm, &mut s), Frame::Ok));
+        assert!(matches!(
+            common::recv_frame(&mut asm, &mut s),
+            Frame::Ok { id: 1 }
+        ));
     }
 }
 
@@ -416,6 +417,7 @@ fn severed_connection_frames_are_not_processed() {
     wire::put_frame(
         &mut victim_bytes,
         &Frame::Vocab {
+            id: 8,
             names: vec!["o0".into(), "read".into(), "db".into(), "s0".into()],
         }
         .encode(),
@@ -529,6 +531,7 @@ fn orphaned_completion_reparks_custody() {
             wire::put_frame(
                 &mut bytes,
                 &Frame::Vocab {
+                    id: 0,
                     names: vec![object.clone()],
                 }
                 .encode(),
@@ -537,6 +540,7 @@ fn orphaned_completion_reparks_custody() {
             wire::put_frame(
                 &mut bytes,
                 &Frame::Arrive {
+                    id: 1,
                     object: 0,
                     time: 5.0,
                     from: Some("orph-d0".to_string()),

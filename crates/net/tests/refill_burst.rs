@@ -37,11 +37,11 @@ fn spawn_burst_server() -> (SocketAddr, JoinHandle<()>) {
             }
             while let Some(payload) = asm.next_frame().expect("client frames reassemble") {
                 let reply = match Frame::decode(payload).expect("client frames decode") {
-                    Frame::Hello { proto, .. } => Frame::HelloAck {
-                        proto: proto.min(2),
+                    Frame::Hello { id, .. } => Frame::HelloAck {
+                        id,
                         server: "burst".to_string(),
                     },
-                    Frame::Vocab { .. } => Frame::Ok,
+                    Frame::Vocab { id, .. } => Frame::Ok { id },
                     Frame::Decide2 { id, .. } => Frame::Verdict2 {
                         id,
                         kind: kind_to_u8(DecisionKind::Granted),

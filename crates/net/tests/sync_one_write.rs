@@ -85,8 +85,8 @@ fn spawn_fake(
     let handle = thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
         serve_one(stream, move |frame| match frame {
-            Frame::Hello { proto, .. } => Frame::HelloAck {
-                proto,
+            Frame::Hello { id, .. } => Frame::HelloAck {
+                id,
                 server: name.to_string(),
             },
             other => answer(other),
@@ -98,7 +98,7 @@ fn spawn_fake(
 #[test]
 fn client_round_trips_arrive_one_frame_per_read() {
     let (addr, server) = spawn_fake("fake-daemon", |frame| match frame {
-        Frame::Vocab { .. } | Frame::IssueProof { .. } => Frame::Ok,
+        Frame::Vocab { id, .. } | Frame::IssueProof { id, .. } => Frame::Ok { id },
         Frame::Decide2 { id, .. } => Frame::Verdict2 {
             id,
             kind: kind_to_u8(DecisionKind::Granted),
@@ -145,7 +145,8 @@ fn handoff_pull_sends_each_frame_whole() {
     // A clean, empty state: the receiver never enrolled the object, so
     // the import is a custody-only move.
     let (peer_addr, peer) = spawn_fake("fake-peer", |frame| match frame {
-        Frame::HandoffRequest { object } => Frame::HandoffState {
+        Frame::HandoffRequest { id, object } => Frame::HandoffState {
+            id,
             object,
             state: HandoffWire {
                 watermark: 0,
@@ -189,7 +190,7 @@ fn handoff_pull_sends_each_frame_whole() {
 fn rebalance_push_sends_each_frame_whole() {
     let peer_name = "fake-peer";
     let (peer_addr, peer) = spawn_fake(peer_name, |frame| match frame {
-        Frame::Rebalance { .. } => Frame::Ok,
+        Frame::Rebalance { id, .. } => Frame::Ok { id },
         other => panic!("fake peer got unexpected {other:?}"),
     });
     let guard = CoordinatedGuard::new(ExtendedRbac::new(RbacModel::new()));
