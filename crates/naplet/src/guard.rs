@@ -313,17 +313,6 @@ impl CoordinatedGuard {
         *self.placement.write() = Some((member.into(), ring));
     }
 
-    /// Remove the placement ring: custody claims go back to first-come
-    /// (the pre-ring, single-custodian behaviour).
-    pub fn clear_placement(&self) {
-        *self.placement.write() = None;
-    }
-
-    /// The current placement ring, if one is installed.
-    pub fn placement(&self) -> Option<Placement> {
-        self.placement.read().as_ref().map(|(_, p)| p.clone())
-    }
-
     /// The rendezvous home for `object` under the installed ring, if any.
     pub fn placement_home(&self, object: &str) -> Option<String> {
         self.placement

@@ -352,7 +352,7 @@ impl Client {
         }
     }
 
-    fn expect_ok(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<(), NetError> {
+    pub(crate) fn expect_ok(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<(), NetError> {
         match self.call(frame)? {
             Frame::Ok { .. } => Ok(()),
             other => Err(unexpected("Ok", &other)),
@@ -773,6 +773,6 @@ impl Router {
     }
 }
 
-fn unexpected(wanted: &str, got: &Frame) -> NetError {
+pub(crate) fn unexpected(wanted: &str, got: &Frame) -> NetError {
     NetError::Protocol(format!("expected {wanted}, got {got:?}"))
 }

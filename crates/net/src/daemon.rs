@@ -16,12 +16,12 @@
 //! One connection's requests are applied in arrival order, and every
 //! reply echoes its request's id, so a reply is encoded onto the
 //! connection's out-buffer as soon as it exists. The only slow operation
-//! (the custody handoff pull of an `Arrive` or `Rebalance`, which dials a
-//! peer with retries and backoff) runs on a helper thread, and its reply
-//! follows when the pull lands; replies to later requests overtake it.
-//! The event loop itself never blocks on a peer.
+//! (the custody handoff pull of an `Arrive`, which dials a peer with
+//! retries and backoff) runs on a helper thread, and its reply follows
+//! when the pull lands; replies to later requests overtake it. The event
+//! loop itself never blocks on a peer.
 //!
-//! ## Custody and the handoff pull
+//! ## Custody: the arrival pull, the rebalance push
 //!
 //! With custody enforcement on, the daemon only decides for objects whose
 //! custody is [`Custody::Resident`]. An [`Frame::Arrive`] naming a
@@ -34,6 +34,9 @@
 //! for the object. While the pull is in flight — or if the peer stays
 //! unreachable after bounded retries with doubling backoff — decisions
 //! fail safe to `DeniedCoordination`.
+//!
+//! A membership change moves custody the other way: the member losing a
+//! key **pushes** its state to the new home ([`DaemonHandle::set_members`]).
 //!
 //! Clock skew travels explicitly: the sender stamps its skewed clock view
 //! into the payload and the receiver counts a `clock.regression` when
@@ -66,7 +69,7 @@ use stacl_sral::Program;
 use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
 
-use crate::client::Client;
+use crate::client::{unexpected, Client, NetError};
 use crate::frames::{
     header_id, scheme_from_u8, DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST,
     ERR_HANDOFF, ERR_NOT_CUSTODIAN, ERR_STATE,
@@ -212,16 +215,16 @@ impl DaemonHandle {
     /// Install the coalition membership: a placement ring over exactly
     /// the named members (this daemon included or not — leaving itself
     /// off the list is a graceful leave that drains everything it holds)
-    /// plus their dial addresses. Then **rebalance**: every resident
-    /// object whose ring home moved off this member is pushed to its new
-    /// home with a [`Frame::Rebalance`], which makes the new home pull
-    /// custody through the ordinary handoff machinery (helper threads,
-    /// bounded retries, fail-safe `DeniedCoordination` while in flight).
-    /// Only keys whose home actually moved drain; the rest never notice.
+    /// plus their dial addresses. Then **rebalance**: one drain thread
+    /// exports every resident object whose ring home moved off this
+    /// member and pushes its state to the new home in a
+    /// [`Frame::Rebalance`], over one connection per home. Only keys
+    /// whose home actually moved drain; the rest never notice.
     ///
     /// Peer addresses accumulate — a departed member's address is kept so
     /// late pulls *from* it still resolve. Returns the number of objects
-    /// whose drain was initiated.
+    /// whose drain was initiated; the drain counts exactly one of
+    /// `net.handoff-applied` / `net.handoff-failed` for each.
     pub fn set_members(&self, members: &[(String, SocketAddr)]) -> usize {
         {
             let mut peers = self.shared.peers.write();
@@ -253,17 +256,7 @@ impl DaemonHandle {
             let shared = Arc::clone(&self.shared);
             let _ = thread::Builder::new()
                 .name("stacl-net-rebalance".to_string())
-                .spawn(move || {
-                    let peers = shared.peers.read().clone();
-                    for (object, home) in moves {
-                        let Some(addr) = peers.get(&home).copied() else {
-                            continue;
-                        };
-                        if rebalance_push(&shared, addr, &object).is_ok() {
-                            stacl_obs::count(Counter::PlacementRebalance);
-                        }
-                    }
-                });
+                .spawn(move || drain(&shared, moves));
         }
         n
     }
@@ -289,17 +282,8 @@ impl DaemonHandle {
         }
     }
 
-    /// Fault injection: terminate abruptly. In-flight requests on severed
-    /// connections observe an I/O error, which clients translate into the
-    /// counted fail-safe `DeniedCoordination`.
-    pub fn kill(&mut self) {
-        self.shutdown();
-    }
-
-    /// Block until the daemon stops (a `Shutdown` frame or [`kill`]).
-    /// Used by `stacl serve`.
-    ///
-    /// [`kill`]: DaemonHandle::kill
+    /// Block until the daemon stops (a `Shutdown` frame). Used by
+    /// `stacl serve`.
     pub fn wait(mut self) {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -343,17 +327,16 @@ struct Conn {
     dead: bool,
 }
 
-/// A helper thread finished the handoff pull a request of connection
+/// A helper thread finished the handoff pull an `Arrive` of connection
 /// `serial` asked for; `reply` carries that request's id.
 struct Completion {
     serial: u64,
     reply: Frame,
     /// Set when the pull imported custody successfully: the object name
-    /// plus the arrival time to note (`None` for a verdict-neutral
-    /// rebalance pull). The arrival is applied by the event loop at
-    /// drain time — even when the requesting connection has since died —
-    /// so an orphaned completion never strands imported custody.
-    imported: Option<(String, Option<TimePoint>)>,
+    /// plus the arrival time to note. The arrival is applied by the event
+    /// loop at drain time — even when the requesting connection has since
+    /// died — so an orphaned completion never strands imported custody.
+    imported: Option<(String, TimePoint)>,
 }
 
 fn event_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: TcpStream) {
@@ -401,7 +384,7 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: TcpStream) {
         // (counted `net.orphaned-completion`), or custody would silently
         // vanish from the coalition.
         while let Ok(c) = crx.try_recv() {
-            if let Some((object, Some(t))) = &c.imported {
+            if let Some((object, t)) = &c.imported {
                 shared.guard.note_arrival(object, *t);
             }
             if let Some(conn) = conns.iter_mut().find(|k| k.serial == c.serial) {
@@ -813,16 +796,15 @@ fn handle_frame(
             classes,
         } => policy_prepare(shared, &mut conn.table, id, epoch, &policy, &classes),
         Frame::PolicyActivate { id, epoch } => policy_activate(shared, id, epoch),
-        Frame::Rebalance { id, object, from } => {
-            // A peer whose ring home for `object` moved here is draining
-            // it to us: pull its custody state exactly like an Arrive
-            // handoff, but verdict-neutrally (no arrival is noted — the
-            // object did not move in the modelled world, only its
-            // custodian did).
-            shared.guard.begin_handoff(&object);
-            spawn_pull(shared, ctx, conn.serial, id, from, object, None);
-            return;
-        }
+        // A drain pushes a key re-homed here. Verdict-neutral: the
+        // custodian moved, the object did not. The pusher counts it.
+        Frame::Rebalance { id, object, state } => match shared.guard.custody_of(&object) {
+            Custody::Resident => err_frame(id, ERR_STATE, format!("{object} is resident here")),
+            _ => match apply_handoff(shared, &object, None, &state) {
+                Ok(()) => Frame::Ok { id },
+                Err(msg) => err_frame(id, ERR_HANDOFF, msg),
+            },
+        },
         Frame::Shutdown { id } => Frame::Ok { id },
         // Reply frames arriving as requests are protocol violations.
         other => err_frame(
@@ -935,7 +917,7 @@ fn arrive(
         match from {
             Some(peer) if peer != shared.cfg.name => {
                 shared.guard.begin_handoff(&object);
-                spawn_pull(shared, ctx, serial, id, peer, object, Some(time));
+                spawn_pull(shared, ctx, serial, id, peer, object, time);
                 return None;
             }
             _ => {
@@ -995,13 +977,11 @@ fn maybe_compact(shared: &Shared, object: &str) {
     shared.proofs.compact_prefix(object, upto);
 }
 
-/// Run a handoff pull off the event loop for request `id` of connection
-/// `serial`. `arrival` is `None` for a verdict-neutral rebalance pull
-/// (custody moves; no arrival is noted). The completion lands via the
-/// channel and a wake byte; the event loop
-/// applies the arrival side effect at drain time so a completion for a
-/// since-closed connection still lands its custody (counted
-/// `net.orphaned-completion`) instead of being silently dropped.
+/// Run an `Arrive`'s handoff pull off the event loop for request `id` of
+/// connection `serial`. The completion lands via the channel and a wake
+/// byte; the event loop applies the arrival side effect at drain time so
+/// a completion for a since-closed connection still lands its custody
+/// (counted `net.orphaned-completion`) instead of being silently dropped.
 fn spawn_pull(
     shared: &Arc<Shared>,
     ctx: &mpsc::Sender<Completion>,
@@ -1009,7 +989,7 @@ fn spawn_pull(
     id: u64,
     peer: String,
     object: String,
-    arrival: Option<TimePoint>,
+    arrival: TimePoint,
 ) {
     let shared = Arc::clone(shared);
     let ctx = ctx.clone();
@@ -1029,7 +1009,8 @@ fn spawn_pull(
         });
 }
 
-/// Serve a custody handoff to a pulling peer's request `id`.
+/// Export `object` for request `id` of a pulling peer or of this member's
+/// own drain: the event loop is the one thread that decides.
 fn handoff_out(shared: &Arc<Shared>, id: u64, object: &str) -> Frame {
     if shared.guard.custody_enforced() && shared.guard.custody_of(object) != Custody::Resident {
         return err_frame(
@@ -1043,7 +1024,7 @@ fn handoff_out(shared: &Arc<Shared>, id: u64, object: &str) -> Frame {
         );
     }
     // Export marks the object remote here: from this point on, this
-    // member fail-safes its decisions and the puller is the custodian.
+    // member fail-safes its decisions and the receiver is the custodian.
     let h = shared.guard.export_object(object);
     let watermark = shared.proofs.watermark_of(object) as u64;
     let base = shared.proofs.compaction_base(object) as u64;
@@ -1055,53 +1036,57 @@ fn handoff_out(shared: &Arc<Shared>, id: u64, object: &str) -> Frame {
     }
 }
 
-/// Pull the object's custody state from `peer`, with bounded retries and
-/// doubling backoff. Counts `net.retry` per re-attempt, and exactly one
-/// of `net.handoff-applied` / `net.handoff-failed` per pull.
-fn pull_handoff(
-    shared: &Arc<Shared>,
-    peer: &str,
-    object: &str,
-    arrival: Option<TimePoint>,
-) -> Result<(), String> {
-    let Some(addr) = shared.peers.read().get(peer).copied() else {
+/// Count one custody transfer, by the member that drove it: applied
+/// (with its latency from `t0`) or failed.
+fn count_handoff(applied: bool, t0: Option<Instant>) {
+    if applied {
+        stacl_obs::count(Counter::NetHandoffApplied);
+        stacl_obs::observe_handoff(t0);
+    } else {
         stacl_obs::count(Counter::NetHandoffFailed);
-        return Err(format!("unknown peer {peer}"));
-    };
-    let t0 = stacl_obs::handoff_timer();
-    let mut backoff = shared.cfg.handoff_backoff;
-    let mut last_err = String::new();
-    for attempt in 0..=shared.cfg.handoff_retries {
-        if attempt > 0 {
-            stacl_obs::count(Counter::NetRetry);
-            thread::sleep(backoff);
-            backoff = backoff.saturating_mul(2);
-        }
-        match try_pull(shared, addr, object) {
-            Ok(state) => {
-                let outcome = apply_handoff(shared, object, arrival, &state);
-                if outcome.is_err() {
-                    stacl_obs::count(Counter::NetHandoffFailed);
-                } else {
-                    stacl_obs::count(Counter::NetHandoffApplied);
-                    stacl_obs::observe_handoff(t0);
-                }
-                return outcome;
-            }
-            Err(e) => last_err = e,
-        }
     }
-    stacl_obs::count(Counter::NetHandoffFailed);
-    Err(format!(
-        "handoff of {object} from {peer} failed after {} attempts: {last_err}",
-        shared.cfg.handoff_retries + 1
-    ))
 }
 
-/// Validate and import a pulled handoff payload. A malformed payload is
-/// not retried — the peer answered; its answer is bad.
+/// Run `attempt` until it succeeds, at most `handoff_retries` more times
+/// with doubling backoff, counting `net.retry` per re-attempt.
+fn with_retries<T, E>(shared: &Shared, mut attempt: impl FnMut() -> Result<T, E>) -> Result<T, E> {
+    let mut backoff = shared.cfg.handoff_backoff;
+    for _ in 0..shared.cfg.handoff_retries {
+        if let Ok(t) = attempt() {
+            return Ok(t);
+        }
+        stacl_obs::count(Counter::NetRetry);
+        thread::sleep(backoff);
+        backoff = backoff.saturating_mul(2);
+    }
+    attempt()
+}
+
+/// Pull the object's custody state from `peer` on a fresh connection,
+/// with bounded retries, and import it as arriving `at`. Counts the
+/// transfer.
+fn pull_handoff(shared: &Shared, peer: &str, object: &str, at: TimePoint) -> Result<(), String> {
+    let t0 = stacl_obs::handoff_timer();
+    let addr = shared.peers.read().get(peer).copied();
+    let outcome = addr
+        .ok_or_else(|| format!("unknown peer {peer}"))
+        .and_then(|addr| {
+            with_retries(shared, || request_state(&mut dial(shared, addr)?, object)).map_err(|e| {
+                let n = shared.cfg.handoff_retries + 1;
+                format!("handoff of {object} from {peer} failed after {n} attempts: {e}")
+            })
+        })
+        .and_then(|state| apply_handoff(shared, object, Some(at), &state));
+    count_handoff(outcome.is_ok(), t0);
+    outcome
+}
+
+/// Validate and import a handoff payload, pulled for an arrival or pushed
+/// by a drain (`arrival` is `None`: custody moves, the object's modelled
+/// position does not). A malformed payload is not retried — the peer
+/// answered; its answer is bad.
 fn apply_handoff(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     object: &str,
     arrival: Option<TimePoint>,
     state: &HandoffWire,
@@ -1125,8 +1110,6 @@ fn apply_handoff(
     }
     // Wire-level clock check: admitting the arrival must not move this
     // member's skewed clock behind the sender's released clock view.
-    // (A rebalance pull has no arrival: custody moves, the object's
-    // modelled position does not.)
     if let Some(arrival) = arrival {
         if state.sender_clock.is_finite()
             && state.sender_clock > arrival.seconds() + shared.cfg.skew
@@ -1148,43 +1131,66 @@ fn apply_handoff(
     Ok(())
 }
 
-/// Tell the new home at `addr` to pull `object` from this member. The
-/// reply (`Ok` once its pull lands, or an error) closes the drain for
-/// this key.
-fn rebalance_push(shared: &Shared, addr: SocketAddr, object: &str) -> Result<(), String> {
-    let request = |id| Frame::Rebalance {
-        id,
-        object: object.to_string(),
-        from: shared.cfg.name.clone(),
-    };
-    match peer_call(shared, addr, request)? {
-        Frame::Ok { .. } => Ok(()),
-        other => Err(format!("expected Ok, got {other:?}")),
-    }
+/// A [`Client`] to the member at `addr`, named after this member.
+fn dial(shared: &Shared, addr: SocketAddr) -> Result<Client, NetError> {
+    Client::connect(addr, &shared.cfg.name, Some(shared.cfg.io_timeout))
 }
 
-fn try_pull(shared: &Shared, addr: SocketAddr, object: &str) -> Result<HandoffWire, String> {
+/// Ask the member behind `client` to export `object`.
+fn request_state(client: &mut Client, object: &str) -> Result<HandoffWire, NetError> {
     let request = |id| Frame::HandoffRequest {
         id,
         object: object.to_string(),
     };
-    match peer_call(shared, addr, request)? {
+    match client.call(request)? {
         Frame::HandoffState {
             object: o, state, ..
         } if o == object => Ok(state),
-        other => Err(format!("expected HandoffState, got {other:?}")),
+        other => Err(unexpected("HandoffState", &other)),
     }
 }
 
-/// Send `request` to the peer at `addr` on a fresh [`Client`] connection
-/// and return its reply: `Hello`, then the request, each in one write. A
-/// peer's `Err2` reply comes back as the error (`daemon error {code}: …`).
-fn peer_call(
-    shared: &Shared,
-    addr: SocketAddr,
-    request: impl FnOnce(u64) -> Frame,
-) -> Result<Frame, String> {
-    Client::connect(addr, &shared.cfg.name, Some(shared.cfg.io_timeout))
-        .and_then(|mut c| c.call(request))
-        .map_err(|e| e.to_string())
+/// Push every `(object, new home)` in `moves` (§15.3) over one `Client`
+/// to this member's event loop, which exports, and one per home, dialled
+/// before any of its keys is exported. No key is exported toward a closed
+/// link. Counts one transfer per key, and `placement.rebalance` per key a
+/// home imported.
+fn drain(shared: &Shared, mut moves: Vec<(String, String)>) {
+    moves.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+    let mut own = dial(shared, shared.addr).ok();
+    for keys in moves.chunk_by(|a, b| a.1 == b.1) {
+        let home = &keys[0].1;
+        let addr = shared.peers.read().get(home).copied();
+        let mut to = addr.and_then(|a| with_retries(shared, || dial(shared, a)).ok());
+        for (object, _) in keys {
+            let t0 = stacl_obs::handoff_timer();
+            let pushed = to.is_some()
+                && on_link(&mut own, |c| request_state(c, object))
+                    .and_then(|state| {
+                        let object = object.clone();
+                        on_link(&mut to, |c| {
+                            c.expect_ok(|id| Frame::Rebalance { id, object, state })
+                        })
+                    })
+                    .is_some();
+            if pushed {
+                stacl_obs::count(Counter::PlacementRebalance);
+            }
+            count_handoff(pushed, t0);
+        }
+    }
+}
+
+/// One round trip on a drain link; `None` if it failed. Any failure but
+/// the member's own `Err2` leaves the connection's state unknown, so it
+/// closes the link.
+fn on_link<T>(
+    link: &mut Option<Client>,
+    call: impl FnOnce(&mut Client) -> Result<T, NetError>,
+) -> Option<T> {
+    let out = call(link.as_mut()?);
+    if matches!(&out, Err(e) if !matches!(e, NetError::Daemon { .. })) {
+        *link = None;
+    }
+    out.ok()
 }

@@ -113,10 +113,10 @@ pub struct HandoffWire {
 }
 
 /// A protocol frame. Requests flow client→daemon (or daemon→daemon for
-/// the handoff pull and the rebalance push); replies flow back on the
-/// same connection. Every variant's `id` is the request id: chosen by
-/// the caller on a request, echoed by the daemon on its reply. Any
-/// request may instead be answered by `Err2`.
+/// the handoff pull and the state-carrying rebalance push); replies flow
+/// back on the same connection. Every variant's `id` is the request id:
+/// chosen by the caller on a request, echoed by the daemon on its reply.
+/// Any request may instead be answered by `Err2`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Opens a connection with the caller's name. Replied with
@@ -180,17 +180,16 @@ pub enum Frame {
         object: String,
     },
     /// Daemon→daemon: a membership change re-homed `object` onto the
-    /// receiver; pull its custody from `from` (the current custodian)
-    /// through the ordinary handoff machinery. Replied with `Ok` once the
-    /// pull lands, or `Err2` if it failed. Unlike `Arrive` this performs
-    /// no arrival — rebalancing is verdict-neutral.
+    /// receiver; its previous custodian pushes the exported state.
+    /// Replied with `Ok` once imported, or `Err2` if the receiver already
+    /// holds it or the state is invalid. Verdict-neutral: no arrival.
     Rebalance {
         /// Request id.
         id: u64,
         /// The object's name.
         object: String,
-        /// The member currently holding custody.
-        from: String,
+        /// The custody payload, exported by the sender.
+        state: HandoffWire,
     },
     /// Ask for the daemon's metrics snapshot. Replied with `MetricsJson`.
     MetricsRequest {
@@ -769,9 +768,9 @@ impl Frame {
                 put_str(b, object);
                 TAG_HANDOFF_REQUEST
             }
-            Frame::Rebalance { object, from, .. } => {
+            Frame::Rebalance { object, state, .. } => {
                 put_str(b, object);
-                put_str(b, from);
+                put_handoff(b, state);
                 TAG_REBALANCE
             }
             Frame::MetricsRequest { .. } => TAG_METRICS_REQUEST,
@@ -893,7 +892,7 @@ impl Frame {
             TAG_REBALANCE => Frame::Rebalance {
                 id,
                 object: d.str()?,
-                from: d.str()?,
+                state: dec_handoff(&mut d)?,
             },
             TAG_METRICS_REQUEST => Frame::MetricsRequest { id },
             TAG_SHUTDOWN => Frame::Shutdown { id },
@@ -972,6 +971,26 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips() {
+        let state = HandoffWire {
+            watermark: 42,
+            compaction_base: 17,
+            clean: true,
+            sender_clock: 10.5,
+            sender_skew: 0.5,
+            arrivals: vec![1.0, 2.0],
+            timelines: vec![(
+                WireBudget::Class("fast".into()),
+                WireTimeline {
+                    budget: Some(3.0),
+                    scheme: 0,
+                    arrivals: vec![1.0],
+                    toggles: vec![(1.0, true), (2.0, false)],
+                    active_now: false,
+                },
+            )],
+            spatial_ok: vec!["p1".into()],
+            cursor_seeds: vec![("p1".into(), 2)],
+        };
         let frames = vec![
             Frame::Hello {
                 id: 0,
@@ -1026,7 +1045,7 @@ mod tests {
             Frame::Rebalance {
                 id: 8,
                 object: "obj".into(),
-                from: "s1".into(),
+                state: state.clone(),
             },
             Frame::MetricsRequest { id: 9 },
             Frame::Shutdown { id: u64::MAX },
@@ -1056,26 +1075,7 @@ mod tests {
             Frame::HandoffState {
                 id: 7,
                 object: "o".into(),
-                state: HandoffWire {
-                    watermark: 42,
-                    compaction_base: 17,
-                    clean: true,
-                    sender_clock: 10.5,
-                    sender_skew: 0.5,
-                    arrivals: vec![1.0, 2.0],
-                    timelines: vec![(
-                        WireBudget::Class("fast".into()),
-                        WireTimeline {
-                            budget: Some(3.0),
-                            scheme: 0,
-                            arrivals: vec![1.0],
-                            toggles: vec![(1.0, true), (2.0, false)],
-                            active_now: false,
-                        },
-                    )],
-                    spatial_ok: vec!["p1".into()],
-                    cursor_seeds: vec![("p1".into(), 2)],
-                },
+                state,
             },
             Frame::MetricsJson {
                 id: 9,
@@ -1117,9 +1117,9 @@ mod tests {
             Frame::decode(&header(9, TAG_OK)),
             Err(WireError::BadVersion(9))
         );
-        // The retired sequential and id-less protocols' version bytes are
-        // refused too.
-        for old in [1, 2] {
+        // The retired sequential, id-less and pull-rebalance protocols'
+        // version bytes are refused too.
+        for old in [1, 2, 3] {
             assert_eq!(
                 Frame::decode(&header(old, TAG_OK)),
                 Err(WireError::BadVersion(old))

@@ -21,9 +21,9 @@
 //! * [`daemon`] — the per-server daemon: a single readiness-driven
 //!   event loop multiplexing every connection (nonblocking sockets,
 //!   incremental frame reassembly, coalesced writes), the custody gate,
-//!   and the migration handoff **pull** with bounded retries, doubling
-//!   backoff and fail-safe denial — pulls run on helper threads so one
-//!   slow peer never stalls the loop;
+//!   the arrival handoff **pull** (on helper threads, with bounded
+//!   retries, doubling backoff and fail-safe denial) and the
+//!   membership-change **push** (one drain thread per change);
 //! * [`client`] — the synchronous client, which is also the daemon's
 //!   own link to its peers (handoff pulls, rebalance pushes), including
 //!   [`client::Client::decide_failsafe`]: an unreachable member yields a

@@ -24,10 +24,11 @@ use stacl_obs::Counter;
 
 /// The protocol version stamped on every frame. Every request carries a
 /// `u64` request id echoed by its reply, so many requests can be in
-/// flight per connection and replies may arrive out of order. A payload
-/// stamped with any other version is rejected with
-/// [`WireError::BadVersion`].
-pub const PROTOCOL_VERSION: u8 = 3;
+/// flight per connection and replies may arrive out of order. Version 4
+/// made `Rebalance` carry the pushed state. A payload stamped with any
+/// other version is rejected with [`WireError::BadVersion`], so a member
+/// of an older build fails at its first frame, before any key moves.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Hard upper bound on a single frame's payload (16 MiB). A peer
 /// announcing a larger frame is malfunctioning or hostile; the connection

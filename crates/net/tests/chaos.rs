@@ -1,7 +1,9 @@
 //! Chaos test: kill one of four coalition members mid-episode and require
 //! that every decision touching its custodied objects resolves to a
 //! *counted* fail-safe `DeniedCoordination` — no hang, no panic — while
-//! the surviving members keep granting.
+//! the surviving members keep granting. Hostile frames (undecodable
+//! requests, rebalance pushes onto a custodian or with invalid state)
+//! get an `Err2` and never stop the daemon.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -10,8 +12,10 @@ use std::time::{Duration, Instant};
 mod common;
 
 use stacl_coalition::{DecisionKind, ProofStore};
-use stacl_naplet::guard::CoordinatedGuard;
-use stacl_net::frames::{DecideItem, Frame, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF};
+use stacl_naplet::guard::{CoordinatedGuard, Custody};
+use stacl_net::frames::{
+    DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF, ERR_STATE,
+};
 use stacl_net::{wire, Client, DaemonConfig, FrameAssembler, NetError, PROTOCOL_VERSION};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
@@ -89,7 +93,7 @@ fn killed_member_fails_safe_to_denied_coordination() {
     }
 
     // Kill d2: listener closed, live connections severed, thread gone.
-    handles[2].kill();
+    handles[2].shutdown();
 
     // (a) An in-flight decision against the dead member fails safe: the
     // client counts it and synthesizes DeniedCoordination, never hangs.
@@ -179,7 +183,7 @@ fn killed_member_fails_whole_pipeline_window_safe() {
     // Kill the daemon, then drive a full window of requests at the
     // corpse. The stream must come back complete — one verdict per
     // request, all fail-safe coordination denials, each counted.
-    h.kill();
+    h.shutdown();
     const N: usize = 16;
     let requests: Vec<(&str, &Access, &[Access], f64)> = (0..N)
         .map(|i| ("o0", &access, &program[..], 2.0 + i as f64))
@@ -412,5 +416,110 @@ fn undecodable_request_is_answered_by_its_id() {
         common::recv_frame(&mut asm, &mut s),
         Frame::MetricsJson { id: 79, .. }
     ));
+    h.shutdown();
+}
+
+/// A clean, empty custody state with `seeds` as its cursor seeds and a
+/// compaction base of `base`.
+fn pushed_state(base: u64, seeds: Vec<(String, u64)>) -> HandoffWire {
+    HandoffWire {
+        watermark: base,
+        compaction_base: base,
+        clean: true,
+        sender_clock: 0.0,
+        sender_skew: 0.0,
+        arrivals: Vec::new(),
+        timelines: Vec::new(),
+        spatial_ok: Vec::new(),
+        cursor_seeds: seeds,
+    }
+}
+
+/// At most one resident custodian: a rebalance push for an object that
+/// is already resident on the receiver is refused with `ERR_STATE` and
+/// imports nothing. A push whose state fails validation (a cursor seed
+/// behind its compaction base) is refused with `ERR_HANDOFF`, and the
+/// daemon keeps serving. A valid push for a key held nowhere imports.
+#[test]
+fn rebalance_push_never_makes_a_second_custodian() {
+    let mut h = stacl_net::spawn(
+        make_guard(),
+        ProofStore::new(),
+        DaemonConfig::new("push-d0"),
+    )
+    .expect("bind loopback");
+    let access = Access::new("read", "db", "s0");
+    let program = [access.clone()];
+    let mut owner =
+        Client::connect(h.addr(), "owner", Some(Duration::from_secs(5))).expect("connect");
+    owner.arrive("o0", 0.0, None).expect("arrival");
+    assert_eq!(
+        owner.decide_failsafe("o0", &access, &program, 1.0).kind,
+        DecisionKind::Granted
+    );
+    let gate =
+        |h: &stacl_net::DaemonHandle, o: &str| h.guard().with_rbac_read(|r| r.export_gate(o));
+    let before = gate(&h, "o0");
+
+    let mut s = raw(h.addr());
+    let mut asm = FrameAssembler::new();
+    let mut ask = |frame: Frame| {
+        let mut bytes = Vec::new();
+        put(&mut bytes, &frame);
+        s.write_all(&bytes).unwrap();
+        common::recv_frame(&mut asm, &mut s)
+    };
+    let rebalance = |id, object: &str, state| Frame::Rebalance {
+        id,
+        object: object.to_string(),
+        state,
+    };
+
+    // o0 is resident here: the push is refused and the gate untouched.
+    let reply = ask(rebalance(1, "o0", pushed_state(0, Vec::new())));
+    assert!(
+        matches!(
+            reply,
+            Frame::Err2 {
+                id: 1,
+                code: ERR_STATE,
+                ..
+            }
+        ),
+        "push onto a resident custodian: {reply:?}"
+    );
+    assert_eq!(h.guard().custody_of("o0"), Custody::Resident);
+    assert_eq!(gate(&h, "o0"), before, "the refused push imported state");
+
+    // A cursor seed below the compaction base fails validation.
+    let reply = ask(rebalance(
+        2,
+        "o1",
+        pushed_state(5, vec![("p-any".into(), 2)]),
+    ));
+    match reply {
+        Frame::Err2 { id: 2, code, msg } => {
+            assert_eq!(code, ERR_HANDOFF);
+            assert!(msg.contains("behind compaction base"), "{msg}");
+        }
+        other => panic!("expected the invalid push refused, got {other:?}"),
+    }
+    assert_eq!(h.guard().custody_of("o1"), Custody::Remote);
+
+    // The daemon keeps serving both connections, and a valid push for
+    // a key nobody holds imports.
+    assert!(matches!(
+        ask(Frame::MetricsRequest { id: 3 }),
+        Frame::MetricsJson { id: 3, .. }
+    ));
+    assert_eq!(
+        ask(rebalance(4, "o2", pushed_state(0, Vec::new()))),
+        Frame::Ok { id: 4 }
+    );
+    assert_eq!(h.guard().custody_of("o2"), Custody::Resident);
+    assert_eq!(
+        owner.decide_failsafe("o0", &access, &program, 2.0).kind,
+        DecisionKind::Granted
+    );
     h.shutdown();
 }

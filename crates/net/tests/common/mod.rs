@@ -183,7 +183,7 @@ pub fn gen_frame(r: &mut SplitMix64) -> Frame {
         18 => Frame::Rebalance {
             id,
             object: gen_string(r),
-            from: gen_string(r),
+            state: gen_handoff(r),
         },
         _ => Frame::Redirect2 {
             id,

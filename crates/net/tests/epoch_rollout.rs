@@ -120,7 +120,7 @@ fn member_killed_between_prepare_and_activate_fails_safe() {
     }
 
     // d1 dies holding a prepared-but-inactive epoch.
-    handles[1].kill();
+    handles[1].shutdown();
 
     // The survivor completes the flip and serves the new epoch.
     assert_eq!(clients[0].policy_activate(1).expect("activate"), 1);

@@ -1,7 +1,7 @@
 //! Every synchronous frame reaches the socket in one write. A client
 //! round trip (`decide`, `issue_proof`, the handshake and vocabulary
-//! sync), a daemon's handoff pull and its rebalance push each send their
-//! request whole, so the receiving side takes each frame in exactly one
+//! sync), a daemon's handoff pull and its rebalance push (which carries
+//! the exported state) each send their request whole, so the receiving side takes each frame in exactly one
 //! read and never wakes on a lone length header.
 //!
 //! Both fake servers below count their own reads through a
@@ -189,8 +189,12 @@ fn handoff_pull_sends_each_frame_whole() {
 #[test]
 fn rebalance_push_sends_each_frame_whole() {
     let peer_name = "fake-peer";
+    // The never-enrolled key exports as a clean, empty state.
     let (peer_addr, peer) = spawn_fake(peer_name, |frame| match frame {
-        Frame::Rebalance { id, .. } => Frame::Ok { id },
+        Frame::Rebalance { id, state, .. } => {
+            assert!(state.clean && state.arrivals.is_empty() && state.timelines.is_empty());
+            Frame::Ok { id }
+        }
         other => panic!("fake peer got unexpected {other:?}"),
     });
     let guard = CoordinatedGuard::new(ExtendedRbac::new(RbacModel::new()));
@@ -214,8 +218,9 @@ fn rebalance_push_sends_each_frame_whole() {
         .expect("claim before the ring");
     assert_eq!(daemon.set_members(&members), 1, "one key to drain");
 
-    // The push closes its connection once the peer answers.
+    // The drain closes its connection once the peer answers.
     let reads = peer.join().expect("fake peer");
+    assert_eq!(daemon.guard().custody_of(&object), Custody::Remote);
     daemon.shutdown();
     assert_eq!(
         reads.0,

@@ -111,9 +111,12 @@ pub enum Counter {
     NetBytesRx,
     /// A failed handoff attempt was retried after backoff.
     NetRetry,
-    /// A custody handoff was pulled from a peer and applied.
+    /// A custody transfer (an arrival's pull or a drain's push) was
+    /// applied. Counted once per transfer, by the member that drives it.
     NetHandoffApplied,
-    /// A custody handoff gave up after exhausting its retry budget.
+    /// A custody transfer failed: its peer stayed unreachable through
+    /// the retry budget, or refused or sent a bad state. Counted once per
+    /// transfer, by the member that drives it.
     NetHandoffFailed,
     /// A client could not reach a daemon and synthesised a fail-safe
     /// `DeniedCoordination` verdict locally.
@@ -157,8 +160,8 @@ pub enum Counter {
     /// A decide reached a member that is not the object's rendezvous home
     /// and was answered with a `Redirect2` frame instead of a verdict.
     PlacementRedirect,
-    /// A custody rebalance drain moved one object toward its new
-    /// rendezvous home after a membership change.
+    /// A custody rebalance drain pushed one object to its new rendezvous
+    /// home after a membership change, and the home imported it.
     PlacementRebalance,
     /// A custody claim was rejected because the placement ring homes the
     /// object on a different member (racing-arrival double-claim defence).
