@@ -115,6 +115,9 @@ pub struct Client {
     pend2: InFlight,
     /// Decide replies received but not yet claimed by the pipeline.
     done2: Vec<(u64, Verdict)>,
+    /// The `remaining` buffer a pipelined `Decide2` borrows and hands
+    /// back once encoded, so a warm submit allocates nothing.
+    remaining: Vec<WireAccess>,
 }
 
 /// The request ids of one connection. Ids are issued in increasing
@@ -186,6 +189,7 @@ impl Client {
             out2: Vec::new(),
             pend2: InFlight::default(),
             done2: Vec::new(),
+            remaining: Vec::new(),
         };
         match c.call(|id| Frame::Hello {
             id,
@@ -405,6 +409,8 @@ impl Client {
         })
     }
 
+    /// The `Decide2` body, its `remaining` in the client's reusable
+    /// buffer. An element equal to the attempted access reuses its ids.
     fn item(
         &mut self,
         object: &str,
@@ -413,16 +419,21 @@ impl Client {
         time: f64,
     ) -> Result<DecideItem, NetError> {
         let object = self.id(object)?;
-        let access = self.wire_access(access)?;
-        let remaining = remaining
-            .iter()
-            .map(|a| self.wire_access(a))
-            .collect::<Result<Vec<_>, _>>()?;
+        let attempted = self.wire_access(access)?;
+        let mut buf = std::mem::take(&mut self.remaining);
+        buf.clear();
+        for a in remaining {
+            buf.push(if a == access {
+                attempted.clone()
+            } else {
+                self.wire_access(a)?
+            });
+        }
         Ok(DecideItem {
             object,
             time,
-            access,
-            remaining,
+            access: attempted,
+            remaining: buf,
         })
     }
 
@@ -666,6 +677,9 @@ impl Pipeline<'_> {
         let id = self.client.pend2.next_id();
         let frame = Frame::Decide2 { id, item };
         wire::put_frame_with(&mut self.client.out2, |b| frame.encode_into(b))?;
+        if let Frame::Decide2 { item, .. } = frame {
+            self.client.remaining = item.remaining;
+        }
         self.client.pend2.issue();
         Ok(id)
     }

@@ -7,7 +7,8 @@
 //! read reassembly via [`FrameAssembler`], per-connection coalesced
 //! write buffers flushed in one syscall, and many in-flight requests per
 //! connection. Each connection keeps its own positional vocabulary (names
-//! interned by [`Frame::Vocab`] announcements) and its own
+//! interned by [`Frame::Vocab`] announcements), the accesses it has
+//! resolved through it, which warm requests borrow, and its own
 //! [`AccessTable`] (verdicts are table-independent, so per-connection
 //! interning is sound).
 //!
@@ -49,10 +50,11 @@
 //! connections keep flowing. Past [`DaemonConfig::partial_deadline`] the
 //! loop evicts the stalled connection and counts `net.partial-eviction`.
 
+use std::collections::hash_map::Entry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -144,6 +146,9 @@ struct Shared {
     /// within one decision or batch. A subsequent complete
     /// prepare+activate round clears it.
     epoch_desync: AtomicBool,
+    /// Bumped by every `set_members`: a drain started for an older
+    /// membership stops before its next export.
+    membership: AtomicU64,
 }
 
 /// A handle to a spawned daemon: its bound address, peer registration,
@@ -183,6 +188,7 @@ pub fn spawn(
         wake_tx,
         pending_epoch: Mutex::new(None),
         epoch_desync: AtomicBool::new(false),
+        membership: AtomicU64::new(0),
     });
     let accept = {
         let shared = Arc::clone(&shared);
@@ -224,7 +230,10 @@ impl DaemonHandle {
     /// Peer addresses accumulate — a departed member's address is kept so
     /// late pulls *from* it still resolve. Returns the number of objects
     /// whose drain was initiated; the drain counts exactly one of
-    /// `net.handoff-applied` / `net.handoff-failed` for each.
+    /// `net.handoff-applied` / `net.handoff-failed` for each. A later
+    /// call supersedes the drain: it exports nothing more, and counts
+    /// each key it did not push as failed (the key stays resident here,
+    /// so the later call's own scan already saw it).
     pub fn set_members(&self, members: &[(String, SocketAddr)]) -> usize {
         {
             let mut peers = self.shared.peers.write();
@@ -238,6 +247,7 @@ impl DaemonHandle {
         self.shared
             .guard
             .set_placement(&self.shared.cfg.name, ring.clone());
+        let generation = self.shared.membership.fetch_add(1, Ordering::SeqCst) + 1;
         if ring.is_empty() {
             return 0;
         }
@@ -256,7 +266,7 @@ impl DaemonHandle {
             let shared = Arc::clone(&self.shared);
             let _ = thread::Builder::new()
                 .name("stacl-net-rebalance".to_string())
-                .spawn(move || drain(&shared, moves));
+                .spawn(move || drain(&shared, generation, moves));
         }
         n
     }
@@ -318,9 +328,12 @@ struct Conn {
     /// Coalesced outbound bytes; one `write` flushes many frames.
     out: Vec<u8>,
     out_pos: usize,
-    /// Names interned by `Vocab` announcements, by position; requests
-    /// clone the `Arc`s rather than copy the strings.
+    /// Names interned by `Vocab` announcements, by position. Announcements
+    /// only append, so an id names one `Name` for the connection's life.
     vocab: Vec<Name>,
+    /// The accesses this connection has named, each resolved through
+    /// `vocab` once (DESIGN §13.4).
+    accesses: Accesses,
     table: AccessTable,
     /// When the connection first stalled mid-frame (slow-loris clock).
     partial_since: Option<Instant>,
@@ -521,6 +534,7 @@ fn accept_ready(
                     out: Vec::new(),
                     out_pos: 0,
                     vocab: Vec::new(),
+                    accesses: Accesses::default(),
                     table,
                     partial_since: None,
                     dead: false,
@@ -663,25 +677,37 @@ fn finite_time(t: f64) -> Result<TimePoint, Reject> {
     Ok(TimePoint::new(t))
 }
 
-struct OwnedRequest {
-    object: Name,
-    access: Access,
-    remaining: Program,
-    time: TimePoint,
+/// A connection's resolved accesses: each id triple it named, mapped to
+/// the one-access program `Program::Access`. A request adds at most one
+/// entry, and entries hold names only, so they stay valid across epochs.
+type Accesses = FnvHashMap<WireAccess, Program>;
+
+/// The entry for `a`, resolved through `vocab` and recorded on first
+/// use. A triple with an unknown id records nothing.
+fn resolve<'a>(
+    accesses: &'a mut Accesses,
+    vocab: &[Name],
+    a: &WireAccess,
+) -> Result<&'a Program, Reject> {
+    match accesses.entry(a.clone()) {
+        Entry::Occupied(e) => Ok(e.into_mut()),
+        Entry::Vacant(e) => Ok(e.insert(Program::Access(mk_access(vocab, a)?))),
+    }
 }
 
-fn own_request(vocab: &[Name], it: &DecideItem) -> Result<OwnedRequest, Reject> {
-    let object = name_of(vocab, it.object)?.clone();
-    let access = mk_access(vocab, &it.access)?;
-    let time = finite_time(it.time)?;
-    let remaining = it.remaining.iter().try_fold(Program::Skip, |seq, a| {
-        Ok::<_, Reject>(seq.then(Program::Access(mk_access(vocab, a)?)))
-    })?;
-    Ok(OwnedRequest {
-        object,
-        access,
-        remaining,
-        time,
+/// The access an entry holds.
+fn access_of(entry: &Program) -> &Access {
+    match entry {
+        Program::Access(a) => a,
+        _ => unreachable!("an access entry is a one-access program"),
+    }
+}
+
+/// A declared program other than the attempted access alone, resolved
+/// through `vocab` for this request only.
+fn chain(vocab: &[Name], seq: &[WireAccess]) -> Result<Program, Reject> {
+    seq.iter().try_fold(Program::Skip, |prog, a| {
+        Ok(prog.then(Program::Access(mk_access(vocab, a)?)))
     })
 }
 
@@ -697,19 +723,42 @@ fn desync_verdict(shared: &Shared) -> Verdict {
     .with_epoch(shared.guard.with_rbac_read(|r| r.epoch()))
 }
 
-/// Decide one owned request against the guard (or fail safe under epoch
-/// desync).
-fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> Verdict {
-    if shared.epoch_desync.load(Ordering::SeqCst) {
-        return desync_verdict(shared);
-    }
-    let greq = GuardRequest {
-        object: &req.object,
-        access: &req.access,
-        remaining: &req.remaining,
-        time: req.time,
+/// Answer `Decide2` request `id`: a redirect when another member homes
+/// the object, else the guard's verdict (or the fail-safe one under
+/// epoch desync). The request borrows its object, access and declared
+/// program from the connection; a declared program of the attempted
+/// access alone is that access's entry.
+fn decide2(shared: &Shared, conn: &mut Conn, id: u64, it: &DecideItem) -> Result<Frame, Reject> {
+    let object = name_of(&conn.vocab, it.object)?;
+    let entry = resolve(&mut conn.accesses, &conn.vocab, &it.access)?;
+    let time = finite_time(it.time)?;
+    let chained = match it.remaining.as_slice() {
+        [only] if *only == it.access => None,
+        seq => Some(chain(&conn.vocab, seq)?),
     };
-    shared.guard.decide(&greq, &shared.proofs, table)
+    // Wrong daemon, and the ring knows who is right: point the client at
+    // the home custodian instead of deciding. One extra hop resolves the
+    // decision.
+    if let Some(redirect) = redirect_for(shared, id, object) {
+        return Ok(redirect);
+    }
+    let v = if shared.epoch_desync.load(Ordering::SeqCst) {
+        desync_verdict(shared)
+    } else {
+        let req = GuardRequest {
+            object,
+            access: access_of(entry),
+            remaining: chained.as_ref().unwrap_or(entry),
+            time,
+        };
+        shared.guard.decide(&req, &shared.proofs, &mut conn.table)
+    };
+    Ok(Frame::Verdict2 {
+        id,
+        kind: crate::frames::kind_to_u8(v.kind),
+        epoch: v.epoch,
+        reason: v.reason,
+    })
 }
 
 /// Handle one decoded frame and encode its reply onto the out-buffer —
@@ -733,21 +782,9 @@ fn handle_frame(
             Ok(()) => Frame::Ok { id },
             Err(e) => e.into_frame(id),
         },
-        Frame::Decide2 { id, item } => match own_request(&conn.vocab, &item) {
-            // Wrong daemon, and the ring knows who is right: point the
-            // client at the home custodian instead of deciding. One extra
-            // hop resolves the decision.
-            Ok(req) => redirect_for(shared, id, &req.object).unwrap_or_else(|| {
-                let v = decide_one(shared, &req, &mut conn.table);
-                Frame::Verdict2 {
-                    id,
-                    kind: crate::frames::kind_to_u8(v.kind),
-                    epoch: v.epoch,
-                    reason: v.reason,
-                }
-            }),
-            Err(e) => e.into_frame(id),
-        },
+        Frame::Decide2 { id, item } => {
+            decide2(shared, conn, id, &item).unwrap_or_else(|e| e.into_frame(id))
+        }
         Frame::IssueProof {
             id,
             object,
@@ -756,9 +793,9 @@ fn handle_frame(
         } => {
             match (|| {
                 let object = name_of(&conn.vocab, object)?;
-                let access = mk_access(&conn.vocab, &access)?;
+                let access = access_of(resolve(&mut conn.accesses, &conn.vocab, &access)?);
                 let time = finite_time(time)?;
-                shared.proofs.issue(object, access, time);
+                shared.proofs.issue(object, access.clone(), time);
                 maybe_compact(shared, object);
                 Ok::<(), Reject>(())
             })() {
@@ -1153,9 +1190,10 @@ fn request_state(client: &mut Client, object: &str) -> Result<HandoffWire, NetEr
 /// Push every `(object, new home)` in `moves` (§15.3) over one `Client`
 /// to this member's event loop, which exports, and one per home, dialled
 /// before any of its keys is exported. No key is exported toward a closed
-/// link. Counts one transfer per key, and `placement.rebalance` per key a
-/// home imported.
-fn drain(shared: &Shared, mut moves: Vec<(String, String)>) {
+/// link, and none once a newer membership (`generation` passed) supersedes
+/// the drain. Counts one transfer per key, and `placement.rebalance` per
+/// key a home imported.
+fn drain(shared: &Shared, generation: u64, mut moves: Vec<(String, String)>) {
     moves.sort_unstable_by(|a, b| a.1.cmp(&b.1));
     let mut own = dial(shared, shared.addr).ok();
     for keys in moves.chunk_by(|a, b| a.1 == b.1) {
@@ -1164,7 +1202,9 @@ fn drain(shared: &Shared, mut moves: Vec<(String, String)>) {
         let mut to = addr.and_then(|a| with_retries(shared, || dial(shared, a)).ok());
         for (object, _) in keys {
             let t0 = stacl_obs::handoff_timer();
-            let pushed = to.is_some()
+            let current = shared.membership.load(Ordering::SeqCst) == generation;
+            let pushed = current
+                && to.is_some()
                 && on_link(&mut own, |c| request_state(c, object))
                     .and_then(|state| {
                         let object = object.clone();

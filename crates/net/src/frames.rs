@@ -31,7 +31,7 @@ use crate::wire::{
 };
 
 /// An access reference in interned form: `op resource @ server`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WireAccess {
     /// Vocabulary id of the operation name.
     pub op: u32,

@@ -3,7 +3,10 @@
 //! 256, and a counting global allocator sees every allocation in the
 //! process — the client's encode and decode, the daemon's reassembly,
 //! request decoding, decide and reply encoding. The frame path must
-//! not copy payloads or names per decision.
+//! not copy payloads or names per decision: the client encodes from a
+//! reused buffer, and the daemon borrows each request's access from the
+//! connection's resolved entries. What is left, about one allocation per
+//! decision, is the daemon decoding `remaining` into a fresh `Vec`.
 //!
 //! Keep this file to a single `#[test]`: other tests in the same binary
 //! would allocate concurrently and pollute the counter.
@@ -118,7 +121,7 @@ fn pipelined_decisions_allocate_little() {
         "{allocs} heap allocations for {MEASURED} pipelined decisions ({per_decision:.2} each)"
     );
     assert!(
-        per_decision <= 4.0,
+        per_decision <= 1.1,
         "{per_decision:.2} heap allocations per pipelined decision"
     );
 }

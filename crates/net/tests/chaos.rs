@@ -12,14 +12,17 @@ use std::time::{Duration, Instant};
 mod common;
 
 use stacl_coalition::{DecisionKind, ProofStore};
-use stacl_naplet::guard::{CoordinatedGuard, Custody};
+use stacl_naplet::guard::{CoordinatedGuard, Custody, GuardRequest};
 use stacl_net::frames::{
-    DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF, ERR_STATE,
+    kind_from_u8, DecideItem, Frame, HandoffWire, WireAccess, ERR_BAD_REQUEST, ERR_HANDOFF,
+    ERR_STATE,
 };
 use stacl_net::{wire, Client, DaemonConfig, FrameAssembler, NetError, PROTOCOL_VERSION};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
-use stacl_sral::Access;
+use stacl_sral::{Access, Program};
+use stacl_temporal::TimePoint;
+use stacl_trace::AccessTable;
 
 const OBJECTS: [&str; 4] = ["o0", "o1", "o2", "o3"];
 
@@ -521,5 +524,122 @@ fn rebalance_push_never_makes_a_second_custodian() {
         owner.decide_failsafe("o0", &access, &program, 2.0).kind,
         DecisionKind::Granted
     );
+    h.shutdown();
+}
+
+/// A `Decide2` resolves its names through its connection's vocabulary.
+/// One naming an id the connection never announced — in its access, in
+/// a `remaining` element or as its object — gets an `Err2` with its own
+/// id, as does a non-finite time, and the connection keeps serving. Once
+/// a `Vocab` announces the missing names, the same triples resolve and
+/// decide as the in-process guard decides them.
+#[test]
+fn unannounced_ids_are_refused_until_announced() {
+    let mut h = stacl_net::spawn(
+        make_guard(),
+        ProofStore::new(),
+        DaemonConfig::new("resolve-d0"),
+    )
+    .expect("bind loopback");
+    let twin = make_guard();
+    let (proofs, mut table) = (ProofStore::new(), AccessTable::new());
+
+    let mut s = raw(h.addr());
+    let mut asm = FrameAssembler::new();
+    let mut ask = |frame: Frame| {
+        let mut bytes = Vec::new();
+        put(&mut bytes, &frame);
+        s.write_all(&bytes).unwrap();
+        common::recv_frame(&mut asm, &mut s)
+    };
+    // Ids 0–3; "s1" (id 4) and "o1" (id 5) come later.
+    let announce = |id, names: &[&str]| Frame::Vocab {
+        id,
+        names: names.iter().map(|n| n.to_string()).collect(),
+    };
+    let vocab = announce(1, &["o0", "read", "db", "s0"]);
+    assert_eq!(ask(vocab), Frame::Ok { id: 1 });
+    let arrive = Frame::Arrive {
+        id: 2,
+        object: 0,
+        time: 0.0,
+        from: None,
+    };
+    assert_eq!(ask(arrive), Frame::Ok { id: 2 });
+    twin.take_custody("o0").expect("claim");
+    twin.note_arrival("o0", TimePoint::new(0.0));
+
+    let on = |server| WireAccess {
+        op: 1,
+        resource: 2,
+        server,
+    };
+    let decide =
+        |id, object, time, access: WireAccess, remaining: Vec<WireAccess>| Frame::Decide2 {
+            id,
+            item: DecideItem {
+                object,
+                time,
+                access,
+                remaining,
+            },
+        };
+    let refused = [
+        decide(10, 0, 1.0, on(4), vec![on(4)]),
+        decide(11, 0, 1.0, on(3), vec![on(3), on(4)]),
+        decide(12, 5, 1.0, on(3), vec![on(3)]),
+        decide(13, 0, f64::NAN, on(3), vec![on(3)]),
+        decide(14, 0, f64::INFINITY, on(3), vec![on(3)]),
+    ];
+    for frame in refused {
+        let id = frame.id();
+        match ask(frame) {
+            Frame::Err2 { id: got, code, .. } if got == id => assert_eq!(code, ERR_BAD_REQUEST),
+            other => panic!("expected request {id} refused, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        ask(Frame::MetricsRequest { id: 20 }),
+        Frame::MetricsJson { id: 20, .. }
+    ));
+
+    assert_eq!(ask(announce(21, &["s1", "o1"])), Frame::Ok { id: 21 });
+    let (a0, a1) = (
+        Access::new("read", "db", "s0"),
+        Access::new("read", "db", "s1"),
+    );
+    let one = Program::Access(a1.clone());
+    let two = Program::Access(a0.clone()).then(Program::Access(a1.clone()));
+    // (request id, object id and name, time, wire access and remaining,
+    // the same access and declared program for the twin)
+    let cases = [
+        (30, (0, "o0"), 1.0, on(4), vec![on(4)], &a1, &one),
+        (31, (0, "o0"), 2.0, on(3), vec![on(3), on(4)], &a0, &two),
+        (32, (5, "o1"), 3.0, on(4), vec![on(4)], &a1, &one),
+        (33, (0, "o0"), 4.0, on(4), vec![on(4)], &a1, &one),
+    ];
+    for (id, (oid, object), t, wa, rem, access, remaining) in cases {
+        let req = GuardRequest {
+            object,
+            access,
+            remaining,
+            time: TimePoint::new(t),
+        };
+        let want = twin.decide(&req, &proofs, &mut table);
+        // o0 arrived, so it is granted; o1 never did, so it is not.
+        assert_eq!(want.kind.is_granted(), object == "o0", "request {id}");
+        match ask(decide(id, oid, t, wa, rem)) {
+            Frame::Verdict2 {
+                id: got,
+                kind,
+                epoch,
+                reason,
+            } if got == id => {
+                assert_eq!(kind_from_u8(kind).unwrap(), want.kind, "request {id}");
+                assert_eq!((epoch, reason), (want.epoch, want.reason), "request {id}");
+            }
+            other => panic!("expected a verdict for request {id}, got {other:?}"),
+        }
+    }
     h.shutdown();
 }
