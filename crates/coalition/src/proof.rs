@@ -20,8 +20,9 @@
 //!
 //! A shard never materialises an [`ExecutionProof`]. The object name is
 //! stored once per shard, each distinct access once in a per-shard symbol
-//! list (found by hash, so issuing stays O(1) however many distinct
-//! accesses an object makes), and each proof is a `(symbol, seq, time)`
+//! list (found by name identity first and by hash on a miss, so issuing
+//! stays O(1) however many distinct accesses an object makes, and a warm
+//! issue hashes nothing), and each proof is a `(symbol, seq, time)`
 //! triple across three parallel columns. Issuing a proof therefore
 //! allocates nothing once the object's vocabulary is known, and every
 //! query reconstructs proofs exactly from the columns.
@@ -47,7 +48,7 @@ use stacl_ids::sync::RwLock;
 use stacl_sral::ast::Name;
 use stacl_sral::Access;
 use stacl_temporal::TimePoint;
-use stacl_trace::{AccessTable, Trace};
+use stacl_trace::{AccessTable, IdentityMemo, Trace};
 
 /// One execution proof: who did what, where, when.
 #[derive(Clone, PartialEq, Debug)]
@@ -64,12 +65,14 @@ pub struct ExecutionProof {
 
 /// One object's shard: its proofs in issue order, structure-of-arrays.
 /// Distinct accesses are interned once in `symbols` (first-appearance
-/// order, indexed by `index`); proof `i` is `(sym[i], seqs[i], times[i])`.
+/// order, indexed by `memo` by identity first, then by `index`); proof
+/// `i` is `(sym[i], seqs[i], times[i])`.
 #[derive(Default, Debug)]
 struct ShardState {
     object: Name,
     symbols: Vec<Access>,
     index: FnvHashMap<Access, u32>,
+    memo: IdentityMemo,
     sym: Vec<u32>,
     seqs: Vec<u64>,
     times: Vec<f64>,
@@ -84,10 +87,12 @@ impl ShardState {
     }
 
     fn push(&mut self, access: Access, seq: u64, time: TimePoint) {
-        let s = match self.index.get(&access) {
-            Some(&s) => s,
+        let known = self.memo.get(&access, &self.symbols);
+        let s = match known.or_else(|| self.index.get(&access).copied()) {
+            Some(s) => s,
             None => {
                 let s = self.symbols.len() as u32;
+                self.memo.fill(&access, s);
                 self.symbols.push(access.clone());
                 self.index.insert(access, s);
                 s
@@ -671,6 +676,11 @@ mod tests {
             // Up to 300 distinct accesses per object: the O(1) symbol
             // lookup must agree with a scan however wide the vocabulary.
             let vocab = *rng.choose(&[2usize, 16, 300]);
+            let mk = |v: usize| Access::new(format!("op{}", v % 7), format!("r{v}"), "s");
+            // Each issue passes either this shared copy or an equal one
+            // with fresh allocations, so a shard's symbol is found by
+            // identity or by hash depending on which copy it stored.
+            let shared: Vec<Access> = (0..vocab).map(mk).collect();
             for step in 0..rng.gen_range(1..400usize) {
                 let obj = format!("o{}", rng.gen_range(0..objects));
                 if rng.gen_bool(0.15) {
@@ -678,7 +688,11 @@ mod tests {
                     store.compact_prefix(&obj, upto);
                 } else {
                     let v = rng.gen_range(0..vocab);
-                    let a = Access::new(format!("op{}", v % 7), format!("r{v}"), "s");
+                    let a = if rng.gen_bool(0.5) {
+                        shared[v].clone()
+                    } else {
+                        mk(v)
+                    };
                     let time = tp(step as f64 * 0.5);
                     let seq = store.issue(&obj, a.clone(), time);
                     model.push(ExecutionProof {
@@ -691,6 +705,13 @@ mod tests {
             }
             assert_eq!(store.snapshot(), model);
             assert_eq!(store.len(), model.len());
+            // An equal access reuses its symbol: each shard stores each
+            // distinct access once.
+            for shard in store.inner.shards.read().values() {
+                let st = shard.read();
+                let distinct: std::collections::HashSet<&Access> = st.symbols.iter().collect();
+                assert_eq!(distinct.len(), st.symbols.len());
+            }
             let mut t1 = AccessTable::new();
             let mut t2 = AccessTable::new();
             for o in 0..objects + 1 {
@@ -712,7 +733,7 @@ mod tests {
                     assert_eq!(got, want);
                 });
                 for v in 0..vocab.min(20) {
-                    let a = Access::new(format!("op{}", v % 7), format!("r{v}"), "s");
+                    let a = mk(v);
                     assert_eq!(
                         store.proven_by(&obj, &a),
                         mine.iter().any(|p| p.access == a)

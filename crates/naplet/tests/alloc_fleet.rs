@@ -2,9 +2,9 @@
 //! E12 fleet policy, one `ProofStore::issue` per grant — the loop the
 //! `fleet-steady` benchmark times. Once every object's session, cursor
 //! and timeline are warm, a decide plus its proof issue must average at
-//! most 0.01 heap allocations. Proofs are stored structure-of-arrays from
+//! most 0.005 heap allocations. Proofs are stored structure-of-arrays from
 //! issue, so the only allocations left are the amortised doublings of
-//! each shard's three proof columns.
+//! each shard's three proof columns: 36 in 10 000 pairs (0.0036).
 //!
 //! Lives in `tests/` because a counting `#[global_allocator]` needs an
 //! unsafe impl. Keep this file to a single `#[test]`: other tests in the
@@ -112,8 +112,8 @@ fn warm_fleet_decide_and_issue_is_allocation_light() {
         "{allocs} heap allocations in {MEASURED} warm decide+issue pairs ({per_decide:.4} each)"
     );
     assert!(
-        per_decide <= 0.01,
-        "warm decide+issue must average <= 0.01 heap allocations, got {per_decide:.4} \
+        per_decide <= 0.005,
+        "warm decide+issue must average <= 0.005 heap allocations, got {per_decide:.4} \
          ({allocs} in {MEASURED})"
     );
     // Every measured decision took the cursor fast path.

@@ -683,15 +683,25 @@ fn finite_time(t: f64) -> Result<TimePoint, Reject> {
 type Accesses = FnvHashMap<WireAccess, Program>;
 
 /// The entry for `a`, resolved through `vocab` and recorded on first
-/// use. A triple with an unknown id records nothing.
+/// use. A triple with an unknown id records nothing. An access `table`
+/// already holds is recorded as the table's own copy, so later lookups
+/// of it in the table and in the proof shards match by name identity.
 fn resolve<'a>(
     accesses: &'a mut Accesses,
     vocab: &[Name],
+    table: &AccessTable,
     a: &WireAccess,
 ) -> Result<&'a Program, Reject> {
     match accesses.entry(a.clone()) {
         Entry::Occupied(e) => Ok(e.into_mut()),
-        Entry::Vacant(e) => Ok(e.insert(Program::Access(mk_access(vocab, a)?))),
+        Entry::Vacant(e) => {
+            let access = mk_access(vocab, a)?;
+            let access = match table.id_of(&access) {
+                Some(known) => table.resolve(known).clone(),
+                None => access,
+            };
+            Ok(e.insert(Program::Access(access)))
+        }
     }
 }
 
@@ -730,7 +740,7 @@ fn desync_verdict(shared: &Shared) -> Verdict {
 /// access alone is that access's entry.
 fn decide2(shared: &Shared, conn: &mut Conn, id: u64, it: &DecideItem) -> Result<Frame, Reject> {
     let object = name_of(&conn.vocab, it.object)?;
-    let entry = resolve(&mut conn.accesses, &conn.vocab, &it.access)?;
+    let entry = resolve(&mut conn.accesses, &conn.vocab, &conn.table, &it.access)?;
     let time = finite_time(it.time)?;
     let chained = match it.remaining.as_slice() {
         [only] if *only == it.access => None,
@@ -793,7 +803,12 @@ fn handle_frame(
         } => {
             match (|| {
                 let object = name_of(&conn.vocab, object)?;
-                let access = access_of(resolve(&mut conn.accesses, &conn.vocab, &access)?);
+                let access = access_of(resolve(
+                    &mut conn.accesses,
+                    &conn.vocab,
+                    &conn.table,
+                    &access,
+                )?);
                 let time = finite_time(time)?;
                 shared.proofs.issue(object, access.clone(), time);
                 maybe_compact(shared, object);

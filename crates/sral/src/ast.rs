@@ -45,6 +45,17 @@ impl Access {
             server: name(server),
         }
     }
+
+    /// True when both accesses hold the very same three name
+    /// allocations. Two live `Arc`s at one address are one allocation,
+    /// so this implies `self == other`; the converse does not hold
+    /// (equal strings built separately live at different addresses).
+    #[inline]
+    pub fn same_names(&self, other: &Access) -> bool {
+        Arc::ptr_eq(&self.op, &other.op)
+            && Arc::ptr_eq(&self.resource, &other.resource)
+            && Arc::ptr_eq(&self.server, &other.server)
+    }
 }
 
 impl fmt::Display for Access {
@@ -286,6 +297,20 @@ mod tests {
     fn access_display_matches_paper_syntax() {
         let a = Access::new("read", "r1", "s1");
         assert_eq!(a.to_string(), "read r1 @ s1");
+    }
+
+    #[test]
+    fn same_names_is_identity_not_equality() {
+        let a = Access::new("read", "r1", "s1");
+        assert!(a.same_names(&a.clone()));
+        let fresh = Access::new("read", "r1", "s1");
+        assert_eq!(a, fresh);
+        assert!(!a.same_names(&fresh));
+        let mixed = Access {
+            server: fresh.server.clone(),
+            ..a.clone()
+        };
+        assert!(!a.same_names(&mixed));
     }
 
     #[test]

@@ -63,5 +63,5 @@ pub use abstraction::{traces, AbstractionConfig};
 pub use dfa::Dfa;
 pub use extract::dfa_to_regex;
 pub use regex::Regex;
-pub use symbol::{AccessId, AccessTable, Alphabet};
+pub use symbol::{AccessId, AccessTable, Alphabet, IdentityMemo};
 pub use trace::Trace;

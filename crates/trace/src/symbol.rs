@@ -36,6 +36,53 @@ impl fmt::Display for AccessId {
     }
 }
 
+/// Number of [`IdentityMemo`] slots; a power of two.
+const MEMO_SLOTS: usize = 32;
+
+/// An identity-first lookup in front of a hash index over a list of
+/// distinct accesses. Warm callers pass accesses whose three names are
+/// the very allocations the list stores, so comparing three pointers
+/// stands in for hashing three strings.
+///
+/// Slot `mix(addresses of the three names)` holds `index + 1` of the
+/// entry last stored under it, 0 meaning empty. A slot answers only when
+/// the entry it names holds the query's own name allocations
+/// ([`Access::same_names`]): two live `Arc`s at one address are one
+/// allocation, so that entry equals the query, and a list of distinct
+/// accesses holds it at exactly the index the hash index would return.
+/// An empty, stale or colliding slot therefore costs only the fallback.
+#[derive(Clone, Default, Debug)]
+pub struct IdentityMemo {
+    slots: [u32; MEMO_SLOTS],
+}
+
+impl IdentityMemo {
+    /// The slot of `a`: a multiplicative mix of its name addresses.
+    #[inline]
+    fn slot(a: &Access) -> usize {
+        let h = (a.op.as_ptr() as u64)
+            ^ (a.resource.as_ptr() as u64).rotate_left(21)
+            ^ (a.server.as_ptr() as u64).rotate_left(42);
+        (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The index of `a` in `entries`, if its slot names an entry holding
+    /// `a`'s own name allocations. `entries` must hold each access at
+    /// most once; `None` says nothing about whether `a` is in it.
+    #[inline]
+    pub fn get(&self, a: &Access, entries: &[Access]) -> Option<u32> {
+        let i = self.slots[Self::slot(a)].checked_sub(1)?;
+        entries.get(i as usize)?.same_names(a).then_some(i)
+    }
+
+    /// Remember that `a`, as stored, sits at `index`.
+    pub fn fill(&mut self, a: &Access, index: u32) {
+        if let Some(v) = index.checked_add(1) {
+            self.slots[Self::slot(a)] = v;
+        }
+    }
+}
+
 /// A bidirectional interner between [`Access`]es and [`AccessId`]s.
 ///
 /// The table only ever grows; ids are stable for the lifetime of the table,
@@ -44,6 +91,9 @@ impl fmt::Display for AccessId {
 pub struct AccessTable {
     by_access: FnvHashMap<Access, AccessId>,
     by_id: Vec<Access>,
+    /// Identity-first index over `by_id`, consulted before `by_access`.
+    /// A clone shares `by_id`'s name allocations, so the copy stays valid.
+    memo: IdentityMemo,
     /// Lineage stamp: 0 for a fresh empty table, otherwise the globally
     /// unique value drawn by the table's most recent new interning.
     /// Cloning copies the stamp (the clone has identical contents);
@@ -61,7 +111,7 @@ impl AccessTable {
 
     /// Intern `a`, returning its (possibly pre-existing) id.
     pub fn intern(&mut self, a: &Access) -> AccessId {
-        if let Some(&id) = self.by_access.get(a) {
+        if let Some(id) = self.id_of(a) {
             return id;
         }
         let id = AccessId(
@@ -69,6 +119,7 @@ impl AccessTable {
         );
         self.by_access.insert(a.clone(), id);
         self.by_id.push(a.clone());
+        self.memo.fill(a, id.0);
         self.version = NEXT_TABLE_VERSION.fetch_add(1, Ordering::Relaxed);
         id
     }
@@ -97,7 +148,10 @@ impl AccessTable {
 
     /// The id of `a`, if it has been interned.
     pub fn id_of(&self, a: &Access) -> Option<AccessId> {
-        self.by_access.get(a).copied()
+        match self.memo.get(a, &self.by_id) {
+            Some(i) => Some(AccessId(i)),
+            None => self.by_access.get(a).copied(),
+        }
     }
 
     /// Number of interned accesses.
@@ -270,6 +324,26 @@ mod tests {
         // Same contents, but no clone lineage: stamps differ, so cursors
         // built against one can never be replayed against the other.
         assert_ne!(a.version(), b.version());
+    }
+
+    #[test]
+    fn memo_answers_only_for_the_stored_allocations() {
+        let a = Access::new("read", "r1", "s1");
+        let b = Access::new("read", "r2", "s1");
+        let entries = vec![a.clone(), b.clone()];
+        let mut memo = IdentityMemo::default();
+        assert_eq!(memo.get(&a, &entries), None, "empty slot");
+        memo.fill(&a, 0);
+        assert_eq!(memo.get(&a, &entries), Some(0));
+        assert_eq!(memo.get(&Access::new("read", "r1", "s1"), &entries), None);
+        // A slot naming an entry with other allocations (stale, or a
+        // collision) or past the end of the list answers nothing.
+        memo.fill(&b, 0);
+        assert_eq!(memo.get(&b, &entries), None);
+        memo.fill(&b, 7);
+        assert_eq!(memo.get(&b, &entries), None);
+        memo.fill(&b, 1);
+        assert_eq!(memo.get(&b, &entries), Some(1));
     }
 
     #[test]
