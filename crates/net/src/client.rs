@@ -11,21 +11,28 @@
 //! becomes a counted `DeniedCoordination` verdict instead of an error —
 //! an unreachable guard never fails open.
 //!
-//! Every request carries an id from one per-connection counter, and its
-//! reply is matched by that id, never by position. A synchronous call
-//! (the handshake, `Vocab`, `enroll`, `arrive`, [`Client::decide`], …)
-//! sends one request and reads until the reply with its id arrives.
+//! ## One receive path
 //!
-//! ## Pipelining
+//! Every request carries an id from one per-connection counter, and
+//! each reply the client's one receive loop reads completes only the
+//! in-flight request with its id. A reply to a pipelined decide becomes
+//! that request's verdict on receipt: `Verdict2` the verdict itself,
+//! `Redirect2` and `Err2` a counted fail-safe `DeniedCoordination`
+//! naming the home or the daemon's error. A synchronous call (the
+//! handshake, `Vocab`, `enroll`, `arrive`, [`Client::decide`], …) is a
+//! window of one on the same loop. So an `Err2` fails the request it
+//! answers and nothing else, whichever caller happens to be reading.
+//! Any transport, decode or correlation failure **closes** the client:
+//! every later call fails at once, and no late reply of an abandoned
+//! call is ever read. Hence a connection still in use has the same
+//! names at the same ids on both ends.
 //!
 //! [`Client::pipeline`] keeps a window of up to N `Decide2` requests in
-//! flight at once, written coalesced (one syscall flushes many requests)
-//! and matched to their `Verdict2` replies by id, not arrival order. A
-//! full window applies **backpressure** — submit blocks until a reply
-//! frees a slot; nothing is ever dropped.
-//! [`Client::decide_stream_failsafe`] is the pipelined fail-safe driver:
-//! any transport failure resolves *every* unresolved request to a counted
-//! `DeniedCoordination`.
+//! flight, written coalesced (one syscall flushes many requests). A full
+//! window applies **backpressure** — submit blocks until a reply frees a
+//! slot; nothing is ever dropped. [`Client::decide_stream_failsafe`]
+//! resolves *every* request a transport failure leaves unanswered to a
+//! counted `DeniedCoordination`.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -111,22 +118,36 @@ pub struct Client {
     /// Coalesced, not-yet-written request frames: pipelined ones, then
     /// at most one synchronous frame, which flushes them all.
     out2: Vec<u8>,
-    /// Issued request ids and which of them are still in flight.
+    /// Issued request ids and what each one still in flight awaits.
     pend2: InFlight,
     /// Decide replies received but not yet claimed by the pipeline.
     done2: Vec<(u64, Verdict)>,
     /// The `remaining` buffer a pipelined `Decide2` borrows and hands
     /// back once encoded, so a warm submit allocates nothing.
     remaining: Vec<WireAccess>,
+    /// Set by the first transport, decode or correlation failure (see
+    /// [`Client::open`]).
+    pub(crate) closed: bool,
+}
+
+/// What a request id awaits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Nothing: the id is answered, or was never issued.
+    Answered,
+    /// A pipelined decide, whose reply becomes a verdict on receipt.
+    Decide,
+    /// The synchronous call, whose reply frame goes back to the caller.
+    Call,
 }
 
 /// The request ids of one connection. Ids are issued in increasing
-/// order, so one flag per id from the oldest unanswered one onwards
+/// order, so one slot per id from the oldest unanswered one onwards
 /// correlates a reply in O(1); answered ids leave from the front.
 #[derive(Default)]
 struct InFlight {
-    /// `open[i]`: id `base + i` is still unanswered.
-    open: VecDeque<bool>,
+    /// `open[i]`: what id `base + i` awaits.
+    open: VecDeque<Slot>,
     /// Every id below `base` is answered; `base + open.len()` is the
     /// next id to issue.
     base: u64,
@@ -134,35 +155,60 @@ struct InFlight {
 }
 
 impl InFlight {
-    fn next_id(&self) -> u64 {
-        self.base + self.open.len() as u64
-    }
-
-    /// Mark [`InFlight::next_id`] as sent.
-    fn issue(&mut self) {
-        self.open.push_back(true);
+    /// Issue the next id, awaiting `slot`.
+    fn issue(&mut self, slot: Slot) -> u64 {
+        self.open.push_back(slot);
         self.len += 1;
+        self.base + self.open.len() as u64 - 1
     }
 
-    /// Mark `id` answered. `false` when it is not in flight: never
-    /// issued, or answered already.
-    fn resolve(&mut self, id: u64) -> bool {
-        let slot = id
+    /// Mark `id` answered and return what it awaited: `Answered` when it
+    /// is not in flight (never issued, or answered already).
+    fn resolve(&mut self, id: u64) -> Slot {
+        let i = id
             .checked_sub(self.base)
-            .and_then(|i| self.open.get_mut(usize::try_from(i).ok()?));
-        match slot {
-            Some(open) if *open => {
-                *open = false;
-                self.len -= 1;
-                while self.open.front() == Some(&false) {
-                    self.open.pop_front();
-                    self.base += 1;
-                }
-                true
+            .and_then(|i| usize::try_from(i).ok());
+        let Some(slot) = i.and_then(|i| self.open.get_mut(i)) else {
+            return Slot::Answered;
+        };
+        let awaited = std::mem::replace(slot, Slot::Answered);
+        if awaited != Slot::Answered {
+            self.len -= 1;
+            while self.open.front() == Some(&Slot::Answered) {
+                self.open.pop_front();
+                self.base += 1;
             }
-            _ => false,
         }
+        awaited
     }
+}
+
+/// The verdict a reply to a pipelined decide carries. A redirect or a
+/// daemon error resolves that request alone to a counted fail-safe
+/// `DeniedCoordination` naming the home or the error: a window carries
+/// on rather than following the hop.
+fn verdict(frame: Frame) -> Result<Verdict, NetError> {
+    let reason = match frame {
+        Frame::Verdict2 {
+            kind,
+            epoch,
+            reason,
+            ..
+        } => {
+            return Ok(Verdict {
+                kind: kind_from_u8(kind)?,
+                epoch,
+                reason,
+            })
+        }
+        Frame::Redirect2 { object, home, .. } => {
+            format!("redirected: object {object} is homed on {home}")
+        }
+        Frame::Err2 { code, msg, .. } => NetError::Daemon { code, msg }.to_string(),
+        other => return Err(unexpected("Verdict2", &other)),
+    };
+    stacl_obs::count(Counter::NetFailsafeDenial);
+    Ok(Verdict::denied(DecisionKind::DeniedCoordination, reason))
 }
 
 impl Client {
@@ -190,17 +236,17 @@ impl Client {
             pend2: InFlight::default(),
             done2: Vec::new(),
             remaining: Vec::new(),
+            closed: false,
         };
-        match c.call(|id| Frame::Hello {
+        let hello = |id| Frame::Hello {
             id,
             peer: name.to_string(),
-        })? {
-            Frame::HelloAck { server, .. } => {
-                c.server = server;
-                Ok(c)
-            }
+        };
+        c.server = c.call(hello, |reply| match reply {
+            Frame::HelloAck { server, .. } => Ok(server),
             other => Err(unexpected("HelloAck", &other)),
-        }
+        })?;
+        Ok(c)
     }
 
     /// The daemon's coalition server name (from the handshake).
@@ -208,9 +254,25 @@ impl Client {
         &self.server
     }
 
-    /// Number of pipelined requests currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pend2.len
+    /// Run `op` on the connection unless it is closed, and close it on
+    /// any failure but the daemon's own answer (`Err2`, a redirect):
+    /// after any other the two ends may disagree on which requests were
+    /// answered and which names were announced.
+    fn open<T>(
+        &mut self,
+        op: impl FnOnce(&mut Client) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        if self.closed {
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::NotConnected,
+                "client closed by an earlier failure",
+            )));
+        }
+        let out = op(self);
+        if let Err(e) = &out {
+            self.closed = !matches!(e, NetError::Daemon { .. } | NetError::Redirected { .. });
+        }
+        out
     }
 
     /// Write out every coalesced request frame in one write.
@@ -224,143 +286,74 @@ impl Client {
         Ok(())
     }
 
-    /// Record a decide completion, enforcing id discipline: a reply
-    /// must match exactly one in-flight request.
-    fn complete(&mut self, id: u64, v: Verdict) -> Result<(), NetError> {
-        if !self.pend2.resolve(id) {
-            return Err(NetError::Protocol(format!(
-                "verdict correlates to no in-flight request (id {id})"
-            )));
-        }
-        self.done2.push((id, v));
-        Ok(())
-    }
-
-    /// Pop a whole frame the assembler already holds, without a syscall.
-    fn buffered_frame(&mut self) -> Result<Option<Frame>, NetError> {
-        match self.asm.next_frame()? {
-            Some(payload) => Ok(Some(Frame::decode(payload)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// The next whole frame, reading from the socket only when none is
-    /// buffered (a single read may carry a whole window of replies).
-    fn read_frame(&mut self) -> Result<Frame, NetError> {
+    /// The client's one receive loop. Block for the next reply, then take
+    /// every further one already buffered (one read may carry a whole
+    /// window), so the slots they free refill in one write. Each reply
+    /// completes only the in-flight request its id names: a decide's
+    /// becomes its verdict, the synchronous call's ends the pass and comes
+    /// back. A reply whose id is not in flight is a protocol error.
+    fn recv(&mut self) -> Result<Option<Frame>, NetError> {
+        let mut got = false;
         loop {
-            if let Some(frame) = self.buffered_frame()? {
-                return Ok(frame);
-            }
-            if self.asm.read_from(&mut self.stream)? == 0 {
-                return Err(NetError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-stream",
-                )));
-            }
-        }
-    }
-
-    /// A reply to a pipelined decide is absorbed into the pipeline's
-    /// completion set and reported as `None`; anything else comes back
-    /// as `Some(frame)`. A redirect resolves its request to a counted
-    /// fail-safe `DeniedCoordination` naming the home: a window carries
-    /// on rather than following the hop.
-    fn absorb(&mut self, frame: Frame) -> Result<Option<Frame>, NetError> {
-        match frame {
-            Frame::Verdict2 {
-                id,
-                kind,
-                epoch,
-                reason,
-            } => {
-                self.complete(
-                    id,
-                    Verdict {
-                        kind: kind_from_u8(kind)?,
-                        epoch,
-                        reason,
-                    },
-                )?;
-                Ok(None)
-            }
-            Frame::Redirect2 {
-                id, object, home, ..
-            } => {
-                self.complete(
-                    id,
-                    Verdict::denied(
-                        DecisionKind::DeniedCoordination,
-                        format!("redirected: object {object} is homed on {home}"),
-                    ),
-                )?;
-                stacl_obs::count(Counter::NetFailsafeDenial);
-                Ok(None)
-            }
-            Frame::Err2 { id, code, msg } => {
-                self.pend2.resolve(id);
-                Err(NetError::Daemon { code, msg })
-            }
-            f => Ok(Some(f)),
-        }
-    }
-
-    /// Block until at least one in-flight pipelined request completes,
-    /// then absorb every further reply the assembler already holds, so
-    /// the slots they free refill in one write rather than one each.
-    fn pump(&mut self) -> Result<(), NetError> {
-        let before = self.done2.len();
-        while self.pend2.len > 0 {
-            let frame = if self.done2.len() == before {
-                self.read_frame()?
-            } else {
-                match self.buffered_frame()? {
-                    Some(frame) => frame,
-                    None => break,
+            let frame = match self.asm.next_frame()? {
+                Some(payload) => Frame::decode(payload)?,
+                None if got => return Ok(None),
+                None => {
+                    if self.asm.read_from(&mut self.stream)? == 0 {
+                        return Err(NetError::Io(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "connection closed mid-stream",
+                        )));
+                    }
+                    continue;
                 }
             };
-            if let Some(other) = self.absorb(frame)? {
-                return Err(unexpected("Verdict2", &other));
+            got = true;
+            let id = frame.id();
+            match self.pend2.resolve(id) {
+                Slot::Call => return Ok(Some(frame)),
+                Slot::Decide => self.done2.push((id, verdict(frame)?)),
+                Slot::Answered => {
+                    return Err(NetError::Protocol(format!(
+                        "reply correlates to no in-flight request (id {id})"
+                    )))
+                }
             }
         }
-        Ok(())
     }
 
-    /// Queue `frame` behind any pipelined requests, so the daemon's
-    /// interning state stays positional, and write them all at once: a
-    /// synchronous frame never reaches the socket split.
-    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        wire::put_frame_with(&mut self.out2, |b| frame.encode_into(b))?;
-        self.flush_out()
-    }
-
-    /// One round trip: send the request `frame` builds for a fresh id
-    /// and read until the reply carrying that id arrives. Replies to
-    /// other in-flight ids (pipelined decides) are kept as completions on
-    /// the way. `Err2` maps to [`NetError::Daemon`].
-    pub(crate) fn call(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<Frame, NetError> {
-        let id = self.pend2.next_id();
-        self.send(&frame(id))?;
-        self.pend2.issue();
-        loop {
-            let frame = self.read_frame()?;
-            if frame.id() == id {
-                self.pend2.resolve(id);
-                return match frame {
-                    Frame::Err2 { code, msg, .. } => Err(NetError::Daemon { code, msg }),
-                    f => Ok(f),
-                };
+    /// One round trip, a window of one: queue the request `frame` builds
+    /// for a fresh id behind any pipelined ones, write them all at once
+    /// (a synchronous frame never reaches the socket split), and receive
+    /// until the reply with that id arrives; `reply` reads it. Pipelined
+    /// decides answered on the way become their verdicts. `Err2` maps to
+    /// [`NetError::Daemon`].
+    pub(crate) fn call<T>(
+        &mut self,
+        frame: impl FnOnce(u64) -> Frame,
+        reply: impl FnOnce(Frame) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        self.open(|c| {
+            let id = c.pend2.issue(Slot::Call);
+            wire::put_frame_with(&mut c.out2, |b| frame(id).encode_into(b))?;
+            c.flush_out()?;
+            let got = loop {
+                if let Some(got) = c.recv()? {
+                    break got;
+                }
+            };
+            match got {
+                Frame::Err2 { code, msg, .. } => Err(NetError::Daemon { code, msg }),
+                got => reply(got),
             }
-            if let Some(other) = self.absorb(frame)? {
-                return Err(unexpected(&format!("the reply to request {id}"), &other));
-            }
-        }
+        })
     }
 
     pub(crate) fn expect_ok(&mut self, frame: impl FnOnce(u64) -> Frame) -> Result<(), NetError> {
-        match self.call(frame)? {
+        self.call(frame, |reply| match reply {
             Frame::Ok { .. } => Ok(()),
             other => Err(unexpected("Ok", &other)),
-        }
+        })
     }
 
     /// Announce `names` (the not-yet-known ones) in one `Vocab` frame.
@@ -392,13 +385,8 @@ impl Client {
         if let Some(&id) = self.vocab.get(name) {
             return Ok(id);
         }
-        self.expect_ok(|id| Frame::Vocab {
-            id,
-            names: vec![name.to_string()],
-        })?;
-        let id = self.vocab.len() as u32;
-        self.vocab.insert(name.to_string(), id);
-        Ok(id)
+        self.sync_vocab([name])?;
+        Ok(self.vocab[name])
     }
 
     fn wire_access(&mut self, a: &Access) -> Result<WireAccess, NetError> {
@@ -486,22 +474,15 @@ impl Client {
         time: f64,
     ) -> Result<Verdict, NetError> {
         let item = self.item(object, access, remaining, time)?;
-        match self.call(|id| Frame::Decide2 { id, item })? {
-            Frame::Verdict2 {
-                kind,
-                epoch,
-                reason,
-                ..
-            } => Ok(Verdict {
-                kind: kind_from_u8(kind)?,
-                epoch,
-                reason,
-            }),
-            Frame::Redirect2 {
-                object, home, addr, ..
-            } => Err(NetError::Redirected { object, home, addr }),
-            other => Err(unexpected("Verdict2", &other)),
-        }
+        self.call(
+            |id| Frame::Decide2 { id, item },
+            |reply| match reply {
+                Frame::Redirect2 {
+                    object, home, addr, ..
+                } => Err(NetError::Redirected { object, home, addr }),
+                reply => verdict(reply),
+            },
+        )
     }
 
     /// [`decide`](Client::decide), but any failure — unreachable daemon,
@@ -537,15 +518,13 @@ impl Client {
         policy: &str,
         classes: &[(String, f64, u8)],
     ) -> Result<u64, NetError> {
-        match self.call(|id| Frame::PolicyPrepare {
+        let prepare = |id| Frame::PolicyPrepare {
             id,
             epoch,
             policy: policy.to_string(),
             classes: classes.to_vec(),
-        })? {
-            Frame::EpochAck { epoch, .. } => Ok(epoch),
-            other => Err(unexpected("EpochAck", &other)),
-        }
+        };
+        self.call(prepare, epoch_ack)
     }
 
     /// Phase 2: flip the daemon to the epoch it prepared. Returns the
@@ -553,18 +532,18 @@ impl Client {
     /// daemon error and fail-safes its decisions until a full rollout
     /// round reaches it.
     pub fn policy_activate(&mut self, epoch: u64) -> Result<u64, NetError> {
-        match self.call(|id| Frame::PolicyActivate { id, epoch })? {
-            Frame::EpochAck { epoch, .. } => Ok(epoch),
-            other => Err(unexpected("EpochAck", &other)),
-        }
+        self.call(|id| Frame::PolicyActivate { id, epoch }, epoch_ack)
     }
 
     /// Fetch the daemon's metrics snapshot as JSON.
     pub fn metrics(&mut self) -> Result<String, NetError> {
-        match self.call(|id| Frame::MetricsRequest { id })? {
-            Frame::MetricsJson { json, .. } => Ok(json),
-            other => Err(unexpected("MetricsJson", &other)),
-        }
+        self.call(
+            |id| Frame::MetricsRequest { id },
+            |reply| match reply {
+                Frame::MetricsJson { json, .. } => Ok(json),
+                other => Err(unexpected("MetricsJson", &other)),
+            },
+        )
     }
 
     /// Ask the daemon to shut down.
@@ -574,7 +553,8 @@ impl Client {
 
     /// Open a pipelined view over this connection with a window of up to
     /// `window` in-flight requests. Infallible; the `Result` is kept so
-    /// callers that match on it keep compiling.
+    /// callers that match on it keep compiling. On a closed client the
+    /// first submit fails.
     pub fn pipeline(&mut self, window: usize) -> Result<Pipeline<'_>, NetError> {
         Ok(Pipeline {
             window: window.max(1),
@@ -598,21 +578,18 @@ impl Client {
         // sorted; a completion left over from an earlier pipeline on this
         // connection matches none of them and is dropped.
         let mut ids = Vec::with_capacity(requests.len());
-        let mut done = Vec::new();
         let failure = (|| -> Result<(), NetError> {
             let mut p = self.pipeline(window)?;
             for (object, access, remaining, time) in requests {
                 ids.push(p.submit(object, access, remaining, *time)?);
             }
-            done = p.finish()?;
+            self.done2 = p.finish()?;
             Ok(())
         })()
         .err();
         // Completions that arrived before a failure are still verdicts.
-        done.append(&mut self.done2);
-        let mut out: Vec<Option<Verdict>> = Vec::new();
-        out.resize_with(requests.len(), || None);
-        for (id, v) in done {
+        let mut out = vec![None; requests.len()];
+        for (id, v) in std::mem::take(&mut self.done2) {
             if let Ok(i) = ids.binary_search(&id) {
                 out[i] = Some(v);
             }
@@ -635,21 +612,24 @@ impl Client {
     }
 }
 
+fn epoch_ack(reply: Frame) -> Result<u64, NetError> {
+    match reply {
+        Frame::EpochAck { epoch, .. } => Ok(epoch),
+        other => Err(unexpected("EpochAck", &other)),
+    }
+}
+
 /// A pipelined view over a [`Client`] connection: up to
 /// `window` request-id-correlated decisions in flight, coalesced writes,
-/// backpressure when the window fills. Dropping the view keeps any
-/// unclaimed completions on the client for the next pipelined use.
+/// backpressure when the window fills. Its methods are thin wrappers on
+/// the client's one receive loop. Dropping the view keeps any unclaimed
+/// completions on the client for the next pipelined use.
 pub struct Pipeline<'a> {
     client: &'a mut Client,
     window: usize,
 }
 
 impl Pipeline<'_> {
-    /// The window depth.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Requests submitted but not yet answered.
     pub fn in_flight(&self) -> usize {
         self.client.pend2.len
@@ -657,7 +637,7 @@ impl Pipeline<'_> {
 
     /// Queue one decision, returning its request id. When the window is
     /// full this **blocks** (flushes, then waits for a completion) —
-    /// backpressure, never drops. The wait absorbs every reply already
+    /// backpressure, never drops. The wait takes every reply already
     /// received, so the freed slots refill before the next flush.
     pub fn submit(
         &mut self,
@@ -666,22 +646,23 @@ impl Pipeline<'_> {
         remaining: &[Access],
         time: f64,
     ) -> Result<u64, NetError> {
-        while self.client.pend2.len >= self.window {
-            self.client.flush_out()?;
-            self.client.pump()?;
-        }
-        // Vocabulary sync may issue synchronous calls; `call` flushes the
-        // queued request bytes first, so every name is announced before
-        // the requests that use it.
-        let item = self.client.item(object, access, remaining, time)?;
-        let id = self.client.pend2.next_id();
-        let frame = Frame::Decide2 { id, item };
-        wire::put_frame_with(&mut self.client.out2, |b| frame.encode_into(b))?;
-        if let Frame::Decide2 { item, .. } = frame {
-            self.client.remaining = item.remaining;
-        }
-        self.client.pend2.issue();
-        Ok(id)
+        self.client.open(|c| {
+            while c.pend2.len >= self.window {
+                c.flush_out()?;
+                c.recv()?;
+            }
+            // Vocabulary sync may issue synchronous calls; each flushes
+            // the queued request bytes first, so every name is announced
+            // before the requests that use it.
+            let item = c.item(object, access, remaining, time)?;
+            let id = c.pend2.issue(Slot::Decide);
+            let frame = Frame::Decide2 { id, item };
+            wire::put_frame_with(&mut c.out2, |b| frame.encode_into(b))?;
+            if let Frame::Decide2 { item, .. } = frame {
+                c.remaining = item.remaining;
+            }
+            Ok(id)
+        })
     }
 
     /// Claim completions that have already arrived (never blocks).
@@ -693,20 +674,24 @@ impl Pipeline<'_> {
     /// available (or the window is empty), then claim it and every other
     /// reply already received.
     pub fn recv_some(&mut self) -> Result<Vec<(u64, Verdict)>, NetError> {
-        self.client.flush_out()?;
-        if self.client.done2.is_empty() {
-            self.client.pump()?;
-        }
-        Ok(self.take())
+        self.client.open(|c| {
+            c.flush_out()?;
+            if c.done2.is_empty() && c.pend2.len > 0 {
+                c.recv()?;
+            }
+            Ok(std::mem::take(&mut c.done2))
+        })
     }
 
     /// Flush and drain the whole window, claiming every completion.
-    pub fn finish(mut self) -> Result<Vec<(u64, Verdict)>, NetError> {
-        self.client.flush_out()?;
-        while self.client.pend2.len > 0 {
-            self.client.pump()?;
-        }
-        Ok(self.take())
+    pub fn finish(self) -> Result<Vec<(u64, Verdict)>, NetError> {
+        self.client.open(|c| {
+            c.flush_out()?;
+            while c.pend2.len > 0 {
+                c.recv()?;
+            }
+            Ok(std::mem::take(&mut c.done2))
+        })
     }
 }
 
@@ -717,7 +702,8 @@ impl Pipeline<'_> {
 /// ring home; the router re-issues the decision there. Because every
 /// member computes the same rendezvous ring, **one hop always
 /// suffices** — a second redirect is reported as a protocol error rather
-/// than followed.
+/// than followed. A cached client that a failure closed is replaced by a
+/// fresh dial on its member's next call, never reused.
 pub struct Router {
     name: String,
     io_timeout: Option<Duration>,
@@ -743,9 +729,10 @@ impl Router {
         self.clients.remove(member);
     }
 
-    /// The connected client for `member`, dialing on first use.
+    /// The connected client for `member`, dialing on first use and
+    /// again once a failure has closed the cached one.
     pub fn client(&mut self, member: &str) -> Result<&mut Client, NetError> {
-        if !self.clients.contains_key(member) {
+        if self.clients.get(member).is_none_or(|c| c.closed) {
             let addr = *self
                 .addrs
                 .get(member)

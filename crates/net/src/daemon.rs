@@ -1194,19 +1194,19 @@ fn request_state(client: &mut Client, object: &str) -> Result<HandoffWire, NetEr
         id,
         object: object.to_string(),
     };
-    match client.call(request)? {
+    client.call(request, |reply| match reply {
         Frame::HandoffState {
             object: o, state, ..
         } if o == object => Ok(state),
         other => Err(unexpected("HandoffState", &other)),
-    }
+    })
 }
 
 /// Push every `(object, new home)` in `moves` (§15.3) over one `Client`
 /// to this member's event loop, which exports, and one per home, dialled
-/// before any of its keys is exported. No key is exported toward a closed
-/// link, and none once a newer membership (`generation` passed) supersedes
-/// the drain. Counts one transfer per key, and `placement.rebalance` per
+/// before any of its keys is exported. No key is exported toward a link
+/// that never dialled or that a failure closed, and none once a newer
+/// membership (`generation` passed) supersedes the drain. Counts one transfer per key, and `placement.rebalance` per
 /// key a home imported.
 fn drain(shared: &Shared, generation: u64, mut moves: Vec<(String, String)>) {
     moves.sort_unstable_by(|a, b| a.1.cmp(&b.1));
@@ -1219,13 +1219,14 @@ fn drain(shared: &Shared, generation: u64, mut moves: Vec<(String, String)>) {
             let t0 = stacl_obs::handoff_timer();
             let current = shared.membership.load(Ordering::SeqCst) == generation;
             let pushed = current
-                && to.is_some()
-                && on_link(&mut own, |c| request_state(c, object))
+                && to.as_ref().is_some_and(|c| !c.closed)
+                && own
+                    .as_mut()
+                    .and_then(|c| request_state(c, object).ok())
                     .and_then(|state| {
                         let object = object.clone();
-                        on_link(&mut to, |c| {
-                            c.expect_ok(|id| Frame::Rebalance { id, object, state })
-                        })
+                        let push = |id| Frame::Rebalance { id, object, state };
+                        to.as_mut()?.expect_ok(push).ok()
                     })
                     .is_some();
             if pushed {
@@ -1234,18 +1235,4 @@ fn drain(shared: &Shared, generation: u64, mut moves: Vec<(String, String)>) {
             count_handoff(pushed, t0);
         }
     }
-}
-
-/// One round trip on a drain link; `None` if it failed. Any failure but
-/// the member's own `Err2` leaves the connection's state unknown, so it
-/// closes the link.
-fn on_link<T>(
-    link: &mut Option<Client>,
-    call: impl FnOnce(&mut Client) -> Result<T, NetError>,
-) -> Option<T> {
-    let out = call(link.as_mut()?);
-    if matches!(&out, Err(e) if !matches!(e, NetError::Daemon { .. })) {
-        *link = None;
-    }
-    out.ok()
 }

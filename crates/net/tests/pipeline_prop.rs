@@ -4,9 +4,12 @@
 //! the request that asked for it. A window-full client must apply
 //! backpressure (block) rather than drop requests, and a response
 //! correlating to no in-flight request — never issued, or answered
-//! already — must be a clean protocol error.
+//! already — must be a clean protocol error. An `Err2` inside a window
+//! fails only the request it answers, also while a `Vocab` call is in
+//! flight, and a client whose synchronous call timed out is closed: it
+//! never sends again, nor reads the late reply.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -14,9 +17,10 @@ use std::time::Duration;
 use stacl_coalition::{DecisionKind, Verdict};
 use stacl_ids::prop::forall;
 use stacl_ids::rng::SplitMix64;
-use stacl_net::frames::{kind_to_u8, Frame};
+use stacl_net::frames::{kind_to_u8, Frame, ERR_BAD_REQUEST};
 use stacl_net::wire;
 use stacl_net::{Client, FrameAssembler, NetError};
+use stacl_obs::Counter;
 use stacl_sral::Access;
 
 /// How the fake server answers `Decide2` frames.
@@ -31,31 +35,44 @@ enum ReplyMode {
     Shifted { offset: u64 },
     /// Reply to every request twice, newest request first.
     Twice,
+    /// `Shuffled`, with `Vocab` replies shuffled in among the verdicts.
+    /// The server keeps the connection's positional vocabulary, and the
+    /// reason reads `"<op> t-<time>"`, the op being the name the
+    /// server resolved. A request whose time has a fractional part is
+    /// refused with `Err2`.
+    Named { seed: u64 },
+    /// Answer every `Arrive` only after sleeping `delay`.
+    Late { delay: Duration },
 }
 
 /// A single-connection fake daemon speaking just enough of the protocol
 /// for pipelined clients: Hello/Vocab/Arrive get immediate replies,
 /// `Decide2` replies are buffered per read burst and written back in
 /// shuffled order. Flushing at read-idle keeps the exchange
-/// deadlock-free no matter the client's window.
-fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
+/// deadlock-free no matter the client's window. The thread returns the
+/// number of frames it received.
+fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<usize>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let handle = thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         let mut rng = SplitMix64::seed_from_u64(match mode {
-            ReplyMode::Shuffled { seed } => seed,
+            ReplyMode::Shuffled { seed } | ReplyMode::Named { seed } => seed,
             _ => 0,
         });
+        let named = matches!(mode, ReplyMode::Named { .. });
         let mut asm = FrameAssembler::new();
-        let mut pending: Vec<(u64, f64)> = Vec::new();
+        let mut vocab: Vec<String> = Vec::new();
+        let mut pending: Vec<(u64, Frame)> = Vec::new();
         let mut out = Vec::new();
+        let mut frames = 0;
         'conn: loop {
             if matches!(asm.read_from(&mut stream), Ok(0) | Err(_)) {
                 break 'conn;
             }
             while let Some(payload) = asm.next_frame().expect("client frames reassemble") {
                 let frame = Frame::decode(payload).expect("client frames decode");
+                frames += 1;
                 match frame {
                     Frame::Hello { id, .. } => {
                         let ack = Frame::HelloAck {
@@ -64,13 +81,49 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
                         };
                         wire::put_frame(&mut out, &ack.encode()).unwrap();
                     }
-                    Frame::Vocab { id, .. }
-                    | Frame::Arrive { id, .. }
-                    | Frame::Enroll { id, .. }
-                    | Frame::IssueProof { id, .. } => {
+                    Frame::Vocab { id, names } => {
+                        vocab.extend(names);
+                        if named {
+                            pending.push((id, Frame::Ok { id }));
+                        } else {
+                            wire::put_frame(&mut out, &Frame::Ok { id }.encode()).unwrap();
+                        }
+                    }
+                    Frame::Arrive { id, .. } => {
+                        if let ReplyMode::Late { delay } = mode {
+                            thread::sleep(delay);
+                        }
                         wire::put_frame(&mut out, &Frame::Ok { id }.encode()).unwrap();
                     }
-                    Frame::Decide2 { id, item } => pending.push((id, item.time)),
+                    Frame::Enroll { id, .. } | Frame::IssueProof { id, .. } => {
+                        wire::put_frame(&mut out, &Frame::Ok { id }.encode()).unwrap();
+                    }
+                    Frame::Decide2 { id, item } => {
+                        let time = item.time;
+                        let verdict = |id, reason| Frame::Verdict2 {
+                            id,
+                            kind: kind_to_u8(DecisionKind::DeniedNoPermission),
+                            epoch: 7,
+                            reason: Some(reason),
+                        };
+                        let reply = match mode {
+                            ReplyMode::Named { .. } if time.fract() != 0.0 => Frame::Err2 {
+                                id,
+                                code: ERR_BAD_REQUEST,
+                                msg: format!("refused t-{time}"),
+                            },
+                            ReplyMode::Named { .. } => {
+                                let op = vocab.get(item.access.op as usize);
+                                let op = op.map_or("?", String::as_str);
+                                verdict(id, format!("{op} t-{time}"))
+                            }
+                            ReplyMode::Shifted { offset } => {
+                                verdict(id + offset, format!("t-{time}"))
+                            }
+                            _ => verdict(id, format!("t-{time}")),
+                        };
+                        pending.push((id, reply));
+                    }
                     Frame::Shutdown { id } => {
                         wire::put_frame(&mut out, &Frame::Ok { id }.encode()).unwrap();
                         let _ = stream.write_all(&out);
@@ -87,20 +140,10 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
             if let ReplyMode::Twice = mode {
                 pending.sort_by_key(|&(id, _)| std::cmp::Reverse(id));
             }
-            for (id, time) in pending.drain(..) {
-                let (id, copies) = match mode {
-                    ReplyMode::Shuffled { .. } => (id, 1),
-                    ReplyMode::Shifted { offset } => (id + offset, 1),
-                    ReplyMode::Twice => (id, 2),
-                };
-                let v = Frame::Verdict2 {
-                    id,
-                    kind: kind_to_u8(DecisionKind::DeniedNoPermission),
-                    epoch: 7,
-                    reason: Some(format!("t-{time}")),
-                };
+            let copies = if let ReplyMode::Twice = mode { 2 } else { 1 };
+            for (_, reply) in pending.drain(..) {
                 for _ in 0..copies {
-                    wire::put_frame(&mut out, &v.encode()).unwrap();
+                    wire::put_frame(&mut out, &reply.encode()).unwrap();
                 }
             }
             if stream.write_all(&out).is_err() {
@@ -108,6 +151,7 @@ fn spawn_shuffler(mode: ReplyMode) -> (SocketAddr, JoinHandle<()>) {
             }
             out.clear();
         }
+        frames
     });
     (addr, handle)
 }
@@ -205,6 +249,96 @@ fn stream_failsafe_restores_request_order_under_shuffle() {
         drop(client);
         server.join().expect("server thread");
     });
+}
+
+/// Verdicts shuffled in among `Vocab` replies, some requests refused
+/// with `Err2`, and fresh op names mid-window so `Vocab` calls are in
+/// flight while verdicts and `Err2`s arrive: every refused request is a
+/// counted fail-safe denial carrying the daemon's error, every other
+/// verdict lands on its own request and names the op it asked for, and
+/// `decide_stream_failsafe` keeps request order.
+#[test]
+fn err2_and_fresh_names_under_shuffle_fail_only_their_request() {
+    forall("pipeline-named", 0x51AD, 16, |r| {
+        let n = r.gen_range(2usize..32);
+        let window = r.gen_range(1usize..9);
+        let (addr, server) = spawn_shuffler(ReplyMode::Named { seed: r.next_u64() });
+        let mut client = connect(addr);
+        let programs: Vec<[Access; 1]> = (0..n)
+            .map(|i| {
+                let op = if r.gen_bool(0.3) {
+                    format!("fresh-{i}")
+                } else {
+                    format!("op-{}", r.gen_range(0u32..3))
+                };
+                [Access::new(op, ACCESS_PARTS.1, ACCESS_PARTS.2)]
+            })
+            .collect();
+        let refused: Vec<bool> = (0..n).map(|_| r.gen_bool(0.3)).collect();
+        let time = |i: usize| i as f64 + if refused[i] { 0.5 } else { 0.0 };
+        let requests: Vec<(&str, &Access, &[Access], f64)> = programs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ("obj", &p[0], &p[..], time(i)))
+            .collect();
+        // No other test in this file makes a fail-safe denial, so the
+        // process-global counter moves for this test's requests alone.
+        let before = stacl_obs::snapshot();
+        let verdicts = client.decide_stream_failsafe(&requests, window);
+        let failsafe = stacl_obs::snapshot()
+            .diff(&before)
+            .counter(Counter::NetFailsafeDenial);
+        assert_eq!(verdicts.len(), n);
+        for (i, v) in verdicts.iter().enumerate() {
+            let reason = v.reason.as_deref().unwrap_or("");
+            if refused[i] {
+                assert_eq!(v.kind, DecisionKind::DeniedCoordination, "slot {i}");
+                let err = format!("daemon error {ERR_BAD_REQUEST}: refused t-{}", time(i));
+                assert_eq!(reason, err, "slot {i} holds another request's error");
+            } else {
+                let op = &programs[i][0].op;
+                assert_eq!(
+                    reason,
+                    format!("{op} t-{}", time(i)),
+                    "slot {i} holds another request's verdict, or its op shifted"
+                );
+                assert_eq!(v.epoch, 7);
+            }
+        }
+        let refusals = refused.iter().filter(|&&x| x).count() as u64;
+        assert_eq!(failsafe, refusals, "every refusal is counted, once");
+        drop(client);
+        server.join().expect("server thread");
+    });
+}
+
+/// A synchronous call whose reply comes after the client's read timeout
+/// leaves the client closed: the next call fails at once, and the client
+/// neither sends another frame nor reads the late reply.
+#[test]
+fn timed_out_call_closes_the_client() {
+    let delay = Duration::from_millis(500);
+    let (addr, server) = spawn_shuffler(ReplyMode::Late { delay });
+    let mut client =
+        Client::connect(addr, "prop-client", Some(Duration::from_millis(50))).expect("connect");
+    // `Hello`, the `Vocab` announcing `obj`, then the `Arrive`.
+    let err = client
+        .arrive("obj", 0.0, None)
+        .expect_err("the reply comes after the read timeout");
+    assert!(matches!(err, NetError::Io(_)), "a timeout, got {err}");
+    let err = client
+        .arrive("obj", 1.0, None)
+        .expect_err("a closed client fails every call");
+    assert!(
+        matches!(&err, NetError::Io(e) if e.kind() == ErrorKind::NotConnected),
+        "expected the closed-client error, got {err}"
+    );
+    drop(client);
+    assert_eq!(
+        server.join().expect("server thread"),
+        3,
+        "a closed client sent another frame"
+    );
 }
 
 /// A full window blocks the submitter until a slot frees — it never
